@@ -55,7 +55,8 @@ def compare(baseline, current, max_slowdown, phase_atol, phase_rtol):
         cur_mode = cur.get("kernel_mode")
         if base_mode is not None and cur_mode != base_mode:
             # A compiled entry timed on a host without the baseline's
-            # backend (e.g. no numba and no C toolchain) is a capability
+            # backend (a C-kernel baseline on a host without a C
+            # toolchain, which runs the NumPy engine) is a capability
             # difference, not a perf regression — report, don't gate.
             lines.append(
                 f"{name}: kernel mode {cur_mode!r} != baseline "

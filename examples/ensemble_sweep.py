@@ -56,7 +56,7 @@ def main():
     x0 = np.tile([1.0, 0.0, 0.0, 0.0], (control_voltages.size, 1))
     # kernel="python" on both sides: this comparison isolates the NumPy
     # lock-step batching win over per-scenario python dispatch.  The
-    # compiled per-DAE sweep (kernel="auto"/"numba"/"c") accelerates the
+    # compiled per-DAE C sweep (kernel="auto"/"c") accelerates the
     # serial runs far past either path — see benchmarks/README.md.
     options = TransientOptions(
         integrator="trap", dt=T_NOMINAL / 100, kernel="python"

@@ -221,8 +221,7 @@ def probe_cupy():
     """Return the imported ``cupy`` module, or ``None`` if unavailable.
 
     Re-evaluated on every call (no caching) so tests masking
-    ``sys.modules`` are seen immediately — mirroring
-    :func:`repro.kernels.backends.probe_numba`.
+    ``sys.modules`` are seen immediately.
     """
     try:
         import cupy  # noqa: PLC0415 - optional dependency probe

@@ -42,12 +42,6 @@ def _add_solver_args(parser):
              "(default) or frozen-LU-preconditioned GMRES (large circuits)",
     )
     parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for the collocation Jacobian refresh "
-             "(default: automatic — large refreshes thread themselves; "
-             "pass 1 to force a serial refresh)",
-    )
-    parser.add_argument(
         "--recovery", choices=("default", "extended"), default=None,
         help="solver recovery ladder: 'default' retries a failed solve "
              "with damped full Newton only, 'extended' escalates through "
@@ -105,7 +99,6 @@ def _envelope_options(args, **kwargs):
             # rather than relying on the core's silent demotion.  An
             # explicit "lu" is the default direct solver and keeps chord.
             options.newton_mode = "full"
-    options.threads = args.threads
     if getattr(args, "recovery", None):
         options.ladder = args.recovery
     if getattr(args, "checkpoint_every", 0):
@@ -193,13 +186,13 @@ def _run_tuning_sweep(args):
     from repro.linalg.solver_core import SolverStats
     from repro.utils import format_table, write_csv
 
-    if (args.newton or args.linear_solver or args.threads is not None
-            or args.recovery or args.checkpoint_every or args.resume_from):
+    if (args.newton or args.linear_solver or args.recovery
+            or args.checkpoint_every or args.resume_from):
         # The sweep's solves are the batched ensemble chord loop plus
         # per-point HB with its own defaults; silently ignoring explicit
         # solver flags would be worse than refusing them.
         raise SystemExit(
-            "error: --newton/--linear-solver/--threads/--recovery/"
+            "error: --newton/--linear-solver/--recovery/"
             "--checkpoint-every/--resume-from configure the envelope run "
             "and are not supported with --sweep"
         )

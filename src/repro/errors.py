@@ -19,9 +19,9 @@ class ValidationError(ReproError, ValueError):
 class ConfigurationError(ReproError, ValueError):
     """Options request a capability the environment cannot provide.
 
-    Raised eagerly at configuration time -- e.g. ``kernel="numba"``
-    without numba installed, or ``kernel="c"`` without a C compiler --
-    instead of failing with an ImportError deep inside a march.
+    Raised eagerly at configuration time -- e.g. ``kernel="c"`` without
+    a C compiler, or ``backend="cupy"`` without CuPy -- instead of
+    failing deep inside a march.
     """
 
 

@@ -4,10 +4,8 @@ Every collocation engine (harmonic balance, the quasiperiodic solvers, the
 envelope steppers) flattens ``(points, variables)`` sample grids into the
 point-major vectors Newton iterates on, and works on the normalised
 ``t1 in [0, 1)`` spectral grid with centred harmonic indices.  The basic
-1-D grid constructors (``uniform_grid`` and friends) used to live in a
-second module, :mod:`repro.utils.grids`; they are folded in here so all
-grid construction has one home (the old location re-exports for
-compatibility).
+1-D grid constructors (``uniform_grid`` and friends) live here too, so
+all grid construction has one home.
 """
 
 from __future__ import annotations

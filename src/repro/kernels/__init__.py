@@ -1,29 +1,26 @@
 """Compiled per-DAE inner loops (ROADMAP item 1: the 10x transient lever).
 
 Supported DAEs are lowered to a tiny statement IR
-(:mod:`~repro.kernels.registry`), rendered to equivalent Python and C
-translation units (:mod:`~repro.kernels.codegen`), built/cached by
-backend (:mod:`~repro.kernels.backends`: numba > host C toolchain >
-pure python), and driven by the engines through
+(:mod:`~repro.kernels.registry`), rendered to one C translation unit
+(:mod:`~repro.kernels.codegen`), compiled and cached by
+:mod:`~repro.kernels.backends`, and driven by the engines through
 :mod:`~repro.kernels.sweep` — fused fixed-step, adaptive-step and
 batched lock-step ensemble chord marches, plus batched ``q/f/dq/df``
 evaluations for the envelope/ensemble python paths.
 
-Select with ``kernel="auto" | "numba" | "c" | "python"`` on any engine
-options class (:class:`~repro.linalg.solver_core.SolverOptionsMixin`).
-``HAVE_NUMBA`` is the import-time capability probe the ``jit`` optional
-extra satisfies; without it, ``auto`` uses the C toolchain when one is
-on PATH and otherwise degrades silently to the python reference path.
+Select with ``kernel="auto" | "c" | "python"`` on any engine options
+class (:class:`~repro.linalg.solver_core.SolverOptionsMixin`).
+``"auto"`` uses the C toolchain when one is on PATH (``HAVE_CC``) and
+otherwise degrades silently to the NumPy engine, which ``"python"``
+selects explicitly and which every compiled path is tested against.
 """
 
 from .backends import (
     HAVE_CC,
-    HAVE_NUMBA,
     KERNEL_MODES,
     KernelBuildError,
     build_kernel,
     probe_cc,
-    probe_numba,
     resolve_mode,
 )
 from .registry import KernelSpec, constant_forcing_row, spec_for_dae
@@ -38,7 +35,6 @@ from .sweep import (
 
 __all__ = [
     "HAVE_CC",
-    "HAVE_NUMBA",
     "KERNEL_MODES",
     "KernelBuildError",
     "KernelSpec",
@@ -51,7 +47,6 @@ __all__ = [
     "prepare_ensemble_runner",
     "prepare_transient_runner",
     "probe_cc",
-    "probe_numba",
     "resolve_mode",
     "spec_for_dae",
 ]

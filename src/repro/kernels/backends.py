@@ -1,34 +1,30 @@
-"""Backend probing, compilation and caching for generated kernels.
+"""Backend resolution, compilation and caching for generated kernels.
 
-Three execution modes share one generated algorithm
-(:mod:`repro.kernels.codegen`):
+Two execution modes:
 
-``"numba"``
-    The generated Python module with every function under
-    ``numba.njit(cache=True)``.  Requires the optional ``jit`` extra.
 ``"c"``
-    The generated C file compiled by the host toolchain
-    (``$CC`` / ``cc`` / ``gcc`` / ``clang``) into a shared object and
-    loaded through :mod:`ctypes`.  No extra dependencies.
+    The generated C file (:mod:`repro.kernels.codegen`) compiled by the
+    host toolchain (``$CC`` / ``cc`` / ``gcc`` / ``clang``) into a shared
+    object and loaded through :mod:`ctypes`.  No extra dependencies.
 ``"python"``
-    The same generated Python module, undecorated — slow, but always
-    available; it is the oracle the compiled modes are tested against.
+    No generated code at all: the engines run their NumPy loops.  This
+    is the reference every compiled path is tested against.
 
-Builds are cached on disk under ``$REPRO_KERNEL_CACHE`` (default: a
-``repro-kernels`` directory in the system temp dir), keyed by a content
-hash of the generated source, and memoised in-process, so a long test
-run compiles each distinct circuit topology once.
+``kernel="auto"`` resolves to C when a compiler is on PATH and to the
+NumPy engine otherwise.  Builds are cached on disk under
+``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory in the
+system temp dir), keyed by a content hash of the generated source, and
+memoised in-process, so a long test run compiles each distinct circuit
+topology once.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.util
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 
@@ -39,26 +35,11 @@ from repro.errors import ConfigurationError, ReproError
 from . import codegen
 
 #: Option values accepted by ``kernel=...``.
-KERNEL_MODES = ("auto", "numba", "c", "python")
+KERNEL_MODES = ("auto", "c", "python")
 
 
 class KernelBuildError(ReproError):
     """Generating/compiling/loading a kernel backend failed."""
-
-
-def probe_numba():
-    """True when numba can actually be imported *right now*.
-
-    Re-evaluated on every call (not just at import) so masking numba out
-    of ``sys.modules`` — as the fallback tests do — is seen immediately.
-    """
-    if sys.modules.get("numba", "unset") is None:
-        return False
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 def _find_cc():
@@ -73,15 +54,14 @@ def probe_cc():
     return _find_cc() is not None
 
 
-#: Import-time snapshot of the numba probe (the documented capability flag).
-HAVE_NUMBA = probe_numba()
+#: Import-time snapshot of the compiler probe.
 HAVE_CC = probe_cc()
 
 
 def resolve_mode(requested):
     """Map a ``kernel=`` option value to a concrete backend mode.
 
-    ``"auto"`` prefers numba, then the C toolchain, then python.
+    ``"auto"`` prefers the C toolchain, then the NumPy engine.
     Explicitly requesting an unavailable backend raises
     :class:`~repro.errors.ConfigurationError` eagerly, before any march
     starts.  Returns ``(mode, reason)`` where ``reason`` explains a
@@ -101,27 +81,14 @@ def resolve_mode(requested):
         )
     if requested == "python":
         return "python", "kernel='python' requested"
-    if requested == "numba":
-        if not probe_numba():
-            raise ConfigurationError(
-                "kernel='numba' requires the optional numba dependency; "
-                "install the jit extra (pip install 'repro[jit]') or use "
-                "kernel='auto'"
-            )
-        return "numba", None
-    if requested == "c":
-        if not probe_cc():
-            raise ConfigurationError(
-                "kernel='c' requires a host C compiler (cc/gcc/clang or "
-                "$CC) on PATH; use kernel='auto' to fall back"
-            )
-        return "c", None
-    # auto
-    if probe_numba():
-        return "numba", None
     if probe_cc():
         return "c", None
-    return "python", "numba unavailable and no C compiler on PATH"
+    if requested == "c":
+        raise ConfigurationError(
+            "kernel='c' requires a host C compiler (cc/gcc/clang or "
+            "$CC) on PATH; use kernel='auto' to fall back"
+        )
+    return "python", "no C compiler on PATH"
 
 
 def _cache_dir():
@@ -136,36 +103,8 @@ def _source_sha(source):
     return hashlib.sha256(source.encode()).hexdigest()[:24]
 
 
-class _PyKernel:
-    """Adapter over the generated Python module (numba-jitted or plain)."""
-
-    mode = "python"
-
-    def __init__(self, module, mode):
-        self.mode = mode
-        self._mod = module
-        self.eval_qf = module.eval_qf
-        self.eval_jac = module.eval_jac
-        self.sweep = module.sweep
-        self.sweep_adaptive = module.sweep_adaptive
-
-    def eval_qf_batch(self, X, P, Q, F):
-        self._mod.eval_qf_batch(X, P, Q, F)
-
-    def eval_jac_batch(self, X, P, DQ, DF):
-        self._mod.eval_jac_batch(X, P, DQ, DF)
-
-    def sweep_ens(self, t_grid, b_grid, gi_start, gi_end, batch, pstride,
-                  *arrays):
-        # The generated python function reads B/pstride off the arrays.
-        return int(self._mod.sweep_ens(t_grid, b_grid, gi_start, gi_end,
-                                       *arrays))
-
-
 class _CKernel:
     """ctypes adapter over the compiled shared object."""
-
-    mode = "c"
 
     def __init__(self, lib):
         self._lib = lib
@@ -227,100 +166,80 @@ class _CKernel:
         return int(self._lib.sweep_ens(*args))
 
 
-def _load_python_module(source, sha):
-    path = os.path.join(_cache_dir(), f"kernel_{sha}.py")
-    if not os.path.exists(path):
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as handle:
-            handle.write(source)
-        os.replace(tmp, path)
-    name = f"repro_kernel_{sha}"
-    existing = sys.modules.get(name)
-    if existing is not None:
-        return existing
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(name, None)
-        raise
-    return module
-
-
 def _build_c_library(source, sha):
+    """Compile ``source`` into the cache (once) and load it.
+
+    The compiler reads a source file private to this build and the
+    library is published by an atomic rename, so processes building the
+    same kernel concurrently never see each other's partial files.
+    """
     cc = _find_cc()
     if cc is None:
         raise KernelBuildError("no C compiler on PATH")
     cache = _cache_dir()
     so_path = os.path.join(cache, f"kernel_{sha}.so")
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache, f"kernel_{sha}.c")
-        with open(c_path, "w") as handle:
-            handle.write(source)
-        tmp_so = f"{so_path}.{os.getpid()}.tmp"
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path, "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise KernelBuildError(
-                f"C kernel compilation failed ({' '.join(cmd)}):\n"
-                f"{proc.stderr}"
-            )
-        os.replace(tmp_so, so_path)
-    return ctypes.CDLL(so_path)
+        fd, c_path = tempfile.mkstemp(
+            prefix=f"kernel_{sha}.", suffix=".c", dir=cache
+        )
+        tmp_so = f"{c_path[:-2]}.so.tmp"
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(source)
+            cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path,
+                   "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise KernelBuildError(
+                    f"C kernel compilation failed ({' '.join(cmd)}):\n"
+                    f"{proc.stderr}"
+                )
+            os.replace(tmp_so, so_path)
+        finally:
+            for path in (c_path, tmp_so):
+                if os.path.exists(path):
+                    os.remove(path)
+    try:
+        return _CKernel(ctypes.CDLL(so_path))
+    except (OSError, AttributeError) as exc:
+        raise KernelBuildError(f"loading {so_path} failed: {exc}") from exc
 
 
-#: In-process memo: (source sha, mode) -> built kernel adapter.
+#: In-process memo: source sha -> loaded kernel adapter.
 _KERNEL_MEMO = {}
 
 
 class BuiltKernel:
-    """A spec bound to a built backend (callables + parameter rows)."""
+    """A spec bound to its compiled kernel (callables + parameter rows)."""
 
-    def __init__(self, spec, impl, mode, compile_time_s):
+    mode = "c"
+
+    def __init__(self, spec, impl, compile_time_s):
         self.spec = spec
         self.impl = impl
-        self.mode = mode
         self.compile_time_s = float(compile_time_s)
 
 
-def build_kernel(spec, mode):
-    """Build (or fetch from cache) the backend for ``spec`` in ``mode``.
+def build_kernel(spec):
+    """Build (or fetch from cache) the compiled C kernel for ``spec``.
 
-    Raises :class:`KernelBuildError` on compilation/first-call failure;
-    callers running under ``kernel="auto"`` degrade to the next backend.
+    Raises :class:`KernelBuildError` when compiling, loading or the
+    trial call fails; callers running under ``kernel="auto"`` then stay
+    on the NumPy engine.
     """
     start = time.perf_counter()
-    if mode in ("numba", "python"):
-        source = codegen.generate_python_source(spec)
-        key = (_source_sha(source), mode)
-        impl = _KERNEL_MEMO.get(key)
-        if impl is None:
-            module = _load_python_module(source, key[0])
-            if mode == "numba" and not getattr(module, "HAVE_JIT", False):
-                raise KernelBuildError(
-                    "generated module loaded without numba jit"
-                )
-            impl = _PyKernel(module, mode)
-            if mode == "numba":
-                _trial_run(spec, impl)
-            _KERNEL_MEMO[key] = impl
-    elif mode == "c":
-        source = codegen.generate_c_source(spec)
-        key = (_source_sha(source), mode)
-        impl = _KERNEL_MEMO.get(key)
-        if impl is None:
-            impl = _CKernel(_build_c_library(source, key[0]))
-            _trial_run(spec, impl)
-            _KERNEL_MEMO[key] = impl
-    else:  # pragma: no cover - resolve_mode guards the values
-        raise KernelBuildError(f"unknown kernel mode {mode!r}")
-    return BuiltKernel(spec, impl, mode, time.perf_counter() - start)
+    source = codegen.generate_c_source(spec)
+    sha = _source_sha(source)
+    impl = _KERNEL_MEMO.get(sha)
+    if impl is None:
+        impl = _build_c_library(source, sha)
+        _trial_run(spec, impl)
+        _KERNEL_MEMO[sha] = impl
+    return BuiltKernel(spec, impl, time.perf_counter() - start)
 
 
 def _trial_run(spec, impl):
-    """Force compilation (numba) / catch broken builds with a tiny call."""
+    """Catch broken builds with a tiny call."""
     n = spec.n
     x = np.zeros(n)
     p = np.ascontiguousarray(spec.params_rows[0])

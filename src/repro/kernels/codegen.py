@@ -1,15 +1,11 @@
-"""Render a :class:`~repro.kernels.registry.KernelSpec` to source code.
+"""Render a :class:`~repro.kernels.registry.KernelSpec` to C source.
 
-One spec renders to two equivalent translation units:
+One spec renders to one C translation unit, compiled with the host
+toolchain (``cc -O2 -shared``) and driven through ctypes (see
+:mod:`repro.kernels.backends`).  The reference it is tested against is
+not generated code but the NumPy engines themselves.
 
-* a **Python module** whose functions are decorated with ``KERNEL_JIT``
-  (``numba.njit(cache=True)`` when numba imports, identity otherwise) —
-  the numba backend and the pure-python reference oracle share this
-  exact source, so "compiled vs python" can never drift algorithmically;
-* a **C file** compiled with the host toolchain (``cc -O2 -shared``)
-  and driven through ctypes — the fast path on boxes without numba.
-
-Both carry the same seven entry points: ``eval_qf`` / ``eval_jac``
+The unit carries seven entry points: ``eval_qf`` / ``eval_jac``
 (single point), ``eval_qf_batch`` / ``eval_jac_batch`` (lock-step and
 collocation batches), ``sweep`` — the fused fixed-step chord march
 (integrator terms, polynomial predictor, residual, frozen-LU chord
@@ -46,28 +42,6 @@ drift).  Status codes returned by the sweep entry points:
 from __future__ import annotations
 
 
-def _render_py(stmts, indent):
-    pad = "    " * indent
-    lines = []
-    for s in stmts:
-        op = s[0]
-        if op in ("let", "set"):
-            lines.append(f"{pad}{s[1]} = {s[2]}")
-        elif op == "store":
-            lines.append(f"{pad}{s[1]}[{s[2]}] = {s[3]}")
-        elif op == "add":
-            lines.append(f"{pad}{s[1]}[{s[2]}] += {s[3]}")
-        elif op == "if":
-            lines.append(f"{pad}if {s[1]}:")
-            lines.extend(_render_py(s[2], indent + 1) or [pad + "    pass"])
-            if s[3]:
-                lines.append(f"{pad}else:")
-                lines.extend(_render_py(s[3], indent + 1))
-        else:  # pragma: no cover - registry emits only the forms above
-            raise ValueError(f"unknown statement {s[0]!r}")
-    return lines
-
-
 def _render_c(stmts, indent, declared=None):
     pad = "    " * indent
     declared = declared if declared is not None else set()
@@ -93,965 +67,6 @@ def _render_c(stmts, indent, declared=None):
         else:  # pragma: no cover
             raise ValueError(f"unknown statement {s[0]!r}")
     return lines
-
-
-_PY_RUNTIME = '''
-
-@KERNEL_JIT
-def eval_qf_batch(X, P, Q, F):
-    for b in range(X.shape[0]):
-        pi = b if P.shape[0] > 1 else 0
-        eval_qf(X[b], P[pi], Q[b], F[b])
-
-
-@KERNEL_JIT
-def eval_jac_batch(X, P, DQ, DF):
-    for b in range(X.shape[0]):
-        pi = b if P.shape[0] > 1 else 0
-        eval_jac(X[b], P[pi], DQ[b], DF[b])
-
-
-@KERNEL_JIT
-def lu_factor(A, piv):
-    for k in range(N):
-        pmax = 0.0
-        pidx = k
-        for i in range(k, N):
-            a = fabs(A[i, k])
-            if a > pmax:
-                pmax = a
-                pidx = i
-        if not (pmax > 0.0) or not isfinite(pmax):
-            return False
-        piv[k] = pidx
-        if pidx != k:
-            for j in range(N):
-                tmp = A[k, j]
-                A[k, j] = A[pidx, j]
-                A[pidx, j] = tmp
-        akk = A[k, k]
-        for i in range(k + 1, N):
-            lik = A[i, k] / akk
-            A[i, k] = lik
-            for j in range(k + 1, N):
-                A[i, j] -= lik * A[k, j]
-    return True
-
-
-@KERNEL_JIT
-def lu_solve(A, piv, b, out):
-    for i in range(N):
-        out[i] = b[i]
-    for k in range(N):
-        pidx = piv[k]
-        if pidx != k:
-            tmp = out[k]
-            out[k] = out[pidx]
-            out[pidx] = tmp
-        for i in range(k + 1, N):
-            out[i] -= A[i, k] * out[k]
-    for i in range(N - 1, -1, -1):
-        acc = out[i]
-        for j in range(i + 1, N):
-            acc -= A[i, j] * out[j]
-        out[i] = acc / A[i, i]
-
-
-@KERNEL_JIT
-def _residual(x, p, b_row, alpha, beta, rhs, qv, fv, rc):
-    # qv <- q(x); fv <- f(x) - b; rc <- alpha*q + rhs + beta*(f - b).
-    # Returns the residual inf-norm (nan if any component is nan).
-    eval_qf(x, p, qv, fv)
-    norm = 0.0
-    bad = False
-    for i in range(N):
-        fb = fv[i] - b_row[i]
-        fv[i] = fb
-        r = alpha * qv[i] + rhs[i] + beta * fb
-        rc[i] = r
-        a = fabs(r)
-        if a != a:
-            bad = True
-        elif a > norm:
-            norm = a
-    if bad:
-        return nan
-    return norm
-
-
-@KERNEL_JIT
-def _refactor(x, p, alpha, beta, A, piv, dqs, dfs, jac_meta):
-    eval_jac(x, p, dqs, dfs)
-    for i in range(N):
-        for j in range(N):
-            A[i, j] = alpha * dqs[i * N + j] + beta * dfs[i * N + j]
-    if not lu_factor(A, piv):
-        return False
-    jac_meta[0] = alpha
-    jac_meta[1] = beta
-    for i in range(N):
-        jac_meta[2 + i] = x[i]
-    return True
-
-
-@KERNEL_JIT
-def sweep(t_grid, b_grid, gi_start, gi_end, h_t, h_x, h_q, h_fb, hstate,
-          flags, A, piv, jac_meta, reg, dopts, iopts, p, out_x, counters,
-          xc, xn, dxs, rc, rn, qv, fv, rhs, dqs, dfs):
-    atol = dopts[0]
-    rtol = dopts[1]
-    contraction = dopts[2]
-    param_rtol = dopts[3]
-    maxiter = iopts[0]
-    halvings = iopts[1]
-    integ = iopts[2]
-    have = flags[0] != 0
-    if have and flags[1] != 0:
-        # Resume: rebuild the frozen LU from checkpointed (alpha, beta,
-        # x) metadata — uncounted, like the python restore path.
-        for i in range(N):
-            xc[i] = jac_meta[2 + i]
-        eval_jac(xc, p, dqs, dfs)
-        for i in range(N):
-            for j in range(N):
-                A[i, j] = (jac_meta[0] * dqs[i * N + j]
-                           + jac_meta[1] * dfs[i * N + j])
-        if not lu_factor(A, piv):
-            have = False
-    flags[1] = 0
-    status = 0
-    for gi in range(gi_start, gi_end):
-        hc = hstate[0]
-        t_new = t_grid[gi]
-        dt = t_new - h_t[hc - 1]
-        if integ == 1:
-            alpha = 1.0 / dt
-            beta = 0.5
-            for i in range(N):
-                rhs[i] = -h_q[hc - 1, i] / dt + 0.5 * h_fb[hc - 1, i]
-        elif integ == 2 and hc >= 2:
-            t1 = h_t[hc - 1]
-            t2 = h_t[hc - 2]
-            alpha = (2.0 * t_new - t1 - t2) / ((t_new - t1) * (t_new - t2))
-            beta = 1.0
-            d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2))
-            d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1))
-            for i in range(N):
-                rhs[i] = d1 * h_q[hc - 1, i] + d2 * h_q[hc - 2, i]
-        else:
-            alpha = 1.0 / dt
-            beta = 1.0
-            for i in range(N):
-                rhs[i] = -h_q[hc - 1, i] / dt
-        if alpha != reg[1]:
-            old = reg[0]
-            if old == old and fabs(alpha - old) > param_rtol * fabs(old):
-                have = False
-            reg[0] = alpha
-            reg[1] = alpha
-        if (hc >= 3 and h_t[0] != h_t[1] and h_t[1] != h_t[2]
-                and h_t[0] != h_t[2]):
-            ta = h_t[0]
-            tb = h_t[1]
-            tc = h_t[2]
-            la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc))
-            lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc))
-            lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb))
-            for i in range(N):
-                xc[i] = la * h_x[0, i] + lb * h_x[1, i] + lc * h_x[2, i]
-        elif hc >= 2 and h_t[hc - 1] != h_t[hc - 2]:
-            frac = (t_new - h_t[hc - 1]) / (h_t[hc - 1] - h_t[hc - 2])
-            for i in range(N):
-                xc[i] = (h_x[hc - 1, i]
-                         + (h_x[hc - 1, i] - h_x[hc - 2, i]) * frac)
-        else:
-            for i in range(N):
-                xc[i] = h_x[hc - 1, i]
-        counters[4] += 1
-        norm = _residual(xc, p, b_grid[gi], alpha, beta, rhs, qv, fv, rc)
-        counters[2] += 1
-        itn = 0
-        failed = 0
-        converged = norm <= atol
-        if not converged and not isfinite(norm):
-            failed = 2
-        fresh = False
-        if not converged and failed == 0 and not have:
-            if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs, jac_meta):
-                counters[3] += 1
-                have = True
-                fresh = True
-            else:
-                have = False
-                failed = 3
-        while failed == 0 and not converged and itn < maxiter:
-            itn += 1
-            counters[1] += 1
-            lu_solve(A, piv, rc, dxs)
-            ok = True
-            for i in range(N):
-                if not isfinite(dxs[i]):
-                    ok = False
-            if not ok:
-                if fresh:
-                    have = False
-                    failed = 3
-                    break
-                if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                             jac_meta):
-                    counters[3] += 1
-                    fresh = True
-                    continue
-                have = False
-                failed = 3
-                break
-            for i in range(N):
-                xn[i] = xc[i] - dxs[i]
-            norm_new = _residual(xn, p, b_grid[gi], alpha, beta, rhs,
-                                 qv, fv, rn)
-            counters[2] += 1
-            if norm_new <= atol:
-                for i in range(N):
-                    xc[i] = xn[i]
-                norm = norm_new
-                converged = True
-                break
-            if not (norm_new < norm):
-                if not fresh:
-                    if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                                 jac_meta):
-                        counters[3] += 1
-                        fresh = True
-                        continue
-                    have = False
-                    failed = 3
-                    break
-                step = 0.5
-                for halving in range(halvings):
-                    for i in range(N):
-                        xn[i] = xc[i] - step * dxs[i]
-                    norm_new = _residual(xn, p, b_grid[gi], alpha, beta,
-                                         rhs, qv, fv, rn)
-                    counters[2] += 1
-                    if isfinite(norm_new) and norm_new < norm:
-                        break
-                    if halving < halvings - 1:
-                        step = step * 0.5
-            small = True
-            for i in range(N):
-                m = fabs(xn[i])
-                if m < 1.0:
-                    m = 1.0
-                d = fabs(xn[i] - xc[i])
-                if not (d <= rtol * m):
-                    small = False
-            slow = norm_new > contraction * norm
-            for i in range(N):
-                xc[i] = xn[i]
-                rc[i] = rn[i]
-            norm = norm_new
-            if norm <= atol or (small and isfinite(norm)):
-                converged = True
-                break
-            if slow and not fresh:
-                if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                             jac_meta):
-                    counters[3] += 1
-                    fresh = True
-                else:
-                    have = False
-                    failed = 3
-                    break
-        if not converged:
-            if failed == 0:
-                failed = 1
-                have = False
-            status = failed
-            break
-        if hc == 3:
-            for j in range(2):
-                h_t[j] = h_t[j + 1]
-                for i in range(N):
-                    h_x[j, i] = h_x[j + 1, i]
-                    h_q[j, i] = h_q[j + 1, i]
-                    h_fb[j, i] = h_fb[j + 1, i]
-            hc = 2
-        h_t[hc] = t_new
-        for i in range(N):
-            h_x[hc, i] = xc[i]
-            h_q[hc, i] = qv[i]
-            h_fb[hc, i] = fv[i]
-        hstate[0] = hc + 1
-        row = gi - gi_start
-        for i in range(N):
-            out_x[row, i] = xc[i]
-        counters[0] += 1
-    flags[0] = 1 if have else 0
-    return status
-
-
-@KERNEL_JIT
-def sweep_adaptive(b_row, max_accept, h_t, h_x, h_q, h_fb, hstate, flags,
-                   A, piv, jac_meta, reg, dopts, iopts, p, out_t, out_x,
-                   counters, xc, xn, dxs, rc, rn, qv, fv, rhs, dqs, dfs):
-    # Adaptive-step serial march for time-invariant forcing b(t) == b_row:
-    # the sweep() chord step wrapped in the proportional local-error
-    # controller of simulate_transient, transcribed statement for
-    # statement.  dt lives in reg[2] across calls; counters[5] counts
-    # rejected steps.  Statuses 1/2/3 as in sweep(); status 4 flags an
-    # imminent dt_min underflow WITHOUT committing the shrink, so the
-    # python replay of the attempt reproduces the exact failure.
-    atol = dopts[0]
-    rtol = dopts[1]
-    contraction = dopts[2]
-    param_rtol = dopts[3]
-    err_atol = dopts[4]
-    err_rtol = dopts[5]
-    dt_min = dopts[6]
-    dt_max = dopts[7]
-    t_stop = dopts[8]
-    maxiter = iopts[0]
-    halvings = iopts[1]
-    integ = iopts[2]
-    order = iopts[3]
-    have = flags[0] != 0
-    if have and flags[1] != 0:
-        # Resume: rebuild the frozen LU from checkpointed (alpha, beta,
-        # x) metadata — uncounted, like the python restore path.
-        for i in range(N):
-            xc[i] = jac_meta[2 + i]
-        eval_jac(xc, p, dqs, dfs)
-        for i in range(N):
-            for j in range(N):
-                A[i, j] = (jac_meta[0] * dqs[i * N + j]
-                           + jac_meta[1] * dfs[i * N + j])
-        if not lu_factor(A, piv):
-            have = False
-    flags[1] = 0
-    dt = reg[2]
-    mx = fabs(t_stop)
-    if 1.0 > mx:
-        mx = 1.0
-    eps_stop = 1e-15 * mx
-    accepted = 0
-    status = 0
-    while accepted < max_accept:
-        hc = hstate[0]
-        t = h_t[hc - 1]
-        if not (t < t_stop - eps_stop):
-            break
-        rem = t_stop - t
-        if rem < dt:
-            dt = rem
-        t_new = t + dt
-        dts = t_new - h_t[hc - 1]
-        if integ == 1:
-            alpha = 1.0 / dts
-            beta = 0.5
-            for i in range(N):
-                rhs[i] = -h_q[hc - 1, i] / dts + 0.5 * h_fb[hc - 1, i]
-        elif integ == 2 and hc >= 2:
-            t1 = h_t[hc - 1]
-            t2 = h_t[hc - 2]
-            alpha = (2.0 * t_new - t1 - t2) / ((t_new - t1) * (t_new - t2))
-            beta = 1.0
-            d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2))
-            d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1))
-            for i in range(N):
-                rhs[i] = d1 * h_q[hc - 1, i] + d2 * h_q[hc - 2, i]
-        else:
-            alpha = 1.0 / dts
-            beta = 1.0
-            for i in range(N):
-                rhs[i] = -h_q[hc - 1, i] / dts
-        if alpha != reg[1]:
-            old = reg[0]
-            if old == old and fabs(alpha - old) > param_rtol * fabs(old):
-                have = False
-            reg[0] = alpha
-            reg[1] = alpha
-        if (hc >= 3 and h_t[0] != h_t[1] and h_t[1] != h_t[2]
-                and h_t[0] != h_t[2]):
-            ta = h_t[0]
-            tb = h_t[1]
-            tc = h_t[2]
-            la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc))
-            lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc))
-            lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb))
-            for i in range(N):
-                xc[i] = la * h_x[0, i] + lb * h_x[1, i] + lc * h_x[2, i]
-        elif hc >= 2 and h_t[hc - 1] != h_t[hc - 2]:
-            frac = (t_new - h_t[hc - 1]) / (h_t[hc - 1] - h_t[hc - 2])
-            for i in range(N):
-                xc[i] = (h_x[hc - 1, i]
-                         + (h_x[hc - 1, i] - h_x[hc - 2, i]) * frac)
-        else:
-            for i in range(N):
-                xc[i] = h_x[hc - 1, i]
-        counters[4] += 1
-        norm = _residual(xc, p, b_row, alpha, beta, rhs, qv, fv, rc)
-        counters[2] += 1
-        itn = 0
-        failed = 0
-        converged = norm <= atol
-        if not converged and not isfinite(norm):
-            failed = 2
-        fresh = False
-        if not converged and failed == 0 and not have:
-            if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs, jac_meta):
-                counters[3] += 1
-                have = True
-                fresh = True
-            else:
-                have = False
-                failed = 3
-        while failed == 0 and not converged and itn < maxiter:
-            itn += 1
-            counters[1] += 1
-            lu_solve(A, piv, rc, dxs)
-            ok = True
-            for i in range(N):
-                if not isfinite(dxs[i]):
-                    ok = False
-            if not ok:
-                if fresh:
-                    have = False
-                    failed = 3
-                    break
-                if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                             jac_meta):
-                    counters[3] += 1
-                    fresh = True
-                    continue
-                have = False
-                failed = 3
-                break
-            for i in range(N):
-                xn[i] = xc[i] - dxs[i]
-            norm_new = _residual(xn, p, b_row, alpha, beta, rhs,
-                                 qv, fv, rn)
-            counters[2] += 1
-            if norm_new <= atol:
-                for i in range(N):
-                    xc[i] = xn[i]
-                norm = norm_new
-                converged = True
-                break
-            if not (norm_new < norm):
-                if not fresh:
-                    if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                                 jac_meta):
-                        counters[3] += 1
-                        fresh = True
-                        continue
-                    have = False
-                    failed = 3
-                    break
-                step = 0.5
-                for halving in range(halvings):
-                    for i in range(N):
-                        xn[i] = xc[i] - step * dxs[i]
-                    norm_new = _residual(xn, p, b_row, alpha, beta,
-                                         rhs, qv, fv, rn)
-                    counters[2] += 1
-                    if isfinite(norm_new) and norm_new < norm:
-                        break
-                    if halving < halvings - 1:
-                        step = step * 0.5
-            small = True
-            for i in range(N):
-                m = fabs(xn[i])
-                if m < 1.0:
-                    m = 1.0
-                d = fabs(xn[i] - xc[i])
-                if not (d <= rtol * m):
-                    small = False
-            slow = norm_new > contraction * norm
-            for i in range(N):
-                xc[i] = xn[i]
-                rc[i] = rn[i]
-            norm = norm_new
-            if norm <= atol or (small and isfinite(norm)):
-                converged = True
-                break
-            if slow and not fresh:
-                if _refactor(xc, p, alpha, beta, A, piv, dqs, dfs,
-                             jac_meta):
-                    counters[3] += 1
-                    fresh = True
-                else:
-                    have = False
-                    failed = 3
-                    break
-        if not converged:
-            if failed == 0:
-                failed = 1
-                have = False
-            status = failed
-            break
-        # Local-error control (simulate_transient's adaptive block).
-        dt_next = dt
-        if hc >= 2 and h_t[hc - 1] != h_t[hc - 2]:
-            denom = h_t[hc - 1] - h_t[hc - 2]
-            lead = t_new - h_t[hc - 1]
-            acc = 0.0
-            for i in range(N):
-                slope = (h_x[hc - 1, i] - h_x[hc - 2, i]) / denom
-                xp = h_x[hc - 1, i] + slope * lead
-                ax_new = fabs(xc[i])
-                ax_old = fabs(h_x[hc - 1, i])
-                big = ax_new if ax_new > ax_old else ax_old
-                scale = err_atol + err_rtol * big
-                e = (xc[i] - xp) / scale
-                acc += e * e
-            err = sqrt(acc / N)
-            if err > 1.0:
-                counters[5] += 1
-                fac = 0.9 * err ** (-1.0 / (order + 1))
-                if not (fac > 0.2):
-                    fac = 0.2
-                dtn = dt * fac
-                if not (dtn > dt_min):
-                    dtn = dt_min
-                if dtn <= dt_min:
-                    status = 4
-                    break
-                dt = dtn
-                continue
-            if err > 0.0:
-                growth = 0.9 * err ** (-1.0 / (order + 1))
-            else:
-                growth = 5.0
-            if not (growth > 0.2):
-                growth = 0.2
-            if not (growth < 5.0):
-                growth = 5.0
-            dt_next = dt * growth
-        if hc == 3:
-            for j in range(2):
-                h_t[j] = h_t[j + 1]
-                for i in range(N):
-                    h_x[j, i] = h_x[j + 1, i]
-                    h_q[j, i] = h_q[j + 1, i]
-                    h_fb[j, i] = h_fb[j + 1, i]
-            hc = 2
-        h_t[hc] = t_new
-        for i in range(N):
-            h_x[hc, i] = xc[i]
-            h_q[hc, i] = qv[i]
-            h_fb[hc, i] = fv[i]
-        hstate[0] = hc + 1
-        out_t[accepted] = t_new
-        for i in range(N):
-            out_x[accepted, i] = xc[i]
-        accepted += 1
-        counters[0] += 1
-        dt = dt_next
-        if dt_max < dt:
-            dt = dt_max
-    reg[2] = dt
-    flags[0] = 1 if have else 0
-    return status
-
-
-@KERNEL_JIT
-def _ens_residual(X, P, b_rows, alpha, beta, RHS, QV, FV, RC, norms):
-    # One batched residual evaluation: every scenario row, like the
-    # ensemble engine's residual(states) over the whole (B, n) stack.
-    for b in range(X.shape[0]):
-        pi = b if P.shape[0] > 1 else 0
-        norms[b] = _residual(X[b], P[pi], b_rows[b], alpha, beta,
-                             RHS[b], QV[b], FV[b], RC[b])
-
-
-@KERNEL_JIT
-def _ens_refactor(X, P, alpha, beta, A, piv, dqs, dfs, jac_meta):
-    # Factor all B diagonal blocks; any singular block fails the whole
-    # stack, mirroring BlockFactorization raising for the batch.
-    B = X.shape[0]
-    for b in range(B):
-        pi = b if P.shape[0] > 1 else 0
-        eval_jac(X[b], P[pi], dqs, dfs)
-        for i in range(N):
-            for j in range(N):
-                A[b, i, j] = (alpha * dqs[i * N + j]
-                              + beta * dfs[i * N + j])
-        if not lu_factor(A[b], piv[b]):
-            return False
-    jac_meta[0] = alpha
-    jac_meta[1] = beta
-    for b in range(B):
-        for i in range(N):
-            jac_meta[2 + b * N + i] = X[b, i]
-    return True
-
-
-@KERNEL_JIT
-def sweep_ens(t_grid, b_grid, gi_start, gi_end, h_t, h_x, h_q, h_fb,
-              hstate, flags, A, piv, jac_meta, reg, dopts, iopts, P,
-              out_x, counters, iters_b, XC, XN, UPD, RC, RN, QV, FV,
-              RHS, dqs, dfs, masks, fwork):
-    # Batched (B, n) lock-step march: _EnsembleChord.solve plus the
-    # ensemble engine's per-step scaffolding, transcribed statement for
-    # statement.  masks rows: 0 converged, 1 abandoned, 2 scratch
-    # (finite / update_small+slow flags), 3 uphill, 4 line-search need,
-    # 5 this step's per-scenario iteration deltas.  fwork rows: norms,
-    # trial norms, line-search steps.  iters_b accumulates committed
-    # per-scenario iterations (discarded on a singular refactorisation,
-    # exactly like the python controller's early return).
-    B = XC.shape[0]
-    atol = dopts[0]
-    rtol = dopts[1]
-    contraction = dopts[2]
-    param_rtol = dopts[3]
-    maxiter = iopts[0]
-    halvings = iopts[1]
-    integ = iopts[2]
-    conv = masks[0]
-    aband = masks[1]
-    scratch = masks[2]
-    uph = masks[3]
-    need = masks[4]
-    dits = masks[5]
-    norms = fwork[0]
-    tnorms = fwork[1]
-    stepv = fwork[2]
-    have = flags[0] != 0
-    if have and flags[1] != 0:
-        # Resume/re-entry: rebuild every LU block from (alpha, beta,
-        # states) metadata — uncounted, like the python restore path.
-        for b in range(B):
-            for i in range(N):
-                XC[b, i] = jac_meta[2 + b * N + i]
-        if not _ens_refactor(XC, P, jac_meta[0], jac_meta[1], A, piv,
-                             dqs, dfs, jac_meta):
-            have = False
-    flags[1] = 0
-    status = 0
-    for gi in range(gi_start, gi_end):
-        hc = hstate[0]
-        t_new = t_grid[gi]
-        dt = t_new - h_t[hc - 1]
-        if integ == 1:
-            alpha = 1.0 / dt
-            beta = 0.5
-            for b in range(B):
-                for i in range(N):
-                    RHS[b, i] = (-h_q[hc - 1, b, i] / dt
-                                 + 0.5 * h_fb[hc - 1, b, i])
-        elif integ == 2 and hc >= 2:
-            t1 = h_t[hc - 1]
-            t2 = h_t[hc - 2]
-            alpha = (2.0 * t_new - t1 - t2) / ((t_new - t1) * (t_new - t2))
-            beta = 1.0
-            d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2))
-            d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1))
-            for b in range(B):
-                for i in range(N):
-                    RHS[b, i] = (d1 * h_q[hc - 1, b, i]
-                                 + d2 * h_q[hc - 2, b, i])
-        else:
-            alpha = 1.0 / dt
-            beta = 1.0
-            for b in range(B):
-                for i in range(N):
-                    RHS[b, i] = -h_q[hc - 1, b, i] / dt
-        # _EnsembleStepController._notify_alpha: one tracked alpha in
-        # reg[0] (nan = unset); a >25% jump drops the factor stack.
-        old = reg[0]
-        if old == old and fabs(alpha - old) > param_rtol * fabs(old):
-            have = False
-        reg[0] = alpha
-        if (hc >= 3 and h_t[0] != h_t[1] and h_t[1] != h_t[2]
-                and h_t[0] != h_t[2]):
-            ta = h_t[0]
-            tb = h_t[1]
-            tc = h_t[2]
-            la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc))
-            lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc))
-            lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb))
-            for b in range(B):
-                for i in range(N):
-                    XC[b, i] = (la * h_x[0, b, i] + lb * h_x[1, b, i]
-                                + lc * h_x[2, b, i])
-        elif hc >= 2 and h_t[hc - 1] != h_t[hc - 2]:
-            frac = (t_new - h_t[hc - 1]) / (h_t[hc - 1] - h_t[hc - 2])
-            for b in range(B):
-                for i in range(N):
-                    XC[b, i] = (h_x[hc - 1, b, i]
-                                + (h_x[hc - 1, b, i] - h_x[hc - 2, b, i])
-                                * frac)
-        else:
-            for b in range(B):
-                for i in range(N):
-                    XC[b, i] = h_x[hc - 1, b, i]
-        counters[4] += 1
-        _ens_residual(XC, P, b_grid[gi], alpha, beta, RHS, QV, FV, RC,
-                      norms)
-        counters[2] += 1
-        num_left = 0
-        for b in range(B):
-            aband[b] = 0
-            dits[b] = 0
-            if norms[b] <= atol:
-                conv[b] = 1
-            else:
-                conv[b] = 0
-                num_left += 1
-        failed = 0
-        fresh = False
-        if num_left > 0 and not have:
-            if _ens_refactor(XC, P, alpha, beta, A, piv, dqs, dfs,
-                             jac_meta):
-                counters[3] += 1
-                have = True
-                fresh = True
-            else:
-                have = False
-                failed = 3
-        itn = 0
-        while failed == 0 and num_left > 0 and itn < maxiter:
-            itn += 1
-            counters[1] += 1
-            for b in range(B):
-                if conv[b] == 0 and aband[b] == 0:
-                    dits[b] += 1
-            for b in range(B):
-                lu_solve(A[b], piv[b], RC[b], UPD[b])
-            anybad = False
-            for b in range(B):
-                fin = 1
-                for i in range(N):
-                    if not isfinite(UPD[b, i]):
-                        fin = 0
-                scratch[b] = fin
-                if fin == 0 and conv[b] == 0 and aband[b] == 0:
-                    anybad = True
-            if anybad:
-                if not fresh:
-                    # Blame staleness first: refactorise at the current
-                    # iterates and retry the iteration for everyone.
-                    if _ens_refactor(XC, P, alpha, beta, A, piv, dqs,
-                                     dfs, jac_meta):
-                        counters[3] += 1
-                        fresh = True
-                        for b in range(B):
-                            if conv[b] == 0 and aband[b] == 0:
-                                dits[b] -= 1
-                        counters[1] -= 1
-                        itn -= 1
-                        continue
-                    have = False
-                    failed = 3
-                    break
-                # Fresh factors and still non-finite: abandon those
-                # scenarios to the python-side rescue, keep the rest.
-                num_left = 0
-                for b in range(B):
-                    if (conv[b] == 0 and aband[b] == 0
-                            and scratch[b] == 0):
-                        aband[b] = 1
-                    if conv[b] == 0 and aband[b] == 0:
-                        num_left += 1
-                if num_left == 0:
-                    break
-            for b in range(B):
-                if conv[b] == 0 and aband[b] == 0:
-                    for i in range(N):
-                        XN[b, i] = XC[b, i] - UPD[b, i]
-                else:
-                    for i in range(N):
-                        XN[b, i] = XC[b, i]
-            _ens_residual(XN, P, b_grid[gi], alpha, beta, RHS, QV, FV,
-                          RN, tnorms)
-            counters[2] += 1
-            anyup = False
-            for b in range(B):
-                imp = 1 if (tnorms[b] < norms[b]
-                            or tnorms[b] <= atol) else 0
-                up = 1 if (conv[b] == 0 and aband[b] == 0
-                           and imp == 0) else 0
-                uph[b] = up
-                if up == 1:
-                    anyup = True
-            if anyup:
-                if not fresh:
-                    if _ens_refactor(XC, P, alpha, beta, A, piv, dqs,
-                                     dfs, jac_meta):
-                        counters[3] += 1
-                        fresh = True
-                        for b in range(B):
-                            if conv[b] == 0 and aband[b] == 0:
-                                dits[b] -= 1
-                        counters[1] -= 1
-                        itn -= 1
-                        continue
-                    have = False
-                    failed = 3
-                    break
-                # Per-scenario damped line search, keeping the smallest
-                # trial when the budget is exhausted.
-                for b in range(B):
-                    if conv[b] == 0 and aband[b] == 0:
-                        stepv[b] = 1.0
-                    else:
-                        stepv[b] = 0.0
-                    need[b] = uph[b]
-                for halving in range(halvings):
-                    for b in range(B):
-                        if need[b] == 1:
-                            stepv[b] = stepv[b] * 0.5
-                    for b in range(B):
-                        if conv[b] == 0 and aband[b] == 0:
-                            for i in range(N):
-                                XN[b, i] = XC[b, i] - stepv[b] * UPD[b, i]
-                        else:
-                            for i in range(N):
-                                XN[b, i] = XC[b, i]
-                    _ens_residual(XN, P, b_grid[gi], alpha, beta, RHS,
-                                  QV, FV, RN, tnorms)
-                    counters[2] += 1
-                    anyneed = False
-                    for b in range(B):
-                        nd = 0
-                        if uph[b] == 1 and not (isfinite(tnorms[b])
-                                                and tnorms[b] < norms[b]):
-                            nd = 1
-                        need[b] = nd
-                        if nd == 1:
-                            anyneed = True
-                    if not anyneed:
-                        break
-            # update_small & slow flags at the pre-commit states, then
-            # commit trial -> states for every row (frozen rows carry
-            # identical values), then per-scenario convergence checks.
-            for b in range(B):
-                small = 1
-                for i in range(N):
-                    m = fabs(XN[b, i])
-                    if m < 1.0:
-                        m = 1.0
-                    d = fabs(XN[b, i] - XC[b, i])
-                    if not (d <= rtol * m):
-                        small = 0
-                slow = 1 if tnorms[b] > contraction * norms[b] else 0
-                scratch[b] = 2 * slow + small
-            for b in range(B):
-                for i in range(N):
-                    XC[b, i] = XN[b, i]
-                    RC[b, i] = RN[b, i]
-                norms[b] = tnorms[b]
-            for b in range(B):
-                if conv[b] == 0 and aband[b] == 0:
-                    small = scratch[b] % 2
-                    if norms[b] <= atol or (small == 1
-                                            and isfinite(norms[b])):
-                        conv[b] = 1
-            num_left = 0
-            for b in range(B):
-                if conv[b] == 0 and aband[b] == 0:
-                    num_left += 1
-            if num_left == 0:
-                break
-            if not fresh:
-                anyslow = False
-                for b in range(B):
-                    if (scratch[b] >= 2 and conv[b] == 0
-                            and aband[b] == 0):
-                        anyslow = True
-                if anyslow:
-                    if _ens_refactor(XC, P, alpha, beta, A, piv, dqs,
-                                     dfs, jac_meta):
-                        counters[3] += 1
-                        fresh = True
-                    else:
-                        have = False
-                        failed = 3
-                        break
-        if failed == 3:
-            # Singular stack: the python controller's SingularJacobian
-            # path returns before committing per-scenario iterations.
-            status = 3
-            break
-        for b in range(B):
-            iters_b[b] += dits[b]
-        all_conv = True
-        for b in range(B):
-            if conv[b] == 0:
-                all_conv = False
-        if not all_conv:
-            # chord.invalidate() + hand the step back for the
-            # per-scenario rescue / dt policy on the python side.
-            have = False
-            status = 1
-            break
-        if hc == 3:
-            for j in range(2):
-                h_t[j] = h_t[j + 1]
-                for b in range(B):
-                    for i in range(N):
-                        h_x[j, b, i] = h_x[j + 1, b, i]
-                        h_q[j, b, i] = h_q[j + 1, b, i]
-                        h_fb[j, b, i] = h_fb[j + 1, b, i]
-            hc = 2
-        h_t[hc] = t_new
-        for b in range(B):
-            for i in range(N):
-                h_x[hc, b, i] = XC[b, i]
-                h_q[hc, b, i] = QV[b, i]
-                h_fb[hc, b, i] = FV[b, i]
-        hstate[0] = hc + 1
-        row = gi - gi_start
-        for b in range(B):
-            for i in range(N):
-                out_x[row, b, i] = XC[b, i]
-        counters[0] += 1
-    flags[0] = 1 if have else 0
-    return status
-'''
-
-
-def generate_python_source(spec):
-    qf_body = "\n".join(_render_py(spec.qf_stmts, 1)) or "    pass"
-    jac_body = "\n".join(_render_py(spec.jac_stmts, 1)) or "    pass"
-    return f'''"""Auto-generated kernels for {spec.dae_label} (repro.kernels).
-
-Do not edit: regenerate via repro.kernels.codegen.generate_python_source.
-"""
-from math import cosh, exp, expm1, fabs, isfinite, nan, sqrt, tanh  # noqa: F401
-
-try:
-    from numba import njit as _njit
-
-    def KERNEL_JIT(func):
-        return _njit(cache=True)(func)
-
-    HAVE_JIT = True
-except Exception:  # pragma: no cover - numba is optional
-    def KERNEL_JIT(func):
-        return func
-
-    HAVE_JIT = False
-
-N = {spec.n}
-NN = {spec.n * spec.n}
-
-
-@KERNEL_JIT
-def eval_qf(x, p, q, f):
-    for _i in range(N):
-        q[_i] = 0.0
-        f[_i] = 0.0
-{qf_body}
-
-
-@KERNEL_JIT
-def eval_jac(x, p, dq, df):
-    for _i in range(NN):
-        dq[_i] = 0.0
-        df[_i] = 0.0
-{jac_body}
-{_PY_RUNTIME}'''
 
 
 _C_RUNTIME = '''

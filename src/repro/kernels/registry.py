@@ -3,8 +3,8 @@
 A :class:`KernelSpec` describes one DAE as two straight-line statement
 lists — ``qf`` (fill ``q[:]``/``f[:]`` from ``x``/``p``) and ``jac``
 (fill flat ``dq[:]``/``df[:]`` of length ``n*n``) — over a parameter
-vector ``p``.  The statements use a tiny expression language valid in
-both Python and C (see :mod:`repro.kernels.codegen`): ``x[i]``/``p[i]``
+vector ``p``.  The statements use a tiny C expression language (see
+:mod:`repro.kernels.codegen`): ``x[i]``/``p[i]``
 array reads, float literals, ``+ - * /``, comparisons, and the math
 calls ``exp``/``expm1``/``tanh``/``fabs``.
 

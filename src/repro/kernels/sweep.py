@@ -26,12 +26,7 @@ from repro.errors import ValidationError
 from repro.linalg.lu_cache import FrozenFactorization
 from repro.linalg.newton import NewtonOptions
 
-from .backends import (
-    KernelBuildError,
-    build_kernel,
-    probe_cc,
-    resolve_mode,
-)
+from .backends import KernelBuildError, build_kernel, resolve_mode
 from .registry import spec_for_dae
 
 #: Kernels stay dense; beyond this many unknowns the O(n^3) in-kernel LU
@@ -53,19 +48,13 @@ def _new_info(requested):
     }
 
 
-def _build_with_fallback(spec, mode, requested, info):
-    """Build ``spec`` in ``mode``, degrading auto requests on failure."""
+def _build_with_fallback(spec, requested, info):
+    """Build ``spec``, leaving auto requests on python on failure."""
     try:
-        return build_kernel(spec, mode)
+        return build_kernel(spec)
     except KernelBuildError as exc:
         if requested != "auto":
             raise
-        if mode == "numba" and probe_cc():
-            try:
-                return build_kernel(spec, "c")
-            except KernelBuildError as exc2:
-                info["reason"] = f"kernel build failed: {exc2}"
-                return None
         info["reason"] = f"kernel build failed: {exc}"
         return None
 
@@ -79,13 +68,11 @@ class CompiledSweepRunner:
     controller; the live dt persists in ``reg[2]`` across calls).
     """
 
-    def __init__(self, built, opts, integrator_id, order=1, adaptive=False):
+    def __init__(self, built, opts, integrator_id, order=1):
         spec = built.spec
         n = spec.n
         self.impl = built.impl
-        self.mode = built.mode
         self.n = n
-        self.adaptive = bool(adaptive)
         newton = opts.newton or NewtonOptions()
         # History ring, oldest-first; hstate[0] = occupied rows.
         self.h_t = np.zeros(3)
@@ -126,27 +113,6 @@ class CompiledSweepRunner:
             np.empty(n * n), np.empty(n * n),
         )
         self.last_wall = 0.0
-
-    def warmup(self):
-        """Zero-step call: forces jit compilation of the used entry point."""
-        start = time.perf_counter()
-        if self.adaptive:
-            self.impl.sweep_adaptive(
-                np.zeros(self.n), 0,
-                self.h_t, self.h_x, self.h_q, self.h_fb, self.hstate,
-                self.flags, self.A, self.piv, self.jac_meta, self.reg,
-                self.dopts, self.iopts, self.p, self.out_t, self.out_x,
-                self.counters, *self.scratch,
-            )
-        else:
-            self.impl.sweep(
-                np.zeros(1), np.zeros((1, self.n)), 0, 0,
-                self.h_t, self.h_x, self.h_q, self.h_fb, self.hstate,
-                self.flags, self.A, self.piv, self.jac_meta, self.reg,
-                self.dopts, self.iopts, self.p, self.out_x, self.counters,
-                *self.scratch,
-            )
-        return time.perf_counter() - start
 
     def load(self, history, controller):
         """Seed ring + chord state from the engine's live bookkeeping."""
@@ -305,17 +271,14 @@ def prepare_transient_runner(dae, opts, integrator, blocked=None):
             f"({MAX_KERNEL_UNKNOWNS})"
         )
         return None, info
-    built = _build_with_fallback(spec, mode, info["requested"], info)
+    built = _build_with_fallback(spec, info["requested"], info)
     if built is None:
         return None, info
     runner = CompiledSweepRunner(
-        built, opts, integrator_id,
-        order=getattr(integrator, "order", 1),
-        adaptive=bool(getattr(opts, "adaptive", False)),
+        built, opts, integrator_id, order=getattr(integrator, "order", 1)
     )
-    compile_time = built.compile_time_s + runner.warmup()
     info["mode"] = built.mode
-    info["compile_time_s"] = round(compile_time, 6)
+    info["compile_time_s"] = round(built.compile_time_s, 6)
     return runner, info
 
 
@@ -335,7 +298,6 @@ class EnsembleSweepRunner:
         spec = built.spec
         n = spec.n
         self.impl = built.impl
-        self.mode = built.mode
         self.n = n
         self.batch = int(batch)
         B = self.batch
@@ -373,19 +335,6 @@ class EnsembleSweepRunner:
         self.masks = np.zeros((6, B), dtype=np.int64)
         self.fwork = np.zeros((3, B))
         self.last_wall = 0.0
-
-    def warmup(self):
-        """Zero-step call: forces jit compilation up front."""
-        start = time.perf_counter()
-        self.impl.sweep_ens(
-            np.zeros(1), np.zeros((1, self.batch, self.n)), 0, 0,
-            self.batch, self.pstride,
-            self.h_t, self.h_x, self.h_q, self.h_fb, self.hstate,
-            self.flags, self.A, self.piv, self.jac_meta, self.reg,
-            self.dopts, self.iopts, self.P, self.out_x, self.counters,
-            self.iters_b, *self.work, self.masks, self.fwork,
-        )
-        return time.perf_counter() - start
 
     def load(self, history, controller):
         """Seed the ring from the engine's live history.
@@ -497,15 +446,14 @@ def prepare_ensemble_runner(ensemble, opts, integrator, blocked=None):
             f"({MAX_KERNEL_UNKNOWNS})"
         )
         return None, info
-    built = _build_with_fallback(spec, mode, info["requested"], info)
+    built = _build_with_fallback(spec, info["requested"], info)
     if built is None:
         return None, info
     runner = EnsembleSweepRunner(
         built, opts, integrator_id, ensemble.batch_size
     )
-    compile_time = built.compile_time_s + runner.warmup()
     info["mode"] = built.mode
-    info["compile_time_s"] = round(compile_time, 6)
+    info["compile_time_s"] = round(built.compile_time_s, 6)
     return runner, info
 
 
@@ -599,7 +547,7 @@ def maybe_kernelize_batch(dae, kernel_option, expected_batch=None):
             f"({MAX_KERNEL_UNKNOWNS})"
         )
         return dae, info
-    built = _build_with_fallback(spec, mode, requested, info)
+    built = _build_with_fallback(spec, requested, info)
     if built is None:
         return dae, info
     info["mode"] = built.mode

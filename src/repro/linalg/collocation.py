@@ -35,8 +35,6 @@ zero set changes.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -79,28 +77,13 @@ class CollocationJacobianAssembler:
     num_border:
         Number of border columns/rows (1 for a frequency unknown + phase
         condition, ``N1`` for the quasiperiodic WaMPDE, 0 for none).
-    threads:
-        Worker threads for the off-diagonal block refresh (the per-block
-        value computation is embarrassingly parallel over coupling pairs
-        and NumPy releases the GIL inside the ufunc loops).  ``None``
-        (the default) picks automatically: refreshes with at least
-        ``_THREAD_AUTO_ENTRIES`` candidate off-diagonal entries use up to
-        ``_THREAD_AUTO_WORKERS`` workers, smaller ones stay serial.  Pass
-        ``threads=1`` to opt out explicitly (force a serial refresh) or a
-        larger integer to force a worker count; small refreshes stay
-        serial regardless — see ``_THREAD_MIN_ENTRIES``.  The threaded
-        path writes disjoint row ranges of preallocated buffers with an
-        unchanged per-entry floating-point grouping, so results are
-        bit-identical to the serial path.
     """
 
     def __init__(self, num_points, n_vars, dq_mask=None, df_mask=None,
-                 coupling_mask=None, num_border=0, threads=None):
+                 coupling_mask=None, num_border=0):
         m = int(num_points)
         n = int(n_vars)
         k = int(num_border)
-        self._executor = None
-        self._executor_threads = None
         if m < 1 or n < 1 or k < 0:
             raise ValueError(
                 f"need num_points >= 1, n_vars >= 1, num_border >= 0; got "
@@ -135,17 +118,6 @@ class CollocationJacobianAssembler:
         self._pair_j = pairs[:, 1]
         self._off_r, self._off_c = np.nonzero(dq_mask)
         self._diag_r, self._diag_c = np.nonzero(diag_mask)
-
-        if threads is None:
-            # Auto policy: thread the refresh only where it demonstrably
-            # pays (bit-identical either way — only wall time changes).
-            off_entries = self._pair_i.size * self._off_r.size
-            threads = (
-                min(self._THREAD_AUTO_WORKERS, os.cpu_count() or 1)
-                if off_entries >= self._THREAD_AUTO_ENTRIES
-                else 1
-            )
-        self.threads = max(int(threads), 1)
 
         # Candidate (row, col) of every structural entry, in the exact order
         # refresh() lays the values out (off blocks, diag blocks, border
@@ -199,88 +171,6 @@ class CollocationJacobianAssembler:
         self._pattern_cache = {}
 
     _PATTERN_CACHE_LIMIT = 32
-
-    #: Below this many off-diagonal entries the refresh stays serial even
-    #: when ``threads > 1`` (thread dispatch would dominate the arithmetic).
-    _THREAD_MIN_ENTRIES = 1 << 14
-
-    #: ``threads=None`` (auto) turns the threaded refresh on from this many
-    #: candidate off-diagonal entries — 4x the serial floor, so auto-chosen
-    #: refreshes are comfortably past the dispatch break-even point.
-    _THREAD_AUTO_ENTRIES = 1 << 16
-
-    #: Worker cap for the auto policy: the refresh is memory-bandwidth
-    #: bound, so returns diminish quickly beyond a few workers.
-    _THREAD_AUTO_WORKERS = 4
-
-    def _get_executor(self):
-        # ``threads`` may be raised after construction (the solver core
-        # wires its options through system.assembler); rebuild the pool on
-        # a change so worker count and chunking stay in sync.
-        if (
-            self._executor is not None
-            and self._executor_threads != self.threads
-        ):
-            self._executor.shutdown(wait=False)
-            self._executor = None
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads,
-                thread_name_prefix="colloc-refresh",
-            )
-            self._executor_threads = self.threads
-        return self._executor
-
-    def _off_blocks(self, w_off, dq_off, coupling_scale, outer_coeff):
-        """Off-diagonal block values and keep mask, optionally threaded.
-
-        Each coupling pair's entries are independent, so chunks of pairs
-        are filled into disjoint row ranges of preallocated buffers; the
-        per-entry floating-point grouping matches the serial path exactly,
-        keeping the threaded refresh bit-identical.
-        """
-        pair_j = self._pair_j
-        n_pairs = pair_j.size
-        width = self._off_r.size
-        if (
-            self.threads <= 1
-            or n_pairs < 2
-            or n_pairs * width < self._THREAD_MIN_ENTRIES
-        ):
-            off = w_off[:, None] * dq_off[pair_j]
-            if coupling_scale != 1.0:
-                off *= coupling_scale
-            if outer_coeff != 1.0:
-                off *= outer_coeff
-            keep = (w_off != 0.0)[:, None] & (dq_off != 0.0)[pair_j]
-            return off, keep
-
-        off = np.empty((n_pairs, width))
-        keep = np.empty((n_pairs, width), dtype=bool)
-        dq_nonzero = dq_off != 0.0
-
-        def fill(chunk):
-            gathered = dq_off[pair_j[chunk]]
-            np.multiply(w_off[chunk, None], gathered, out=off[chunk])
-            if coupling_scale != 1.0:
-                off[chunk] *= coupling_scale
-            if outer_coeff != 1.0:
-                off[chunk] *= outer_coeff
-            np.logical_and(
-                (w_off[chunk] != 0.0)[:, None],
-                dq_nonzero[pair_j[chunk]],
-                out=keep[chunk],
-            )
-
-        bounds = np.linspace(0, n_pairs, self.threads + 1).astype(int)
-        chunks = [
-            slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        list(self._get_executor().map(fill, chunks))
-        return off, keep
 
     def _rebuild(self, keep):
         """Build or recall the CSC pattern for the kept candidate entries."""
@@ -427,9 +317,12 @@ class CollocationJacobianAssembler:
         # entry exists iff some generating operand is nonzero (scipy drops
         # exact zeros when densifying operands, but keeps entries whose
         # *result* happens to round to zero).
-        off, keep_off = self._off_blocks(
-            w_off, dq_off, coupling_scale, outer_coeff
-        )
+        off = w_off[:, None] * dq_off[self._pair_j]
+        keep_off = (w_off != 0.0)[:, None] & (dq_off != 0.0)[self._pair_j]
+        if coupling_scale != 1.0:
+            off *= coupling_scale
+        if outer_coeff != 1.0:
+            off *= outer_coeff
         diag = w_diag[:, None] * dq_diag
         keep_diag = (w_diag != 0.0)[:, None] & (dq_diag != 0.0)
         if coupling_scale != 1.0:

@@ -56,26 +56,22 @@ class GmresLinearSolver:
         Krylov subspace size between restarts.
     maxiter:
         Maximum number of outer iterations.
-    use_ilu:
-        Back-compatible alias: ``use_ilu=False`` is ``preconditioner=None``.
     fill_factor:
         ILU fill factor; larger is closer to a direct factorisation.
     preconditioner:
-        ``"ilu"``, ``"lu"`` or ``None``; default derives from ``use_ilu``.
+        ``"ilu"`` (default), ``"lu"`` or ``None`` (unpreconditioned).
     freeze:
         Keep the preconditioner factors across calls (recommended with
         ``"lu"``); the factors are rebuilt on shape change, on
         :meth:`invalidate`, or after a convergence failure.
     """
 
-    def __init__(self, rtol=1e-10, restart=60, maxiter=200, use_ilu=True,
-                 fill_factor=10.0, preconditioner=None, freeze=False):
+    def __init__(self, rtol=1e-10, restart=60, maxiter=200, fill_factor=10.0,
+                 preconditioner="ilu", freeze=False):
         self.rtol = float(rtol)
         self.restart = int(restart)
         self.maxiter = int(maxiter)
         self.fill_factor = float(fill_factor)
-        if preconditioner is None and use_ilu:
-            preconditioner = "ilu"
         if preconditioner not in (None, "ilu", "lu"):
             raise ValueError(
                 f"preconditioner must be None, 'ilu' or 'lu', "

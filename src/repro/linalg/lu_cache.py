@@ -138,9 +138,6 @@ class BlockFactorization:
     #: Largest per-block dense size handled by the batched factorisation —
     #: aligned with the compiled kernels' 64-unknown dense cap.
     DENSE_LIMIT = 64
-    #: Backwards-compatible alias (the old batched-inverse threshold; the
-    #: inverse path itself is gone).
-    INVERSE_LIMIT = DENSE_LIMIT
 
     def __init__(self, backend=None):
         from repro.backend import NUMPY

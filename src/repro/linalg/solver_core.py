@@ -184,22 +184,17 @@ class SolverOptionsMixin:
         ``"gmres"`` — frozen-LU-preconditioned GMRES for large systems;
         or any ``(matrix, rhs) -> x`` callable.  Non-default values imply
         full-Newton iterations.
-    threads:
-        Worker threads for the collocation Jacobian block refresh.
-        ``None`` (default) lets the assembler thread large refreshes
-        automatically; ``1`` forces a serial refresh (explicit opt-out).
     ladder:
         Recovery-ladder spec forwarded to the shared
         :class:`SolverCore` (``None``/``"default"``, ``"extended"``, or
         an explicit rung tuple — see :mod:`repro.resilience.recovery`).
     kernel:
         Compiled-kernel policy for engines with a generated fast path
-        (see :mod:`repro.kernels`): ``"auto"`` — numba if importable,
-        else the host C toolchain, else the python reference path;
-        ``"numba"``/``"c"`` — require that backend
-        (:class:`~repro.errors.ConfigurationError` when unavailable);
-        ``"python"`` — force the reference path.  Engines without a
-        kernelised loop accept and ignore the option.
+        (see :mod:`repro.kernels`): ``"auto"`` — the host C toolchain
+        if one is on PATH, else the NumPy engine; ``"c"`` — require the
+        compiled kernel (:class:`~repro.errors.ConfigurationError`
+        without a C compiler); ``"python"`` — force the NumPy engine.
+        Engines without a kernelised loop accept and ignore the option.
     backend:
         Array backend for batched/ensemble hot paths (see
         :mod:`repro.backend`): ``None``/``"auto"`` — ``$REPRO_XP`` or the
@@ -211,7 +206,6 @@ class SolverOptionsMixin:
 
     newton: NewtonOptions = None
     linear_solver: object = None
-    threads: int | None = None
     ladder: object = None
     kernel: object = "auto"
     backend: object = None
@@ -253,15 +247,6 @@ class SolverCoreOptions:
         :meth:`SolverCore.note_parameters` (e.g. the envelope step ``h``
         or the local frequency ``omega``) that drops the chord
         factorisation.
-    threads:
-        Worker threads for the assembler block refresh.  ``None`` (the
-        default) leaves the assembler's own choice in place — large
-        refreshes thread automatically, see
-        :class:`~repro.linalg.collocation.CollocationJacobianAssembler` —
-        while an explicit integer overrides it (``1`` forces the refresh
-        serial).  The core pushes the value into ``system.assembler``
-        (when the system exposes its assembler under that attribute, as
-        every built-in system does) at solve time.
     ladder:
         Recovery-ladder escalation policy walked when a solve fails:
         ``None``/``"default"`` — the mode's historical policy (chord with
@@ -287,7 +272,6 @@ class SolverCoreOptions:
     linear_solver: object = None
     contraction: float = 0.1
     invalidate_rtol: float = 0.25
-    threads: int | None = None
     ladder: object = None
     rung_budgets: dict | None = None
     continuation_stages: int = 5
@@ -302,13 +286,7 @@ class CollocationSystem:
     :class:`~repro.linalg.collocation.CollocationJacobianAssembler`).  The
     matrix returned by :meth:`jacobian` may be owned and mutated by the
     assembler — the core consumes (factorises) it before the next refresh.
-
-    Systems that use an assembler should expose it as :attr:`assembler`
-    so the core can wire ``options.threads`` through to the block refresh.
     """
-
-    #: The system's CollocationJacobianAssembler, if it has one.
-    assembler = None
 
     def residual(self, z):
         """``F(z)`` as a 1-D float array."""
@@ -344,7 +322,7 @@ def core_from_options(options):
 
     Every engine options class (envelope, quasiperiodic, DC, ...) exposes
     some subset of ``newton``, ``newton_mode``, ``linear_solver``,
-    ``threads``, ``contraction`` and ``invalidate_rtol``; missing fields
+    ``ladder``, ``contraction`` and ``invalidate_rtol``; missing fields
     fall back to the :class:`SolverCoreOptions` defaults.  This is the one
     place engine knobs map onto core knobs — an options class that later
     grows ``contraction``/``invalidate_rtol`` fields gets them honoured
@@ -359,7 +337,6 @@ def core_from_options(options):
         contraction=getattr(options, "contraction", defaults.contraction),
         invalidate_rtol=getattr(options, "invalidate_rtol",
                                 defaults.invalidate_rtol),
-        threads=getattr(options, "threads", defaults.threads),
         ladder=getattr(options, "ladder", defaults.ladder),
         rung_budgets=getattr(options, "rung_budgets", defaults.rung_budgets),
         continuation_stages=getattr(options, "continuation_stages",
@@ -544,20 +521,6 @@ class SolverCore:
         """
         self._params.update(state.get("params", {}))
 
-    def _apply_threads(self, system):
-        """Wire ``options.threads`` into the system's assembler, if any.
-
-        ``None`` keeps the assembler's own (auto) choice; an explicit
-        integer overrides it in either direction — ``threads=1`` is the
-        opt-out that forces a serial refresh.
-        """
-        threads = self.options.threads
-        if threads is None:
-            return
-        assembler = getattr(system, "assembler", None)
-        if assembler is not None:
-            assembler.threads = max(int(threads), 1)
-
     def solve(self, system, z0, fallback_z0=None):
         """Solve ``system.residual(z) = 0`` from ``z0``.
 
@@ -604,8 +567,6 @@ class SolverCore:
                 counters["jacobian"] += 1
                 return system.jacobian(z)
 
-        if self.options.threads is not None:
-            self._apply_threads(system)
         fact_before = 0
         for source in self._fact_sources:
             fact_before += source["factorizations"]

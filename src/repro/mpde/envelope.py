@@ -34,7 +34,7 @@ from repro.wampde.bivariate import BivariateWaveform
 class MpdeEnvelopeOptions(SolverOptionsMixin):
     """Configuration for :func:`solve_mpde_envelope`.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
+    The ``newton``/``linear_solver``/``ladder`` fields come
     from the shared
     :class:`~repro.linalg.solver_core.SolverOptionsMixin`; ``newton_mode``
     mirrors :class:`repro.wampde.envelope.WampdeEnvelopeOptions` — chord

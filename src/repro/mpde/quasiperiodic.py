@@ -27,7 +27,7 @@ from repro.wampde.bivariate import BivariateWaveform
 class MpdeQuasiperiodicOptions(SolverOptionsMixin):
     """Configuration for :func:`solve_mpde_quasiperiodic`.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
+    The ``newton``/``linear_solver``/``ladder`` fields come
     from the shared
     :class:`~repro.linalg.solver_core.SolverOptionsMixin`;
     ``newton_mode`` selects the

@@ -45,18 +45,16 @@ def _shift_diagonal(jac, value):
 
 
 class _WrappedSystem:
-    """Base for continuation wrappers: forward structure and assembler.
+    """Base for continuation wrappers: forward the structure report.
 
     Implements the :class:`repro.linalg.solver_core.CollocationSystem`
-    contract structurally (the core reads ``residual``/``jacobian``/
-    ``assembler`` as attributes) — deliberately not by inheritance, so
-    this module stays importable from ``solver_core`` itself.
+    contract structurally (the core reads ``residual``/``jacobian`` as
+    attributes) — deliberately not by inheritance, so this module stays
+    importable from ``solver_core`` itself.
     """
 
     def __init__(self, base):
         self.base = base
-        # Forward the assembler so SolverCore's thread wiring still lands.
-        self.assembler = getattr(base, "assembler", None)
 
     def structure(self):
         structure = dict(self.base.structure())

@@ -20,7 +20,7 @@ from repro.resilience.recovery import RecoveryAttempt, RecoveryLog
 class DcOptions(SolverOptionsMixin):
     """Configuration for :func:`dc_operating_point`.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
+    The ``newton``/``linear_solver``/``ladder`` fields come
     from the shared
     :class:`~repro.linalg.solver_core.SolverOptionsMixin` (the DC solve
     keeps its own gmin/source escalation in addition to the core ladder).
@@ -59,8 +59,6 @@ class _DcSystem:
     SPICE gmin/source ladders expressed as system embeddings rather than
     bespoke residual closures.
     """
-
-    assembler = None
 
     def __init__(self, dae, b0):
         self.dae = dae

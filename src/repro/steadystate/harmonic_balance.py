@@ -184,7 +184,7 @@ def harmonic_balance_forced(dae, period, num_samples=31, initial=None,
         Newton tolerances/budgets (historical knob).
     solver_options:
         :class:`repro.linalg.solver_core.SolverCoreOptions` — Newton
-        policy, linear solver and refresh threads.
+        policy, linear solver and recovery ladder.
     warm_start:
         Optional warm-start seed (duck-typed; ``samples`` supplies the
         starting waveform when ``initial`` is ``None``).
@@ -302,7 +302,7 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
         Variable the default phase condition applies to.
     solver_options:
         :class:`repro.linalg.solver_core.SolverCoreOptions` — Newton
-        policy, linear solver and refresh threads.
+        policy, linear solver and recovery ladder.
     warm_start:
         Optional warm-start seed (duck-typed): ``samples`` supplies the
         waveform when ``initial`` is ``None``, and ``omega0`` overrides a

@@ -155,13 +155,9 @@ class FaultySystem:
         Evaluation counters, for asserting rung escalation.
     """
 
-    #: Forwarded so SolverCore's thread wiring still reaches the base.
-    assembler = None
-
     def __init__(self, system, nan_residual_calls=None,
                  singular_jacobian_calls=None, scale_jacobian_calls=None):
         self.system = system
-        self.assembler = getattr(system, "assembler", None)
         self.nan_residual_calls = _as_call_set(nan_residual_calls)
         self.singular_jacobian_calls = _as_call_set(singular_jacobian_calls)
         self.scale_jacobian_calls = {

@@ -61,11 +61,8 @@ _ADAPTIVE_CHUNK = 65_536
 class TransientOptions(SolverOptionsMixin):
     """Configuration for :func:`simulate_transient`.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
-    from the shared
-    :class:`~repro.linalg.solver_core.SolverOptionsMixin` (``threads``
-    is accepted for interface uniformity; the transient step assembler
-    is not threaded).
+    The ``newton``/``linear_solver``/``ladder`` fields come from the
+    shared :class:`~repro.linalg.solver_core.SolverOptionsMixin`.
 
     Attributes
     ----------
@@ -173,7 +170,6 @@ class _StepController:
             # The engine's historical dt policy: drop frozen factors when
             # the integrator weight alpha ~ 1/dt jumps by more than 25%.
             invalidate_rtol=0.25,
-            threads=getattr(opts, "threads", None),
             ladder=getattr(opts, "ladder", None),
         ))
         self._last_alpha = None

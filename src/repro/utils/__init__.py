@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, timing, grids, text output."""
+"""Shared utilities: argument validation, timing, text output."""
 
 from repro.utils.validation import (
     check_finite,
@@ -14,20 +14,6 @@ from repro.utils.tables import format_table
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.csvio import write_csv, read_csv
 
-#: Grid constructors that moved to :mod:`repro.grids`; resolved lazily so
-#: importing this package never triggers the spectral import chain that
-#: :mod:`repro.grids` pulls in (avoiding an import cycle through
-#: ``repro.spectral.grid`` → ``repro.utils.validation``).
-_MOVED_TO_REPRO_GRIDS = ("uniform_grid", "periodic_grid", "log_grid")
-
-
-def __getattr__(name):
-    if name in _MOVED_TO_REPRO_GRIDS:
-        import repro.grids
-
-        return getattr(repro.grids, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "check_finite",
     "check_positive",
@@ -37,9 +23,6 @@ __all__ = [
     "as_1d_array",
     "as_2d_array",
     "WallTimer",
-    "uniform_grid",
-    "periodic_grid",
-    "log_grid",
     "format_table",
     "ascii_plot",
     "write_csv",

@@ -32,9 +32,6 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
-# Re-exported from repro.grids (the shared home of the grid helpers) for
-# backwards compatibility with existing imports of wampde.envelope.
-from repro.grids import harmonic_axis as harmonic_axis, t1_grid as t1_grid
 from repro.kernels.sweep import maybe_kernelize_batch
 from repro.linalg.collocation import CollocationJacobianAssembler
 from repro.linalg.lu_cache import FrozenFactorization
@@ -57,7 +54,7 @@ from repro.wampde.warping import WarpingFunction
 class WampdeEnvelopeOptions(SolverOptionsMixin):
     """Configuration for the WaMPDE envelope drivers.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
+    The ``newton``/``linear_solver``/``ladder`` fields come
     from the shared
     :class:`~repro.linalg.solver_core.SolverOptionsMixin`.
 
@@ -98,10 +95,6 @@ class WampdeEnvelopeOptions(SolverOptionsMixin):
         ``"gmres"`` — frozen-LU-preconditioned GMRES for large circuits
         (the paper's [Saa96] reference); or any ``(matrix, rhs) ->
         solution`` callable.  Non-default values imply full Newton.
-    threads:
-        Worker threads for the collocation Jacobian block refresh.
-        ``None`` (default) lets the assembler thread large refreshes
-        automatically; ``1`` forces a serial refresh (explicit opt-out).
     store_every:
         Keep every k-th accepted t2 point.
     rtol, atol:

@@ -40,11 +40,8 @@ from repro.wampde.warping import WarpingFunction
 class WampdeQuasiperiodicOptions(SolverOptionsMixin):
     """Configuration for :func:`solve_wampde_quasiperiodic`.
 
-    The ``newton``/``linear_solver``/``threads``/``ladder`` fields come
-    from the shared
-    :class:`~repro.linalg.solver_core.SolverOptionsMixin` (``threads``
-    now defaults to ``None`` — automatic refresh threading — like every
-    other engine, instead of the historical forced-serial ``1``);
+    The ``newton``/``linear_solver``/``ladder`` fields come from the
+    shared :class:`~repro.linalg.solver_core.SolverOptionsMixin`;
     ``newton_mode`` selects the
     :class:`repro.linalg.solver_core.SolverCore` Newton policy.
     """

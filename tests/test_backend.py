@@ -110,7 +110,6 @@ class TestBlockFactorization:
 
     def test_dense_cap_is_64(self):
         assert BlockFactorization.DENSE_LIMIT == 64
-        assert BlockFactorization.INVERSE_LIMIT == 64  # compat alias
 
     def test_above_cap_falls_back_to_per_block_lu(self, rng):
         n = BlockFactorization.DENSE_LIMIT + 1

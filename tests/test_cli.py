@@ -27,12 +27,12 @@ class TestParser:
 
     def test_solver_knobs_parsed(self):
         args = build_parser().parse_args(
-            ["vco", "--newton", "full", "--linear-solver", "gmres",
-             "--threads", "4"]
+            ["vco", "--newton", "full", "--linear-solver", "gmres"]
         )
         assert args.newton == "full"
         assert args.linear_solver == "gmres"
-        assert args.threads == 4
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["vco", "--threads", "4"])
 
     def test_chord_plus_gmres_rejected(self):
         from repro.cli import _envelope_options

@@ -175,7 +175,7 @@ class TestBatchedAssembler:
         np.testing.assert_allclose(solution2, solution, atol=1e-10)
 
     def test_block_factorization_large_dense_uses_lu(self, rng):
-        n = BlockFactorization.INVERSE_LIMIT + 4
+        n = BlockFactorization.DENSE_LIMIT + 4
         blocks = rng.standard_normal((2, n, n)) + n * np.eye(n)
         rhs = rng.standard_normal((2, n))
         factor = BlockFactorization().factor(blocks)

@@ -36,13 +36,6 @@ class TestSpectralAxes:
     def test_harmonic_axis_centred(self):
         np.testing.assert_array_equal(harmonic_axis(5), [-2, -1, 0, 1, 2])
 
-    def test_reexports_match_wampde_envelope(self):
-        # Backwards-compatible aliases must stay the same objects.
-        from repro.wampde import envelope
-
-        assert envelope.t1_grid is t1_grid
-        assert envelope.harmonic_axis is harmonic_axis
-
     def test_hb_stack_helpers_are_shared(self):
         from repro.steadystate import harmonic_balance as hb
 

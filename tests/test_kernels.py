@@ -3,21 +3,19 @@
 Covers the four contracts of the kernel layer:
 
 * **Parity** — the generated per-device/whole-circuit ``q/f/dq/df``
-  kernels must match the NumPy reference path on randomized states, for
-  the generated-python oracle and for every compiled backend available
-  on the host.
+  kernels must match the NumPy reference path on randomized states.
 * **Trajectory equivalence** — a fixed-step chord transient run through
   the compiled sweep must match the python march within solver
   tolerance, with identical Newton iteration/factorization counts.
-* **Graceful degradation** — ``kernel="auto"`` silently falls back when
-  numba is masked out, while an explicit ``kernel="numba"`` raises a
+* **Graceful degradation** — ``kernel="auto"`` silently falls back to
+  the NumPy engine when no C compiler is found or a build cannot be
+  loaded, while an explicit ``kernel="c"`` without a compiler raises a
   clear :class:`~repro.errors.ConfigurationError`.
 * **Slow-path interop** — divergence inside a compiled sweep hands the
   step back to the python recovery ladder; failure context
   (checkpoint + partial result) is unchanged.
 """
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -36,10 +34,12 @@ from repro.dae import VanDerPolDae
 from repro.dae.ensemble import EnsembleDAE, ensemble_from_factory
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import (
+    KernelBuildError,
+    backends,
     build_kernel,
+    codegen,
     maybe_kernelize_batch,
     probe_cc,
-    probe_numba,
     resolve_mode,
     spec_for_dae,
 )
@@ -51,8 +51,7 @@ from repro.transient import (
 )
 
 needs_backend = pytest.mark.skipif(
-    not (probe_numba() or probe_cc()),
-    reason="no compiled backend on this host (no numba, no C toolchain)",
+    not probe_cc(), reason="no C toolchain on this host"
 )
 
 
@@ -65,15 +64,6 @@ def _fixture_daes():
         "ring": ring_oscillator_circuit().to_dae(),
         "mixer": rc_diode_mixer_circuit().to_dae(),
     }
-
-
-def _available_modes():
-    modes = ["python"]
-    if probe_numba():
-        modes.append("numba")
-    if probe_cc():
-        modes.append("c")
-    return modes
 
 
 def _check_parity(dae, impl, rng, rtol=1e-9):
@@ -98,24 +88,15 @@ def _check_parity(dae, impl, rng, rtol=1e-9):
 
 
 class TestKernelParity:
-    @pytest.mark.parametrize("name", list(_fixture_daes()))
-    def test_generated_python_matches_numpy(self, name, rng):
-        """The generated-python oracle matches q/f/dq/df everywhere."""
-        dae = _fixture_daes()[name]
-        spec, why = spec_for_dae(dae)
-        assert spec is not None, why
-        built = build_kernel(spec, "python")
-        _check_parity(dae, built.impl, rng)
-
     @needs_backend
     @pytest.mark.parametrize("name", list(_fixture_daes()))
     def test_compiled_backends_match_numpy(self, name, rng):
         dae = _fixture_daes()[name]
-        spec, _ = spec_for_dae(dae)
-        for mode in _available_modes()[1:]:
-            built = build_kernel(spec, mode)
-            _check_parity(dae, built.impl, rng)
+        spec, why = spec_for_dae(dae)
+        assert spec is not None, why
+        _check_parity(dae, build_kernel(spec).impl, rng)
 
+    @needs_backend
     def test_whole_circuit_residual_matches_dae(self, rng):
         """Fused step residual r = alpha*q + rhs + beta*(f - b) parity.
 
@@ -125,7 +106,7 @@ class TestKernelParity:
         """
         dae = rc_diode_mixer_circuit().to_dae()
         spec, _ = spec_for_dae(dae)
-        built = build_kernel(spec, "python")
+        built = build_kernel(spec)
         n = dae.n
         p = np.ascontiguousarray(spec.params_rows[0])
         qv, fv = np.empty(n), np.empty(n)
@@ -243,36 +224,39 @@ class TestTrajectoryEquivalence:
 
 
 class TestGracefulFallback:
-    def test_masked_numba_fails_explicit_request(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert not probe_numba()
-        with pytest.raises(ConfigurationError, match="jit"):
-            resolve_mode("numba")
+    def test_no_compiler_fails_explicit_c_request(self, monkeypatch):
+        monkeypatch.setattr(backends, "_find_cc", lambda: None)
+        assert not probe_cc()
+        with pytest.raises(ConfigurationError, match="C compiler"):
+            resolve_mode("c")
         dae = VanDerPolDae(mu=0.5)
-        with pytest.raises(ConfigurationError, match="numba"):
+        with pytest.raises(ConfigurationError, match="C compiler"):
             simulate_transient(
                 dae, [0.5, 0.0], 0.0, 1.0,
-                TransientOptions(dt=0.01, kernel="numba"),
+                TransientOptions(dt=0.01, kernel="c"),
             )
 
-    def test_masked_numba_keeps_auto_running(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
+    def test_no_compiler_keeps_auto_running(self, monkeypatch):
+        monkeypatch.setattr(backends, "_find_cc", lambda: None)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         dae = VanDerPolDae(mu=0.5)
         result = simulate_transient(
             dae, [0.5, 0.0], 0.0, 1.0,
             TransientOptions(dt=0.01, kernel="auto"),
         )
         info = result.stats["kernel"]
-        assert info["mode"] in ("c", "python")  # silently degraded
+        assert info["mode"] == "python"  # silently degraded
+        assert "C compiler" in info["reason"]
         assert np.isfinite(np.asarray(result.x)).all()
 
     def test_invalid_kernel_value_raises(self):
         dae = VanDerPolDae(mu=0.5)
-        with pytest.raises(ConfigurationError, match="not a valid mode"):
-            simulate_transient(
-                dae, [0.5, 0.0], 0.0, 1.0,
-                TransientOptions(dt=0.01, kernel="fortran"),
-            )
+        for value in ("fortran", "numba"):
+            with pytest.raises(ConfigurationError, match="not a valid mode"):
+                simulate_transient(
+                    dae, [0.5, 0.0], 0.0, 1.0,
+                    TransientOptions(dt=0.01, kernel=value),
+                )
 
     def test_explicit_python_never_compiles(self):
         result = simulate_transient(
@@ -300,9 +284,63 @@ class TestGracefulFallback:
             TransientOptions(dt=2e-8, adaptive=True, kernel="auto"),
         )
         info = result.stats["kernel"]
-        if probe_numba() or probe_cc():
+        if probe_cc():
             assert info["mode"] == "python"
             assert "time-invariant" in info["reason"]
+
+
+@pytest.fixture
+def cold_build(monkeypatch, tmp_path):
+    """``(dae, spec, source sha)`` with an empty kernel cache and memo."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(backends, "_KERNEL_MEMO", {})
+    dae = VanDerPolDae(mu=0.5)
+    spec, _ = spec_for_dae(dae)
+    return dae, spec, backends._source_sha(codegen.generate_c_source(spec))
+
+
+class TestColdBuild:
+    @needs_backend
+    def test_build_ignores_concurrent_source_rewrite(
+        self, cold_build, monkeypatch, tmp_path, rng
+    ):
+        """A second process cold-building the same kernel rewrites the
+        shared ``kernel_<sha>.c`` while this build compiles; the build
+        must not read it."""
+        dae, spec, sha = cold_build
+        shared = tmp_path / f"kernel_{sha}.c"
+        run = backends.subprocess.run
+
+        def racing_run(*args, **kwargs):
+            shared.write_text("")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(backends.subprocess, "run", racing_run)
+        built = build_kernel(spec)
+        _check_parity(dae, built.impl, rng)
+
+    @needs_backend
+    def test_unloadable_library_degrades_auto(self, cold_build, tmp_path):
+        """A cached library without the kernel symbols (an empty
+        compile) is a build error: ``auto`` stays on the NumPy engine."""
+        dae, spec, sha = cold_build
+        empty = tmp_path / "empty.c"
+        empty.write_text("")
+        backends.subprocess.run(
+            [backends._find_cc(), "-shared", "-fPIC", "-o",
+             str(tmp_path / f"kernel_{sha}.so"), str(empty)],
+            check=True, capture_output=True,
+        )
+        with pytest.raises(KernelBuildError, match="loading"):
+            build_kernel(spec)
+        result = simulate_transient(
+            dae, [0.5, 0.0], 0.0, 1.0,
+            TransientOptions(dt=0.01, kernel="auto"),
+        )
+        info = result.stats["kernel"]
+        assert info["mode"] == "python"
+        assert "kernel build failed" in info["reason"]
 
 
 class TestSlowPathInterop:
@@ -325,7 +363,7 @@ class TestSlowPathInterop:
         assert exc.partial_result.t[-1] < 0.5
         stats = exc.partial_result.stats
         assert stats["newton_failures"] >= 1
-        if probe_numba() or probe_cc():
+        if probe_cc():
             # The clean prefix ran compiled; the poisoned region fell
             # back to python and its failure accounting.
             assert stats["kernel"]["compiled_steps"] > 0

@@ -127,7 +127,7 @@ class TestLinearSolvers:
     def test_gmres_without_ilu(self, rng):
         a = rng.normal(size=(10, 10)) + 8 * np.eye(10)
         rhs = rng.normal(size=10)
-        gmres = GmresLinearSolver(rtol=1e-12, use_ilu=False)
+        gmres = GmresLinearSolver(rtol=1e-12, preconditioner=None)
         np.testing.assert_allclose(
             gmres(sp.csr_matrix(a), rhs), np.linalg.solve(a, rhs), atol=1e-6
         )
@@ -135,7 +135,9 @@ class TestLinearSolvers:
     def test_gmres_raises_on_stagnation(self):
         # Extremely ill-conditioned without preconditioner and 1 iteration.
         a = sp.diags(np.geomspace(1e-12, 1.0, 40)).tocsr()
-        gmres = GmresLinearSolver(rtol=1e-14, maxiter=1, restart=2, use_ilu=False)
+        gmres = GmresLinearSolver(
+            rtol=1e-14, maxiter=1, restart=2, preconditioner=None
+        )
         with pytest.raises(ConvergenceError):
             gmres(a, np.ones(40))
 

@@ -148,17 +148,6 @@ class TestSolverCorePolicy:
         core.solve(system, np.full(3, 0.01))
         assert core.stats.factorizations == baseline + 1
 
-    def test_threads_pushed_into_system_assembler(self):
-        """options.threads must reach the system's exposed assembler."""
-        from repro.linalg.collocation import CollocationJacobianAssembler
-
-        residual, jacobian = quadratic_system()
-        system = FunctionSystem(residual, jacobian)
-        system.assembler = CollocationJacobianAssembler(3, 1)
-        core = SolverCore(SolverCoreOptions(threads=5))
-        core.solve(system, np.zeros(3))
-        assert system.assembler.threads == 5
-
     def test_function_system_structure_report(self):
         system = FunctionSystem(
             lambda z: z, lambda z: np.eye(z.size), structure={"size": 4}
@@ -226,38 +215,6 @@ class TestReusableLUStats:
         solver(matrix, rhs)  # identical values: no refactorisation
         assert solver.stats["factorizations"] == 1
         assert solver.stats["solves"] == 2
-
-
-class TestThreadedRefresh:
-    def test_threaded_refresh_bit_identical(self):
-        """threads > 1 must reproduce the serial refresh exactly."""
-        from repro.linalg.collocation import CollocationJacobianAssembler
-
-        rng = np.random.default_rng(7)
-        m, n = 15, 3
-        coupling = rng.standard_normal((m, m))
-        dq = rng.standard_normal((m, n, n))
-        df = rng.standard_normal((m, n, n))
-        serial = CollocationJacobianAssembler(m, n)
-        threaded = CollocationJacobianAssembler(m, n, threads=4)
-        threaded._THREAD_MIN_ENTRIES = 1  # force the threaded path
-        a = serial.refresh(coupling, dq, diag_inner=df,
-                           coupling_scale=1.7, outer_coeff=0.55,
-                           diag_outer=dq * (1.0 / 0.3))
-        b = threaded.refresh(coupling, dq, diag_inner=df,
-                             coupling_scale=1.7, outer_coeff=0.55,
-                             diag_outer=dq * (1.0 / 0.3))
-        assert (a != b).nnz == 0
-        np.testing.assert_array_equal(a.toarray(), b.toarray())
-
-    def test_small_refresh_stays_serial(self):
-        from repro.linalg.collocation import CollocationJacobianAssembler
-
-        assembler = CollocationJacobianAssembler(3, 1, threads=8)
-        coupling = np.arange(9.0).reshape(3, 3)
-        dq = np.ones((3, 1, 1))
-        assembler.refresh(coupling, dq)
-        assert assembler._executor is None  # below _THREAD_MIN_ENTRIES
 
 
 def _solver_distance(a, b):
@@ -598,27 +555,3 @@ class TestFallbackStartPoint:
         np.testing.assert_allclose(result.x, [1.0], atol=1e-8)
         assert core.stats.fallbacks == 1
 
-
-class TestAutoThreadDefault:
-    def test_large_assembler_threads_by_default(self):
-        from repro.linalg.collocation import CollocationJacobianAssembler
-
-        # Comfortably past _THREAD_AUTO_ENTRIES candidate off-entries.
-        big = CollocationJacobianAssembler(300, 16)
-        assert big.threads > 1 or (__import__("os").cpu_count() or 1) == 1
-        # Small refreshes stay serial under the auto policy.
-        small = CollocationJacobianAssembler(5, 2)
-        assert small.threads == 1
-        # The explicit opt-out still wins.
-        opted_out = CollocationJacobianAssembler(300, 16, threads=1)
-        assert opted_out.threads == 1
-
-    def test_explicit_threads_1_opt_out_pushed_by_core(self):
-        from repro.linalg.collocation import CollocationJacobianAssembler
-
-        residual, jacobian = quadratic_system()
-        system = FunctionSystem(residual, jacobian)
-        system.assembler = CollocationJacobianAssembler(3, 1, threads=7)
-        core = SolverCore(SolverCoreOptions(threads=1))
-        core.solve(system, np.zeros(3))
-        assert system.assembler.threads == 1

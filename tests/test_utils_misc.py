@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.grids import log_grid, periodic_grid, uniform_grid
 from repro.utils import (
     WallTimer,
     ascii_plot,
     format_table,
-    log_grid,
-    periodic_grid,
     read_csv,
-    uniform_grid,
     write_csv,
 )
 
