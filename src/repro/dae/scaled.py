@@ -13,6 +13,15 @@ With ``x = S @ y`` and ``t = T * s`` the system
 so ``q_scaled(y) = q(S y) / T``, ``f_scaled(y) = f(S y)`` and
 ``b_scaled(s) = b(T s)``.  Row scaling (equation scaling) is applied on top
 with a diagonal ``R``.
+
+:func:`equilibration_scales` picks ``S`` and ``R`` from a periodic seed
+waveform: with the per-entry magnitude bound
+``M = 2 pi nu0 max_j |dq_dx(x_j)| + max_j |df_dx(x_j)|`` over the seed's
+samples, ``S_k = 1 / max_i M_ik`` and ``R_i = 1 / max_k M_ik S_k`` (one
+column then one row pass of max-norm equilibration).
+:func:`repro.steadystate.harmonic_balance.harmonic_balance_autonomous`
+solves on that view, so its Newton tolerances and line search see every
+equation and unknown on a comparable scale whatever the units.
 """
 
 from __future__ import annotations
@@ -54,8 +63,8 @@ class ScaledDAE(SemiExplicitDAE):
             arr = np.full(self.n, arr[0])
         if arr.size != self.n:
             raise ValueError(f"{name} must have length {self.n}, got {arr.size}")
-        if np.any(arr <= 0):
-            raise ValueError(f"{name} entries must be positive")
+        if not np.all(np.isfinite(arr) & (arr > 0)):
+            raise ValueError(f"{name} entries must be positive and finite")
         return arr
 
     # -- mappings ------------------------------------------------------------
@@ -135,3 +144,44 @@ class ScaledDAE(SemiExplicitDAE):
 
     def df_structure(self):
         return self.inner.df_structure()
+
+
+def _reciprocal_or_one(magnitude):
+    """``1 / magnitude``, with 1 wherever that is not positive and finite."""
+    scale = 1.0 / magnitude
+    return np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
+
+
+def equilibration_scales(dae, samples, frequency):
+    """Variable and equation scales equilibrating a periodic-problem Jacobian.
+
+    Parameters
+    ----------
+    dae:
+        The system being scaled.
+    samples:
+        ``(N, n)`` seed waveform, one period on the normalised grid.
+    frequency:
+        Seed frequency ``nu0`` [Hz]; ``2 pi nu0`` weighs the charge
+        Jacobian as the fundamental harmonic's time derivative does.
+
+    Returns
+    -------
+    tuple
+        ``(S, R)``: positive finite length-n arrays for
+        :class:`ScaledDAE`'s ``variable_scale`` and ``equation_scale``.
+        Entries whose column or row maximum is zero or non-finite (a NaN
+        Jacobian, an unknown no equation touches) fall back to 1.
+    """
+    samples = np.asarray(samples, dtype=float)
+    with np.errstate(all="ignore"):  # non-finite entries fall back below
+        magnitude = (
+            2.0 * np.pi * frequency
+            * np.abs(dae.dq_dx_batch(samples)).max(axis=0)
+            + np.abs(dae.df_dx_batch(samples)).max(axis=0)
+        )
+        variable_scale = _reciprocal_or_one(magnitude.max(axis=0))
+        equation_scale = _reciprocal_or_one(
+            (magnitude * variable_scale).max(axis=1)
+        )
+    return variable_scale, equation_scale

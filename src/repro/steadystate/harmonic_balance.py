@@ -16,18 +16,25 @@ trick the paper alludes to in §4.1.
 Both solvers are thin :class:`~repro.linalg.solver_core.CollocationSystem`
 implementations driven by the shared
 :class:`~repro.linalg.solver_core.SolverCore` (pass ``solver_options`` to
-pick the chord policy, a GMRES linear solver or a threaded Jacobian
-refresh); the per-solve :class:`~repro.linalg.solver_core.SolverStats` are
-reported on :attr:`HBResult.stats`.
+pick the chord policy, a GMRES linear solver or the recovery ladder); the
+per-solve :class:`~repro.linalg.solver_core.SolverStats` are reported on
+:attr:`HBResult.stats`.  The autonomous solver works on a diagonally
+equilibrated view of the DAE (:class:`~repro.dae.scaled.ScaledDAE` with
+:func:`~repro.dae.scaled.equilibration_scales` taken once from the seed),
+so its inf-norm convergence tests and line search weigh, say, a MEMS force
+balance and an inductor voltage equally; the solution it returns is in the
+caller's units.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.api.serialize import SerializableMixin
+from repro.dae.scaled import ScaledDAE, equilibration_scales
 from repro.errors import ConvergenceError
 from repro.grids import stack_states as _stack, unstack_states as _unstack
 from repro.linalg.collocation import CollocationJacobianAssembler
@@ -284,6 +291,14 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     pattern-reuse
     :class:`~repro.linalg.collocation.CollocationJacobianAssembler`.
 
+    Newton runs on the DAE equilibrated by
+    :func:`~repro.dae.scaled.equilibration_scales` at the seed waveform and
+    ``frequency_guess``: unknowns are divided by ``S``, equations
+    multiplied by ``R``, and ``nu`` is left unscaled.  A solution does not
+    depend on the choice of units, and ``newton_options.atol`` bounds the
+    *equilibrated* residual (each collocation equation measured relative to
+    its largest Jacobian term).
+
     Parameters
     ----------
     dae:
@@ -319,7 +334,6 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     num = check_odd(num_samples, "num_samples")
     n = dae.n
     condition = as_phase_condition(phase_condition, variable=phase_variable)
-    system = _AutonomousHBSystem(dae, num, condition, forcing_time)
 
     if initial is None:
         initial = _warm_hb_samples(warm_start, num, n)
@@ -332,7 +346,15 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     if initial.shape != (num, n):
         raise ValueError(f"initial must have shape {(num, n)}, got {initial.shape}")
 
-    z0 = np.concatenate([_stack(initial), [float(frequency_guess)]])
+    scale, equation_scale = equilibration_scales(dae, initial, frequency_guess)
+    if condition.target:
+        condition = copy.copy(condition)
+        condition.target /= scale[condition.variable]
+    system = _AutonomousHBSystem(
+        ScaledDAE(dae, variable_scale=scale, equation_scale=equation_scale),
+        num, condition, forcing_time,
+    )
+    z0 = np.concatenate([_stack(initial / scale), [float(frequency_guess)]])
     core = _make_core(
         solver_options, newton_options,
         NewtonOptions(atol=1e-9, max_iterations=80),
@@ -344,6 +366,6 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
             f"autonomous HB converged to non-positive frequency {nu:g}; "
             "the initial waveform probably collapsed to the DC equilibrium"
         )
-    samples = _unstack(result.x[:-1], num, n)
+    samples = _unstack(result.x[:-1], num, n) * scale
     return HBResult(samples, 1.0 / nu, result.iterations,
                     core.stats.as_dict())

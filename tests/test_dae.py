@@ -13,6 +13,7 @@ from repro.dae import (
     ScaledDAE,
     VanDerPolDae,
 )
+from repro.dae.scaled import equilibration_scales
 from repro.linalg import finite_difference_jacobian, jacobian_error
 
 finite_states = st.lists(
@@ -225,3 +226,56 @@ class TestScaledDAE:
     def test_rejects_wrong_scale_length(self):
         with pytest.raises(ValueError):
             ScaledDAE(VanDerPolDae(), variable_scale=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("keyword", ["variable_scale", "equation_scale"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_scale(self, keyword, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScaledDAE(VanDerPolDae(), **{keyword: [bad, 1.0]})
+
+
+class TestEquilibrationScales:
+    @staticmethod
+    def _linear(dq, df):
+        dq, df = np.asarray(dq, dtype=float), np.asarray(df, dtype=float)
+        return FunctionDAE(
+            n=2,
+            q=lambda x: dq @ x,
+            f=lambda x: df @ x,
+            b=lambda t: np.zeros(2),
+            dq_dx=lambda x: dq,
+            df_dx=lambda x: df,
+        )
+
+    def test_rule_on_constant_jacobian(self):
+        """M = 2 pi nu0 |dq| + |df|; S from column maxima of M, then R from
+        row maxima of M S."""
+        dae = self._linear([[1e-6, 0.0], [0.0, 2.0]], [[3e-5, 1.0], [-4.0, 0.0]])
+        frequency = 1e5
+        variable_scale, equation_scale = equilibration_scales(
+            dae, np.zeros((5, 2)), frequency
+        )
+        magnitude = np.array([
+            [2 * np.pi * frequency * 1e-6 + 3e-5, 1.0],
+            [4.0, 2 * np.pi * frequency * 2.0],
+        ])
+        np.testing.assert_allclose(variable_scale,
+                                   1.0 / magnitude.max(axis=0))
+        np.testing.assert_allclose(
+            equation_scale,
+            1.0 / (magnitude * variable_scale).max(axis=1),
+        )
+        equilibrated = equation_scale[:, None] * magnitude * variable_scale
+        np.testing.assert_allclose(equilibrated.max(axis=1), 1.0)
+
+    def test_zero_and_non_finite_maxima_fall_back_to_one(self):
+        # Variable 1 appears in no equation; the NaN entry poisons column 0
+        # and row 0.
+        dae = self._linear([[0.0, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [2.0, 0.0]])
+        variable_scale, equation_scale = equilibration_scales(
+            dae, np.zeros((3, 2)), 1.0
+        )
+        np.testing.assert_array_equal(variable_scale, [1.0, 1.0])
+        np.testing.assert_array_equal(equation_scale, [1.0, 0.5])
+        ScaledDAE(dae, variable_scale=variable_scale,
+                  equation_scale=equation_scale)

@@ -6,7 +6,7 @@ import pytest
 from repro.circuits import Circuit, Resistor, VoltageSource
 from repro.circuits.devices import Diode
 from repro.circuits.waveforms import DC
-from repro.dae import LinearRCDae
+from repro.dae import LinearRCDae, VanDerPolDae
 from repro.errors import ConvergenceError
 from repro.steadystate import (
     dc_operating_point,
@@ -228,3 +228,93 @@ class TestHarmonicBalanceAutonomous:
         dq = nu * diffmat @ hb.samples  # q = x for vdP
         residual = dq + np.stack([dae.f(s) for s in hb.samples])
         assert np.max(np.abs(residual)) < 1e-6
+
+
+class _NanJacobianVdp(VanDerPolDae):
+    """Van der Pol whose Jacobian is NaN while its residual stays finite."""
+
+    def df_dx_batch(self, states):
+        return np.full((len(states), 2, 2), np.nan)
+
+
+class TestEquilibratedAutonomousHB:
+    """Autonomous HB converges in a scale-aware norm: the MEMS force
+    balance (~1e-5 N) and the inductor row (~2 V) count equally, and the
+    answer does not depend on the units of the unknowns."""
+
+    @pytest.fixture(scope="class")
+    def vco_at(self):
+        from dataclasses import replace
+
+        from repro.circuits.library import MemsVcoDae, VcoParams
+
+        def build(vc):
+            return MemsVcoDae(replace(VcoParams.vacuum(), control_offset=vc),
+                              constant_control=True)
+
+        return build
+
+    @pytest.fixture(scope="class")
+    def converged(self, vco_at, vco_initial_condition):
+        _params, samples, f0 = vco_initial_condition
+        return harmonic_balance_autonomous(
+            vco_at(1.5), f0, samples, num_samples=25
+        )
+
+    def test_perturbed_seed_cannot_converge_in_zero_iterations(
+            self, vco_at, converged):
+        """A 1e-6 relative error in the plate displacement leaves a force
+        residual k*dz ~ 1e-10, below atol in SI units; equilibrated, it is
+        a real error that Newton must remove."""
+        perturbed = converged.samples.copy()
+        perturbed[:, 2] *= 1.0 + 1e-6
+        hb = harmonic_balance_autonomous(
+            vco_at(1.5), converged.frequency, perturbed, num_samples=25
+        )
+        assert hb.newton_iterations >= 1
+        z = converged.samples[:, 2]
+        assert np.max(np.abs(hb.samples[:, 2] - z)) <= 1e-12 * np.max(np.abs(z))
+
+    def test_solution_independent_of_units(self, vco_at, converged):
+        from repro.dae import ScaledDAE
+
+        units = np.array([1.0, 1e-3, 1e-6, 1e-6])  # V, mA, um, um/s
+        target = vco_at(1.55)
+        si = harmonic_balance_autonomous(
+            target, converged.frequency, converged.samples, num_samples=25
+        )
+        scaled = harmonic_balance_autonomous(
+            ScaledDAE(target, variable_scale=units), converged.frequency,
+            converged.samples / units, num_samples=25,
+        )
+        assert si.newton_iterations <= 6
+        assert scaled.newton_iterations <= 6
+        assert abs(scaled.frequency / si.frequency - 1.0) <= 1e-12
+        # u sits at rounding level (~1e-16 m/s): compare v, il and z only.
+        for k in range(3):
+            reference = si.samples[:, k]
+            assert (np.max(np.abs(scaled.samples[:, k] * units[k] - reference))
+                    <= 1e-12 * np.max(np.abs(reference)))
+
+    def test_value_anchor_nonzero_target_in_caller_units(self, vdp_limit_cycle):
+        from repro.phase_conditions import ValueAnchor
+
+        dae, seed = vdp_limit_cycle
+        condition = ValueAnchor(variable=0, target=1.0)
+        hb = harmonic_balance_autonomous(
+            dae, seed.frequency, seed.samples, phase_condition=condition,
+            num_samples=25,
+        )
+        assert abs(condition.residual(hb.samples)) <= 1e-9
+        assert abs(hb.frequency - seed.frequency) / seed.frequency < 1e-6
+
+    def test_non_finite_seed_jacobian_raises_convergence_error(
+            self, vdp_limit_cycle):
+        """The scale rule falls back to unit scales instead of rejecting
+        the seed; the solve then fails the way an unscaled one would."""
+        _dae, seed = vdp_limit_cycle
+        with pytest.raises(ConvergenceError):
+            harmonic_balance_autonomous(
+                _NanJacobianVdp(mu=0.2), seed.frequency, 1.1 * seed.samples,
+                num_samples=25,
+            )

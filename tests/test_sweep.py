@@ -9,20 +9,43 @@ from repro.dae import VanDerPolDae
 from repro.steadystate import oscillator_frequency_sweep
 
 
+def _vacuum_vco(vc):
+    return MemsVcoDae(
+        replace(VcoParams.vacuum(), control_offset=vc), constant_control=True
+    )
+
+
+def _vacuum_vco_stack(values):
+    return _vacuum_vco(np.asarray(values, dtype=float))
+
+
+FIG7_VALUES = np.linspace(0.4, 2.6, 9)
+
+
 class TestVcoTuningCurve:
     @pytest.fixture(scope="class")
     def tuning(self):
-        base = VcoParams.vacuum()
-
-        def factory(vc):
-            return MemsVcoDae(
-                replace(base, control_offset=vc), constant_control=True
-            )
-
-        values = np.linspace(0.4, 2.6, 9)
-        return base, oscillator_frequency_sweep(
-            factory, values, period_guess=T_NOMINAL
+        return VcoParams.vacuum(), oscillator_frequency_sweep(
+            _vacuum_vco, FIG7_VALUES, period_guess=T_NOMINAL
         )
+
+    def test_every_point_converges_quickly(self, tuning):
+        """Each continuation step, seeded from the previous point, takes a
+        handful of Newton iterations, far inside the 80-iteration budget,
+        and needs no step bisection."""
+        _base, sweep = tuning
+        iterations = [stats["iterations"] for stats in sweep.solver_stats]
+        assert len(iterations) == FIG7_VALUES.size
+        assert max(iterations) <= 15
+
+    def test_continuation_matches_ensemble(self, tuning):
+        _base, sweep = tuning
+        ensemble = oscillator_frequency_sweep(
+            _vacuum_vco, FIG7_VALUES, period_guess=T_NOMINAL,
+            method="ensemble", stacked_factory=_vacuum_vco_stack,
+        )
+        np.testing.assert_allclose(sweep.frequencies, ensemble.frequencies,
+                                   rtol=1e-9, atol=0.0)
 
     def test_nominal_anchor(self, tuning):
         """The sweep passes through the paper's 0.75 MHz @ 1.5 V point."""
@@ -49,6 +72,20 @@ class TestVcoTuningCurve:
     def test_amplitudes_reported(self, tuning):
         _base, sweep = tuning
         assert np.all(sweep.amplitudes > 3.0)  # healthy ~4 Vpp everywhere
+
+
+class TestHardTuningPoints:
+    def test_vacuum_1p95_volts_through_the_stacked_ensemble(self):
+        """From the ensemble settle seed, Newton on the unscaled system
+        exhausts its 80-iteration budget at this control voltage."""
+        from repro.steadystate import ensemble_frequency_sweep
+
+        sweep = ensemble_frequency_sweep(
+            _vacuum_vco, [1.95], period_guess=T_NOMINAL,
+            stacked_factory=_vacuum_vco_stack,
+        )
+        assert sweep.solver_stats[0]["iterations"] <= 15
+        assert abs(sweep.frequencies[0] - 979.9e3) / 979.9e3 < 1e-3
 
 
 class TestSweepMechanics:

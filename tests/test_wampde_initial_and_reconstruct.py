@@ -55,6 +55,23 @@ class TestOscillatorInitialCondition:
         _params, _samples, f0 = vco_initial_condition
         assert abs(f0 - 0.75e6) / 0.75e6 < 0.01
 
+    def test_air_vco_at_1p675_volts(self):
+        """From the settled seed, Newton on the unscaled system exhausts
+        its 80-iteration budget at this control voltage."""
+        from dataclasses import replace
+
+        from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
+
+        unforced = MemsVcoDae(
+            replace(VcoParams.air(), control_offset=1.675),
+            constant_control=True,
+        )
+        samples, f0 = oscillator_initial_condition(
+            unforced, num_t1=25, period_guess=T_NOMINAL
+        )
+        assert samples.shape == (25, 4)
+        assert abs(f0 - 820.5e3) / 820.5e3 < 1e-3
+
 
 class TestReconstruction:
     def test_matches_closed_form_for_harmonic(self, lc):
