@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.linalg.lu_cache import FrozenFactorization
 from repro.linalg.newton import NewtonOptions
 
 from .backends import KernelBuildError, build_kernel, resolve_mode
@@ -123,7 +122,7 @@ class CompiledSweepRunner:
             self.h_x[j] = hx
             self.h_q[j] = hq
             self.h_fb[j] = hfb
-        meta = controller.factor_metadata()
+        meta = controller.core.factor_metadata()
         if meta is not None:
             alpha, beta, xj = meta
             self.jac_meta[0] = alpha
@@ -189,7 +188,7 @@ class CompiledSweepRunner:
             for j in range(hc)
         ]
 
-    def sync_controller(self, controller, dae):
+    def sync_controller(self, controller):
         """Push ring-side chord state back into the python controller.
 
         After this the controller's checkpoint/warm exports describe the
@@ -197,26 +196,16 @@ class CompiledSweepRunner:
         from the (alpha, beta, x) metadata — deterministic, so a resumed
         run reproduces the uninterrupted trajectory bit for bit).
         """
-        chord = controller.core._chord
-        if chord is not None:
-            if self.flags[0]:
-                alpha = float(self.jac_meta[0])
-                beta = float(self.jac_meta[1])
-                xj = self.jac_meta[2:].copy()
-                matrix = controller.assembler.refresh(
-                    alpha, dae.dq_dx(xj), beta, dae.df_dx(xj)
-                )
-                controller.core.adopt_factorization(
-                    FrozenFactorization().factor(matrix)
-                )
-                controller._jac_meta = (alpha, beta, xj)
-            else:
-                controller.core.invalidate()
-                controller._jac_meta = None
+        core = controller.core
+        if self.flags[0]:
+            meta = (self.jac_meta[0], self.jac_meta[1], self.jac_meta[2:])
+            core.refactor_at(meta, controller.matrix_at)
+        else:
+            core.invalidate()
         if np.isfinite(self.reg[1]):
             controller._last_alpha = float(self.reg[1])
         if np.isfinite(self.reg[0]):
-            controller.core._params["alpha"] = float(self.reg[0])
+            core._params["alpha"] = float(self.reg[0])
 
 
 def prepare_transient_runner(dae, opts, integrator, blocked=None):

@@ -91,7 +91,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConvergenceError
-from repro.linalg.lu_cache import ReusableLUSolver
+from repro.linalg.lu_cache import FrozenFactorization, ReusableLUSolver
 from repro.linalg.newton import (
     NewtonOptions,
     StaleJacobianNewton,
@@ -384,6 +384,11 @@ class SolverCore:
         self.options = opts
         self.stats = SolverStats()
         self._params = {}
+        # Where the system last assembled its Jacobian (e.g. ``(z, h)`` for
+        # an envelope step), set by the system's ``jacobian``: the
+        # picklable stand-in for the held chord factors in checkpoints and
+        # warm exports (see :meth:`factor_metadata`).
+        self.jacobian_meta = None
         self._counters = {"residual": 0, "jacobian": 0}
         # A custom/iterative linear solver implies full Newton: the chord
         # policy owns its own (direct) factorisation.
@@ -497,6 +502,46 @@ class SolverCore:
         """
         if self._chord is not None:
             self._chord.adopt(factorization)
+
+    def factor_metadata(self):
+        """:attr:`jacobian_meta` of the held chord factors, or ``None``.
+
+        ``None`` when no factors are held (full mode, or right after an
+        invalidation): a march resumed from it starts unfactored, exactly
+        as the live run would have continued.
+        """
+        chord = self._chord
+        if chord is not None and chord._have:
+            return self.jacobian_meta
+        return None
+
+    def refactor_at(self, meta, matrix_at):
+        """Hold fresh chord factors of ``matrix_at(meta)``.
+
+        ``meta`` is a :meth:`factor_metadata` export and ``matrix_at``
+        re-assembles the system's matrix there.  Factorising an identical
+        matrix is deterministic, so the chord policy then makes
+        bit-for-bit the decisions of the run that exported ``meta``.  A
+        no-op without metadata or outside chord mode.
+        """
+        if meta is not None and self._chord is not None:
+            self._chord.adopt(FrozenFactorization().factor(matrix_at(meta)))
+
+    def snapshot(self):
+        """Checkpointable state: stats, parameters, frozen-factor metadata."""
+        return {
+            "stats": self.stats.as_dict(),
+            "params": dict(self._params),
+            "factor_meta": self.factor_metadata(),
+        }
+
+    def restore(self, snapshot, matrix_at):
+        """Rebuild the state a :meth:`snapshot` captured (see
+        :meth:`refactor_at` for ``matrix_at``)."""
+        for key, value in snapshot["stats"].items():
+            setattr(self.stats, key, value)
+        self._params.update(snapshot["params"])
+        self.refactor_at(snapshot["factor_meta"], matrix_at)
 
     def export_warm_state(self):
         """Picklable warm-start state for a future core on the same problem.

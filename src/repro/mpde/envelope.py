@@ -15,7 +15,6 @@ import numpy as np
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
 from repro.linalg.collocation import CollocationJacobianAssembler
-from repro.linalg.lu_cache import FrozenFactorization
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -23,7 +22,7 @@ from repro.linalg.solver_core import (
     core_from_options,
 )
 from repro.linalg.sparse_tools import kron_diffmat
-from repro.resilience.checkpoint import Checkpoint, CheckpointManager
+from repro.resilience.march import March
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
 from repro.utils.validation import check_odd
@@ -114,9 +113,6 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         self._q_old = None
         self._rhs_old = None
         self._h = None
-        # (z, h) of the most recent Jacobian assembly — checkpoint metadata
-        # standing in for the (unpicklable) frozen factorisation.
-        self._jac_meta = None
 
     def residual(self, z):
         states = z.reshape(self.n0, self.n)
@@ -131,7 +127,9 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         return (q_flat - self._q_old) / self._h + fast
 
     def jacobian(self, z):
-        self._jac_meta = (np.array(z, dtype=float), self._h)
+        # (z, h) of the assembly: the checkpoint stand-in for the
+        # (unpicklable) factors the chord policy will hold of it.
+        self.core.jacobian_meta = (np.array(z, dtype=float), self._h)
         states = z.reshape(self.n0, self.n)
         dq = self.dae.dq_dx_batch(states)
         df = self.dae.df_dx_batch(states)
@@ -159,32 +157,11 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         result = self.core.solve(self, x_samples.ravel())
         return result.x.reshape(self.n0, self.n), result.iterations
 
-    def factor_metadata(self):
-        """``(z, h)`` of the held chord factors, or ``None`` (see WaMPDE)."""
-        chord = self.core._chord
-        if chord is not None and chord._have and self._jac_meta is not None:
-            z, h = self._jac_meta
-            return (np.array(z, dtype=float), float(h))
-        return None
-
-    def solver_snapshot(self):
-        """Checkpointable solver-core bookkeeping (stats + parameters)."""
-        return {
-            "stats": self.core.stats.as_dict(),
-            "params": dict(self.core._params),
-        }
-
-    def restore(self, snapshot, factor_meta):
-        """Rebuild the stepper state captured by a checkpoint."""
-        stats = self.core.stats
-        for key, value in snapshot["stats"].items():
-            setattr(stats, key, value)
-        self.core._params.update(snapshot["params"])
-        if factor_meta is not None and self.core._chord is not None:
-            z, h = factor_meta
-            self._h = float(h)
-            matrix = self.jacobian(np.asarray(z, dtype=float))
-            self.core.adopt_factorization(FrozenFactorization().factor(matrix))
+    def matrix_at(self, meta):
+        """The step matrix at frozen-factor metadata ``(z, h)``."""
+        z, h = meta
+        self._h = float(h)
+        return self.jacobian(np.asarray(z, dtype=float))
 
 
 def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
@@ -241,102 +218,41 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         f_flat = dae.f_batch(states).ravel()
         return stepper.d_big @ q_flat + f_flat - b_at(t2_value), q_flat
 
-    manager = CheckpointManager(
-        every=int(getattr(opts, "checkpoint_every", 0) or 0),
-        path=getattr(opts, "checkpoint_path", None),
+    march = March(
+        "mpde_envelope", opts, resume_from,
+        result=lambda t2, samples, stats: MpdeEnvelopeResult(
+            t2, samples, forcing.period1, dae.variable_names, stats
+        ),
+        fields=("t2", "samples"),
+        snapshot=lambda: {"x_samples": x_samples.copy()},
+        counters=("newton_iterations",),
+        core=stepper.core,
+        matrix_at=stepper.matrix_at,
     )
-    if resume_from is not None:
-        checkpoint = (
-            resume_from
-            if isinstance(resume_from, Checkpoint)
-            else Checkpoint.load(resume_from)
-        )
-        if checkpoint.kind != "mpde_envelope":
-            raise SimulationError(
-                f"cannot resume an MPDE envelope march from a "
-                f"{checkpoint.kind!r} checkpoint"
-            )
-        payload = checkpoint.payload
-        x_samples = np.array(payload["x_samples"], dtype=float)
-        t2 = float(payload["t2"])
-        stored_t2 = list(payload["stored_t2"])
-        stored = [np.array(s, dtype=float) for s in payload["stored"]]
-        stats = dict(payload["stats"])
-        since_store = int(payload["since_store"])
-        start_step = int(checkpoint.step)
-        stepper.restore(payload["solver"], payload["factor_meta"])
-    else:
+    if march.state is None:
         x_samples = initial_samples.copy()
-        t2 = float(t2_start)
-        stored_t2 = [t2]
-        stored = [x_samples.copy()]
-        stats = {"steps": 0, "newton_iterations": 0}
-        since_store = 0
-        start_step = 0
+        march.start(float(t2_start), h, x_samples)
+    else:
+        x_samples = np.array(march.state["x_samples"], dtype=float)
+    t2 = float(march.t)
     rhs_old, q_old = fast_terms(x_samples, t2)
 
-    def take_checkpoint():
-        return Checkpoint(
-            kind="mpde_envelope",
-            step=stats["steps"],
-            t=t2,
-            dt=h,
-            payload={
-                "x_samples": x_samples.copy(),
-                "t2": t2,
-                "stored_t2": list(stored_t2),
-                "stored": [s.copy() for s in stored],
-                "stats": dict(stats),
-                "since_store": since_store,
-                "t2_start": t2_start,
-                "t2_stop": t2_stop,
-                "num_steps": num_steps,
-                "solver": stepper.solver_snapshot(),
-                "factor_meta": stepper.factor_metadata(),
-            },
-        )
-
-    for step in range(start_step, num_steps):
+    for step in range(march.stats["steps"], num_steps):
         t2_new = t2_start + (step + 1) * h
         try:
             x_samples, iterations = stepper.step(
                 x_samples, q_old, rhs_old, b_at(t2_new), h
             )
         except ConvergenceError as exc:
-            partial_stats = dict(stats)
-            partial_stats["solver"] = stepper.core.stats.as_dict()
-            raise SimulationError(
+            raise march.fail(
                 f"MPDE envelope step {step + 1} failed to converge at "
                 f"t2={t2_new:.6e}: {exc}",
-                step=stats["steps"],
-                time=t2,
-                dt=h,
-                iterations=exc.iterations,
-                residual_norm=exc.residual_norm,
-                checkpoint=manager.take(take_checkpoint),
-                partial_result=MpdeEnvelopeResult(
-                    stored_t2, stored, forcing.period1,
-                    dae.variable_names, partial_stats,
-                ),
+                h, exc,
             ) from exc
-        stats["newton_iterations"] += iterations
+        except SimulationError as exc:
+            raise march.fail(exc, h)
+        march.stats["newton_iterations"] += iterations
         t2 = t2_new
         rhs_old, q_old = fast_terms(x_samples, t2)
-        stats["steps"] += 1
-        since_store += 1
-        if since_store >= opts.store_every or step == num_steps - 1:
-            stored_t2.append(t2)
-            stored.append(x_samples.copy())
-            since_store = 0
-        manager.offer(stats["steps"], take_checkpoint)
-
-    stats["solver"] = stepper.core.stats.as_dict()
-    if stepper.core.recovery:
-        stats["recovery"] = stepper.core.recovery.as_dict()
-    return MpdeEnvelopeResult(
-        np.asarray(stored_t2),
-        np.asarray(stored),
-        forcing.period1,
-        dae.variable_names,
-        stats,
-    )
+        march.accept(t2, h, x_samples, final=step == num_steps - 1)
+    return march.finish()

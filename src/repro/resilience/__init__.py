@@ -1,6 +1,6 @@
 """Solver resilience layer: recovery ladders, continuation, checkpoints.
 
-Four pieces, each usable on its own:
+Five pieces, each usable on its own:
 
 * :mod:`repro.resilience.recovery` — the recovery-ladder vocabulary
   (rung names, per-rung budgets, the structured :class:`RecoveryLog`
@@ -10,6 +10,9 @@ Four pieces, each usable on its own:
   continuation embeddings as ``CollocationSystem`` wrappers;
 * :mod:`repro.resilience.checkpoint` — RNG-free snapshots and the
   cadence manager behind ``simulate_transient(resume_from=...)``;
+* :mod:`repro.resilience.march` — the driver every time march runs its
+  resume, store cadence, checkpoints, failure context and final stats
+  through;
 * :mod:`repro.resilience.guards` — finite-value guards attributing the
   first NaN/Inf at the device/DAE boundary to a device and unknown.
 """

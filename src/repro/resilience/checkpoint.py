@@ -4,21 +4,21 @@ A :class:`Checkpoint` is an RNG-free snapshot of everything a march needs
 to continue *bit-identically*: the integrator history window, the stored
 trajectory prefix, the step controller's registered parameters, the
 engine's counters, and — the subtle part — the *metadata* of the frozen
-chord factorisation (the ``(alpha, beta, x)`` the step Jacobian was last
-assembled at).  The factorisation object itself (SuperLU handle, LAPACK
-factors) is not picklable and is not stored; instead the resuming engine
-re-assembles the same matrix at the same point and refactorises.  LU of
-an identical matrix is deterministic, so the resumed run's chord policy
-makes exactly the decisions the uninterrupted run would have made.
+chord factorisation (e.g. the ``(alpha, beta, x)`` the transient step
+Jacobian was last assembled at).  The factorisation object itself
+(SuperLU handle, LAPACK factors) is not picklable and is not stored;
+instead the resuming engine re-assembles the same matrix at the same
+point and refactorises.  LU of an identical matrix is deterministic, so
+the resumed run's chord policy makes exactly the decisions the
+uninterrupted run would have made.
 
-:class:`CheckpointManager` owns the cadence: engines call
-:meth:`CheckpointManager.offer` once per accepted step with a zero-cost
-*factory* closure, and the manager decides (modulo its ``every`` knob)
-whether to materialise a snapshot, keep it in memory, and/or spool it to
-disk.  A march that dies raises :class:`~repro.errors.SimulationError`
-with its last materialised checkpoint attached, and
-``simulate_transient(resume_from=...)`` (or the envelope equivalent)
-continues from it.
+:class:`CheckpointManager` owns the cadence: a march offers it a
+zero-cost *factory* closure once per accepted step, and the manager
+decides (modulo its ``every`` knob) whether to materialise a snapshot,
+keep it in memory, and/or spool it to disk.  Every engine reaches both
+through :class:`repro.resilience.march.March`, which builds the snapshots,
+attaches the last one to the :class:`~repro.errors.SimulationError` of a
+march that dies, and continues from one given as ``resume_from``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class Checkpoint:
     ----------
     kind:
         The producing engine (``"transient"``, ``"wampde_envelope"``,
-        ``"mpde_envelope"``), checked by the resuming engine.
+        ``"wampde_envelope_adaptive"``, ``"mpde_envelope"``), checked by
+        the resuming engine.
     step:
         Accepted steps at the snapshot.
     t:
@@ -45,10 +46,12 @@ class Checkpoint:
     dt:
         Step size the next attempt would use.
     payload:
-        Engine-specific state: the integrator history window, stored
-        trajectory prefix, engine counters, solver-core parameters and
-        frozen-factorisation metadata.  Plain arrays/floats/dicts only —
-        no factorisation handles, no RNG state, no open resources.
+        The :class:`~repro.resilience.march.March` payload: the engine's
+        own state (e.g. the integrator history window), the store
+        counter, the engine counters, the solver-core snapshot (stats,
+        registered parameters, frozen-factorisation metadata) and the
+        partial result of the stored trajectory prefix.  No
+        factorisation handles, no RNG state, no open resources.
     """
 
     kind: str

@@ -3,12 +3,12 @@
 Reuses the two protocols the library already has instead of inventing a
 wire format:
 
-* engines take periodic :class:`~repro.resilience.checkpoint.Checkpoint`
-  snapshots (PR 6) — a :class:`StreamSink` rides the checkpoint cadence
-  by acting as the manager's *callable path*, converting each snapshot's
-  stored trajectory prefix into the engine's partial-result object (the
-  same shape ``on_failure="truncate"`` attaches to errors) and putting
-  its serialized form on a queue;
+* every march takes periodic :class:`~repro.resilience.checkpoint.Checkpoint`
+  snapshots through :class:`~repro.resilience.march.March`, and each one
+  carries the partial result of the stored trajectory prefix (the same
+  object a failing march attaches to its error) — a :class:`StreamSink`
+  rides the checkpoint cadence by acting as the manager's *callable
+  path*, reads that partial and puts its serialized form on a queue;
 * the payload on the queue is the tagged JSON of
   :mod:`repro.api.serialize`, so a streamed prefix decodes to a regular
   result object whose arrays are bit-identical with the corresponding
@@ -17,49 +17,10 @@ wire format:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api.serialize import from_jsonable, to_jsonable
-
-
-def partial_result_from_checkpoint(checkpoint, variable_names):
-    """The engine's partial-result object for a mid-run checkpoint.
-
-    Mirrors exactly what each engine attaches as ``partial_result`` when
-    a march dies: the stored trajectory prefix, never the in-flight step.
-    Returns ``None`` for checkpoint kinds with no partial-result shape.
-    """
-    payload = checkpoint.payload
-    if checkpoint.kind == "transient":
-        from repro.transient.results import TransientResult
-
-        return TransientResult(
-            np.asarray(payload["stored_t"], dtype=float),
-            np.asarray(payload["stored_x"], dtype=float),
-            variable_names,
-            dict(payload["stats"]),
-        )
-    if checkpoint.kind in ("wampde_envelope", "wampde_envelope_adaptive"):
-        from repro.wampde.envelope import WampdeEnvelopeResult
-
-        return WampdeEnvelopeResult(
-            np.asarray(payload["stored_t2"], dtype=float),
-            np.asarray(payload["stored_omega"], dtype=float),
-            np.asarray(payload["stored_samples"], dtype=float),
-            variable_names,
-            dict(payload["stats"]),
-        )
-    if checkpoint.kind == "mpde_envelope":
-        from repro.mpde.envelope import MpdeEnvelopeResult
-
-        return MpdeEnvelopeResult(
-            np.asarray(payload["stored_t2"], dtype=float),
-            np.asarray(payload["stored"], dtype=float),
-            float(payload.get("period1", 0.0) or 0.0),
-            variable_names,
-            dict(payload["stats"]),
-        )
-    return None
+from repro.resilience.march import (
+    partial_result as partial_result_from_checkpoint,
+)
 
 
 class StreamSink:
@@ -71,20 +32,14 @@ class StreamSink:
     process boundary.
     """
 
-    def __init__(self, queue, variable_names):
+    def __init__(self, queue):
         self.queue = queue
-        self.variable_names = tuple(variable_names)
 
     def __call__(self, checkpoint):
-        partial = partial_result_from_checkpoint(
-            checkpoint, self.variable_names
-        )
-        if partial is None:
-            return
         self.queue.put({
             "step": int(checkpoint.step),
             "t": float(checkpoint.t),
-            "partial": to_jsonable(partial),
+            "partial": to_jsonable(partial_result_from_checkpoint(checkpoint)),
         })
 
 

@@ -49,8 +49,7 @@ def execute_payload(request, warm_start=None, stream_queue=None,
     from repro.api.requests import run
 
     if stream_queue is not None and stream_every > 0:
-        names = getattr(getattr(request, "dae", None), "variable_names", None)
-        if names:
-            sink = StreamSink(stream_queue, names)
-            request = _with_streaming(request, sink, stream_every)
+        request = _with_streaming(
+            request, StreamSink(stream_queue), stream_every
+        )
     return run(request, warm_start=warm_start)

@@ -25,7 +25,6 @@ alongside the state — the single-sweep monodromy used by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from repro.linalg.solver_core import (
     SolverOptionsMixin,
 )
 from repro.linalg.transient_assembler import TransientStepAssembler
-from repro.resilience.checkpoint import Checkpoint, CheckpointManager
+from repro.resilience.march import March
 from repro.transient.integrators import get_integrator
 from repro.transient.results import TransientResult
 from repro.utils.validation import check_positive
@@ -173,70 +172,20 @@ class _StepController:
             ladder=getattr(opts, "ladder", None),
         ))
         self._last_alpha = None
-        # (alpha, beta, x) of the most recent step-Jacobian assembly — the
-        # metadata a checkpoint stores instead of the (unpicklable)
-        # factorisation itself.  Refreshed inside the jacobian closure, so
-        # it tracks exactly the matrix the chord policy holds factors of.
-        self._jac_meta = None
 
-    @property
-    def fallbacks(self):
-        """Steps that fell back to damped full Newton."""
-        return self.core.stats.fallbacks
+    def matrix_at(self, meta):
+        """The step matrix ``alpha dQ(x) + beta dF(x)`` at ``meta``.
 
-    def factorizations(self):
-        """Total factorisations across the core's backends."""
-        return self.core.stats.factorizations
-
-    def invalidate(self):
-        self.core.invalidate()
-
-    def adopt(self, factorization):
-        """Adopt an exact, externally factorised step Jacobian (chord)."""
-        self.core.adopt_factorization(factorization)
-
-    def factor_metadata(self):
-        """Checkpointable description of the frozen chord factorisation.
-
-        Returns ``(alpha, beta, x)`` — enough to re-assemble and
-        refactorise the exact matrix the chord policy currently holds —
-        or ``None`` when no factors are frozen (full mode, or right after
-        an invalidation), in which case a resumed run starts unfactored
-        exactly like the live run would have continued.
+        Records ``(alpha, beta, x)`` as the core's
+        :attr:`~repro.linalg.solver_core.SolverCore.jacobian_meta`, so it
+        always describes the matrix the chord policy last factorised.
         """
-        chord = self.core._chord
-        if chord is not None and chord._have and self._jac_meta is not None:
-            alpha, beta, x = self._jac_meta
-            return (float(alpha), float(beta), np.array(x))
-        return None
-
-    def solver_snapshot(self):
-        """Checkpointable solver-core bookkeeping (stats + parameters)."""
-        return {
-            "stats": self.core.stats.as_dict(),
-            "params": dict(self.core._params),
-            "last_alpha": self._last_alpha,
-        }
-
-    def restore(self, snapshot, factor_meta):
-        """Rebuild the controller state captured by a checkpoint.
-
-        Factorising the re-assembled matrix is deterministic (SuperLU/
-        LAPACK on identical input), so after this call the chord policy
-        makes bit-for-bit the decisions of the uninterrupted run.
-        """
-        stats = self.core.stats
-        for key, value in snapshot["stats"].items():
-            setattr(stats, key, value)
-        self.core._params.update(snapshot["params"])
-        self._last_alpha = snapshot["last_alpha"]
-        if factor_meta is not None and self.core._chord is not None:
-            alpha, beta, x = factor_meta
-            matrix = self.assembler.refresh(
-                alpha, self.dae.dq_dx(x), beta, self.dae.df_dx(x)
-            )
-            self.core.adopt_factorization(FrozenFactorization().factor(matrix))
-            self._jac_meta = (alpha, beta, np.array(x, dtype=float))
+        alpha, beta, x = meta
+        x = np.array(x, dtype=float)
+        self.core.jacobian_meta = (float(alpha), float(beta), x)
+        return self.assembler.refresh(
+            alpha, self.dae.dq_dx(x), beta, self.dae.df_dx(x)
+        )
 
     def solve_step(self, integrator, history, t_new, b_new, x_guess):
         """Solve one implicit step towards ``t_new``.
@@ -264,16 +213,8 @@ class _StepController:
             r += beta * fb
             return r
 
-        assembler = self.assembler
-        controller = self
-
         def jacobian(x_trial):
-            controller._jac_meta = (
-                alpha, beta, np.array(x_trial, dtype=float)
-            )
-            return assembler.refresh(
-                alpha, dae.dq_dx(x_trial), beta, dae.df_dx(x_trial)
-            )
+            return self.matrix_at((alpha, beta, x_trial))
 
         try:
             # The fallback restarts from the last accepted state rather
@@ -383,37 +324,56 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         check_positive(opts.dt, "options.dt")
 
     controller = _StepController(dae, opts)
-    manager = CheckpointManager(
-        every=opts.checkpoint_every, path=opts.checkpoint_path
-    )
+    # History entries: (t, x, q, f - b) — integrators consume these.
+    history = None
+    t_grid = b_grid = None
+    grid_idx = 0
 
-    if resume_from is not None:
-        if isinstance(resume_from, (str, os.PathLike)):
-            resume_from = Checkpoint.load(resume_from)
-        if resume_from.kind != "transient":
-            raise SimulationError(
-                f"cannot resume a transient run from a "
-                f"{resume_from.kind!r} checkpoint"
-            )
-        payload = resume_from.payload
-        t = float(resume_from.t)
-        dt = float(resume_from.dt)
-        history = [
-            (float(ht), np.array(hx), np.array(hq), np.array(hfb))
-            for ht, hx, hq, hfb in payload["history"]
-        ]
+    def snapshot():
+        # History arrays are replaced, never written in place, so the
+        # snapshot may share them with the live run.
+        return {
+            "history": list(history),
+            "grid_active": t_grid is not None,
+            "grid_idx": grid_idx,
+            "last_alpha": controller._last_alpha,
+        }
+
+    def summarize(stats):
+        kernel = stats["kernel"]
+        kernel["python_steps"] = (
+            stats["steps"] - kernel_steps0 - kernel["compiled_steps"]
+        )
+        stats["newton_fallbacks"] = controller.core.stats.fallbacks
+        stats["jacobian_factorizations"] = controller.core.stats.factorizations
+
+    march = March(
+        "transient", opts, resume_from,
+        result=lambda t, x, stats: TransientResult(
+            t, x, dae.variable_names, stats
+        ),
+        fields=("t", "x"),
+        snapshot=snapshot,
+        counters=("rejected_steps", "newton_iterations", "newton_failures",
+                  "newton_fallbacks", "jacobian_factorizations"),
+        core=controller.core,
+        matrix_at=controller.matrix_at,
+        summarize=summarize,
+        max_steps=opts.max_steps,
+        warm=True,
+    )
+    if march.state is not None:
+        state = march.state
+        history = list(state["history"])
         x = history[-1][1].copy()
-        stored_t = list(payload["stored_t"])
-        stored_x = [np.array(v) for v in payload["stored_x"]]
-        stats = dict(payload["stats"])
-        accepted_since_store = payload["accepted_since_store"]
-        controller.restore(payload["solver"], payload.get("factor_meta"))
-        t_grid = b_grid = None
-        grid_idx = payload["grid_idx"]
-        if payload["grid_active"] and not opts.adaptive:
+        controller._last_alpha = state["last_alpha"]
+        grid_idx = state["grid_idx"]
+        if state["grid_active"] and not opts.adaptive:
             t_grid, b_grid = _forcing_grid(
                 dae, t_start, t_stop, float(opts.dt)
             )
+        t = float(march.t)
+        dt = float(march.dt)
     else:
         if x0 is None and warm_start is not None:
             x0 = getattr(warm_start, "x0", None)
@@ -438,43 +398,13 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             # geometrically.
             dt = min(dt, (t_stop - t_start) * 1e-6)
             dt = max(dt, opts.dt_min)
-
-        # History entries: (t, x, q, f - b) — integrators consume these.
         history = [(t, x.copy(), dae.q(x), dae.f(x) - dae.b(t))]
-
-        # Fixed-step fast path: whole forcing grid in one batched call.
-        t_grid = b_grid = None
-        grid_idx = 0
         if not opts.adaptive:
+            # Fixed-step fast path: whole forcing grid in one batched call.
             t_grid, b_grid = _forcing_grid(dae, t_start, t_stop, dt)
-
-        stored_t = [t]
-        stored_x = [x.copy()]
-        stats = {
-            "steps": 0,
-            "rejected_steps": 0,
-            "newton_iterations": 0,
-            "newton_failures": 0,
-            "newton_fallbacks": 0,
-            "jacobian_factorizations": 0,
-        }
-        accepted_since_store = 0
-        if warm_start is not None:
-            warm_state = getattr(warm_start, "solver_state", None)
-            if warm_state:
-                controller.core.adopt_warm_state(warm_state)
-            warm_meta = getattr(warm_start, "factor_meta", None)
-            if warm_meta is not None and controller.core._chord is not None:
-                w_alpha, w_beta, w_x = warm_meta
-                matrix = controller.assembler.refresh(
-                    w_alpha, dae.dq_dx(w_x), w_beta, dae.df_dx(w_x)
-                )
-                controller.core.adopt_factorization(
-                    FrozenFactorization().factor(matrix)
-                )
-                controller._jac_meta = (
-                    w_alpha, w_beta, np.array(w_x, dtype=float)
-                )
+        march.start(t, dt, x, warm_start=warm_start)
+    stats = march.stats
+    t_end = t_stop - 1e-15 * max(abs(t_stop), 1.0)
 
     # Compiled fast path (ROADMAP item 1).  Resolution runs even for
     # ineligible runs so an explicitly requested unavailable backend
@@ -502,168 +432,38 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
     stats["kernel"] = kernel_info
     kernel_steps0 = stats["steps"]  # nonzero on resumed runs
 
-    def take_checkpoint():
-        # Reads the enclosing locals at call time, so it always snapshots
-        # the last *accepted* state (failed attempts never advance them).
-        return Checkpoint(
-            kind="transient",
-            step=stats["steps"],
-            t=t,
-            dt=dt,
-            payload={
-                "history": [
-                    (float(ht), np.array(hx), np.array(hq), np.array(hfb))
-                    for ht, hx, hq, hfb in history
-                ],
-                "stored_t": list(stored_t),
-                "stored_x": [np.array(v) for v in stored_x],
-                "accepted_since_store": accepted_since_store,
-                "stats": dict(stats),
-                "grid_active": t_grid is not None,
-                "grid_idx": grid_idx,
-                "t_start": float(t_start),
-                "t_stop": float(t_stop),
-                "solver": controller.solver_snapshot(),
-                "factor_meta": controller.factor_metadata(),
-            },
-        )
-
-    def fail(message, step_dt, result=None):
-        # Every mid-run failure carries full structured context: where the
-        # engine died, a salvageable trajectory prefix, and a resumable
-        # snapshot of the last accepted state.
-        kernel_info["python_steps"] = (
-            stats["steps"] - kernel_steps0 - kernel_info["compiled_steps"]
-        )
-        stats_out = dict(stats)
-        stats_out["newton_fallbacks"] = controller.fallbacks
-        stats_out["jacobian_factorizations"] = controller.factorizations()
-        stats_out["solver"] = controller.core.stats.as_dict()
-        partial = TransientResult(
-            np.asarray(stored_t),
-            np.asarray(stored_x),
-            dae.variable_names,
-            stats_out,
-        )
-        raise SimulationError(
-            message,
-            step=stats["steps"],
-            time=t,
-            dt=step_dt,
-            residual_norm=(
-                result.residual_norm if result is not None else None
-            ),
-            iterations=result.iterations if result is not None else None,
-            checkpoint=manager.take(take_checkpoint),
-            partial_result=partial,
-        )
-
-    def _kernel_march():
-        # Fused fixed-step march: N grid steps per call into the
-        # compiled sweep, zero python in between.  Chunks end exactly at
-        # checkpoint cadence points and at max_steps, and after every
-        # chunk the python-side controller is resynchronised, so
-        # checkpoints, warm exports and counters stay truthful.  Any
-        # non-zero status hands the offending step (and the rest of the
-        # run) back to the python loop below — the recovery ladder and
-        # failure semantics are untouched.
-        nonlocal t, x, dt, history, grid_idx, accepted_since_store
-        nonlocal kernel_runner
+    def compiled_march():
+        # Whole chunks of accepted steps per call into the compiled sweep,
+        # zero python in between: over the forcing grid (fixed step), or
+        # under the in-kernel local-error dt controller on a constant
+        # forcing row (adaptive; the live dt crosses the boundary in
+        # runner.reg[2] both ways).  Chunks end at checkpoint cadence
+        # points and at max_steps, and after every chunk the python-side
+        # controller is resynchronised, so checkpoints, warm exports and
+        # counters stay truthful.  A non-zero status hands the offending
+        # step (and the rest of the run) back to the python loop below —
+        # the recovery ladder and failure semantics are untouched; an
+        # adaptive status-4 underflow exits *without* committing the final
+        # shrink, so the python replay reproduces the exact failure.
+        nonlocal t, x, dt, history, grid_idx
         runner = kernel_runner
-        tg = np.ascontiguousarray(t_grid, dtype=float)
-        bg = np.ascontiguousarray(b_grid, dtype=float)
         runner.load(history, controller)
+        if opts.adaptive:
+            b_row = np.ascontiguousarray(b_const, dtype=float)
+            runner.reg[2] = dt
+        else:
+            tg = np.ascontiguousarray(t_grid, dtype=float)
+            bg = np.ascontiguousarray(b_grid, dtype=float)
         core_stats = controller.core.stats
-        while (t < t_stop - 1e-15 * max(abs(t_stop), 1.0)
-               and grid_idx < tg.shape[0]):
-            cap = opts.max_steps - stats["steps"]
-            if cap <= 0:
-                fail(
-                    f"exceeded max_steps={opts.max_steps} at t={t:.6e}",
-                    dt,
+        while t < t_end and (opts.adaptive or grid_idx < tg.shape[0]):
+            if opts.adaptive:
+                status = runner.run_adaptive(
+                    b_row, t_stop, march.chunk_budget(_ADAPTIVE_CHUNK)
                 )
-            end = min(tg.shape[0], grid_idx + cap)
-            if manager.every:
-                boundary = manager.every - stats["steps"] % manager.every
-                end = min(end, grid_idx + boundary)
-            status = runner.run(tg, bg, grid_idx, end)
-            done = int(runner.counters[0])
-            stats["newton_iterations"] += int(runner.counters[1])
-            core_stats.solves += int(runner.counters[4])
-            core_stats.iterations += int(runner.counters[1])
-            core_stats.residual_evaluations += int(runner.counters[2])
-            core_stats.factorizations += int(runner.counters[3])
-            core_stats.jacobian_refreshes += int(runner.counters[3])
-            core_stats.wall_time_s += runner.last_wall
-            runner.reset_counters()
-            if done:
-                out = runner.out_x
-                last = grid_idx + done
-                if opts.store_every == 1:
-                    stored_t.extend(tg[grid_idx:last])
-                    stored_x.extend(out[:done].copy())
-                    accepted_since_store = 0
-                else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = tg[grid_idx + j]
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(out[j].copy())
-                            accepted_since_store = 0
-                t = tg[last - 1]
-                prev = tg[last - 2] if last >= 2 else t_start
-                dt = min(float(tg[last - 1] - prev), opts.dt_max)
-                history = runner.export_history()
-                x = history[-1][1].copy()
-                grid_idx = last
-                stats["steps"] += done
-                kernel_info["compiled_steps"] += done
-                runner.sync_controller(controller, dae)
-                manager.offer(stats["steps"], take_checkpoint)
-                if stats["steps"] >= opts.max_steps:
-                    fail(
-                        f"exceeded max_steps={opts.max_steps} "
-                        f"at t={t:.6e}",
-                        dt,
-                    )
+                dt = float(runner.reg[2])
             else:
-                runner.sync_controller(controller, dae)
-            if status != 0:
-                kernel_info["reason"] = (
-                    f"compiled sweep returned status {status} at step "
-                    f"{stats['steps']}; python recovery ladder resumed"
-                )
-                kernel_runner = None
-                return
-
-    def _kernel_adaptive_march():
-        # Adaptive twin of _kernel_march: the in-kernel local-error dt
-        # controller (constant forcing row) runs whole chunks between
-        # accepted-step checkpoints.  The live dt crosses the boundary in
-        # runner.reg[2] both ways, and a status-4 underflow exits
-        # *without* committing the final shrink, so the python replay of
-        # the offending attempt reproduces the exact failure.
-        nonlocal t, x, dt, history, accepted_since_store
-        nonlocal kernel_runner
-        runner = kernel_runner
-        b_row = np.ascontiguousarray(b_const, dtype=float)
-        runner.load(history, controller)
-        runner.reg[2] = dt
-        core_stats = controller.core.stats
-        while t < t_stop - 1e-15 * max(abs(t_stop), 1.0):
-            cap = opts.max_steps - stats["steps"]
-            if cap <= 0:
-                fail(
-                    f"exceeded max_steps={opts.max_steps} at t={t:.6e}",
-                    dt,
-                )
-            chunk = min(cap, _ADAPTIVE_CHUNK)
-            if manager.every:
-                boundary = manager.every - stats["steps"] % manager.every
-                chunk = min(chunk, boundary)
-            status = runner.run_adaptive(b_row, t_stop, chunk)
+                status = runner.run(tg, bg, grid_idx, grid_idx
+                                    + march.chunk_budget(tg.size - grid_idx))
             done = int(runner.counters[0])
             stats["newton_iterations"] += int(runner.counters[1])
             stats["rejected_steps"] += int(runner.counters[5])
@@ -674,51 +474,31 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             core_stats.jacobian_refreshes += int(runner.counters[3])
             core_stats.wall_time_s += runner.last_wall
             runner.reset_counters()
-            dt = float(runner.reg[2])
+            runner.sync_controller(controller)
             if done:
-                if opts.store_every == 1:
-                    stored_t.extend(runner.out_t[:done])
-                    stored_x.extend(runner.out_x[:done].copy())
-                    accepted_since_store = 0
+                if opts.adaptive:
+                    times = runner.out_t[:done]
                 else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = float(runner.out_t[j])
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(runner.out_x[j].copy())
-                            accepted_since_store = 0
-                t = float(runner.out_t[done - 1])
+                    times = tg[grid_idx:grid_idx + done]
+                    grid_idx += done
+                    prev = tg[grid_idx - 2] if grid_idx >= 2 else t_start
+                    dt = min(float(times[-1] - prev), opts.dt_max)
+                t = float(times[-1])
                 history = runner.export_history()
                 x = history[-1][1].copy()
-                stats["steps"] += done
                 kernel_info["compiled_steps"] += done
-                runner.sync_controller(controller, dae)
-                manager.offer(stats["steps"], take_checkpoint)
-                if stats["steps"] >= opts.max_steps:
-                    fail(
-                        f"exceeded max_steps={opts.max_steps} "
-                        f"at t={t:.6e}",
-                        dt,
-                    )
-            else:
-                runner.sync_controller(controller, dae)
+                march.accept_chunk(times, runner.out_x[:done], dt, t_stop)
             if status != 0:
                 kernel_info["reason"] = (
-                    f"compiled adaptive sweep returned status {status} at "
-                    f"step {stats['steps']}; python adaptive loop resumed"
+                    f"compiled sweep returned status {status} at step "
+                    f"{stats['steps']}; python loop resumed"
                 )
-                kernel_runner = None
                 return
 
     if kernel_runner is not None:
-        if opts.adaptive:
-            _kernel_adaptive_march()
-        elif t_grid is not None:
-            _kernel_march()
+        compiled_march()
 
-    while t < t_stop - 1e-15 * max(abs(t_stop), 1.0):
+    while t < t_end:
         if t_grid is not None:
             t_new = t_grid[grid_idx]
             b_new = b_grid[grid_idx]
@@ -729,9 +509,12 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             b_new = dae.b(t_new)
 
         x_guess = _extrapolate(history, t_new)
-        result, q_new, fb_new, _alpha, _beta = controller.solve_step(
-            integrator, history, t_new, b_new, x_guess
-        )
+        try:
+            result, q_new, fb_new, _alpha, _beta = controller.solve_step(
+                integrator, history, t_new, b_new, x_guess
+            )
+        except SimulationError as exc:
+            raise march.fail(exc, dt)
         stats["newton_iterations"] += result.iterations
 
         if not result.converged:
@@ -741,7 +524,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             # forcing evaluation for the rest of the run.
             t_grid = b_grid = None
             if dt < opts.dt_min:
-                fail(
+                raise march.fail(
                     f"step size underflow at step {stats['steps']}, "
                     f"t={t:.6e}: Newton diverged with dt={2 * dt:.3e} "
                     f"(residual norm {result.residual_norm:.3e} after "
@@ -771,7 +554,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
                         opts.dt_min,
                     )
                     if dt <= opts.dt_min:
-                        fail(
+                        raise march.fail(
                             f"step size underflow at step {stats['steps']}, "
                             f"t={t:.6e}: local-error control rejected "
                             f"dt={dt:.3e} (error estimate {err:.3e})",
@@ -794,40 +577,10 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             history.pop(0)
         if t_grid is not None:
             grid_idx += 1
-
-        stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(x.copy())
-            accepted_since_store = 0
-
         dt = min(dt_next, opts.dt_max)
-        manager.offer(stats["steps"], take_checkpoint)
-        if stats["steps"] >= opts.max_steps:
-            fail(
-                f"exceeded max_steps={opts.max_steps} at t={t:.6e}", dt
-            )
+        march.accept(t, dt, x, final=t >= t_stop)
 
-    kernel_info["python_steps"] = (
-        stats["steps"] - kernel_steps0 - kernel_info["compiled_steps"]
-    )
-    stats["newton_fallbacks"] = controller.fallbacks
-    stats["jacobian_factorizations"] = controller.factorizations()
-    stats["solver"] = controller.core.stats.as_dict()
-    if controller.core.recovery:
-        stats["recovery"] = controller.core.recovery.as_dict()
-    stats["warm"] = {
-        "factor_meta": controller.factor_metadata(),
-        "solver_state": controller.core.export_warm_state(),
-    }
-
-    return TransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        dae.variable_names,
-        stats,
-    )
+    return march.finish()
 
 
 @dataclass
@@ -999,7 +752,7 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
             controller.assembler.refresh(alpha, dq_new, beta, df_new)
         )
         stats["jacobian_factorizations"] += 1
-        controller.adopt(factor)
+        controller.core.adopt_factorization(factor)
 
         weights = integrator.history_weights(history, t_new)
         used = sens_history[-len(weights):]
@@ -1045,8 +798,8 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
             stored_x.append(x.copy())
             accepted_since_store = 0
 
-    stats["newton_fallbacks"] = controller.fallbacks
-    stats["jacobian_factorizations"] += controller.factorizations()
+    stats["newton_fallbacks"] = controller.core.stats.fallbacks
+    stats["jacobian_factorizations"] += controller.core.stats.factorizations
     stats["solver"] = controller.core.stats.as_dict()
     if controller.core.recovery:
         stats["recovery"] = controller.core.recovery.as_dict()

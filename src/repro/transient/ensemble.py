@@ -51,6 +51,7 @@ from repro.kernels.backends import resolve_mode
 from repro.linalg.lu_cache import BlockFactorization
 from repro.linalg.solver_core import SolverStats
 from repro.linalg.transient_assembler import TransientStepAssembler
+from repro.resilience.march import March
 from repro.transient.engine import (
     _MAX_FORCING_GRID,
     TransientOptions,
@@ -351,7 +352,7 @@ class _EnsembleStepController:
         """Batched factorisations plus any per-scenario fallback ones."""
         count = self.chord.stats["factorizations"]
         for controller in self._member_controllers.values():
-            count += controller.factorizations()
+            count += controller.core.stats.factorizations
         return count
 
     def invalidate(self):
@@ -673,22 +674,59 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             "vectorised NumPy lock-step march"
         )
 
-    copy_host = backend.to_host_copy if is_device else (lambda a: a.copy())
+    def summarize(stats):
+        stats["kernel"]["python_steps"] = (
+            stats["steps"] - stats["kernel"].get("compiled_steps", 0)
+        )
+        stats["newton_iterations"] = int(controller.iterations.sum())
+        stats["newton_fallbacks"] = int(controller.fallbacks.sum())
+        stats["jacobian_factorizations"] = controller.factorizations()
+        chord_stats = controller.chord.stats
+        shared = {
+            "solves": stats["steps"],
+            "residual_evaluations": chord_stats["residual_evaluations"],
+            "jacobian_refreshes": chord_stats["jacobian_refreshes"],
+            "factorizations": stats["jacobian_factorizations"],
+            # Lock-step wall time is shared: every scenario's steps happen
+            # inside the same loop iterations.
+            "wall_time_s": time.perf_counter() - run_start,
+        }
+        stats["solver"] = SolverStats(
+            iterations=stats["newton_iterations"],
+            fallbacks=stats["newton_fallbacks"],
+            **shared,
+        ).as_dict()
+        # Lock-step scenarios share refreshes/factorisations/residual
+        # sweeps; iterations and fallbacks are genuinely per scenario.
+        stats["solver_per_scenario"] = [
+            SolverStats(
+                iterations=int(controller.iterations[b]),
+                fallbacks=int(controller.fallbacks[b]),
+                **shared,
+            ).as_dict()
+            for b in range(batch)
+        ]
+
+    # No checkpoints and no resume: a failure carries the partial result
+    # only.
+    march = March(
+        None, opts,
+        result=lambda t, x, stats: EnsembleTransientResult(
+            t, x, ensemble.variable_names, stats
+        ),
+        fields=("t", "x"),
+        counters=("newton_iterations", "newton_failures", "newton_fallbacks",
+                  "jacobian_factorizations"),
+        summarize=summarize,
+        max_steps=opts.max_steps,
+        copy=backend.to_host_copy,
+    )
+    stats = march.stats
+    stats.update(scenarios=batch, kernel=kernel_info, backend=backend_info)
     run_start = time.perf_counter()
-    stored_t = [t]
-    stored_x = [copy_host(states)]
-    stats = {
-        "steps": 0,
-        "newton_iterations": 0,
-        "newton_failures": 0,
-        "newton_fallbacks": 0,
-        "jacobian_factorizations": 0,
-        "scenarios": batch,
-        "kernel": kernel_info,
-        "backend": backend_info,
-    }
-    accepted_since_store = 0
+    march.start(t, dt, states)
     history_cap = max(integrator.steps, 2) + 1
+    t_end = t_stop - 1e-15 * max(abs(t_stop), 1.0)
 
     def _kernel_march():
         """Advance through the compiled batched sweep; False on handback.
@@ -700,14 +738,14 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
         fills.  After a handback the python loop replays the failing
         step (rescue included) and the march re-enters on the next one.
         """
-        nonlocal t, states, dt, grid_idx, accepted_since_store, history
+        nonlocal t, states, dt, grid_idx, history
         runner = kernel_runner
         chord_stats = controller.chord.stats
         while grid_idx < n_steps:
             runner.load(history, controller)
             runner.reset_counters()
-            end = min(n_steps, grid_idx + (opts.max_steps - stats["steps"]))
-            status = runner.run(t_grid, b_grid, grid_idx, end)
+            status = runner.run(t_grid, b_grid, grid_idx, grid_idx
+                                + march.chunk_budget(n_steps - grid_idx))
             done = int(runner.counters[0])
             chord_stats["iterations"] += int(runner.counters[1])
             chord_stats["residual_evaluations"] += int(runner.counters[2])
@@ -717,42 +755,14 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             kernel_info["compiled_steps"] += done
             runner.sync_controller(controller)
             if done:
-                out = runner.out_x
-                if opts.store_every == 1:
-                    stored_t.extend(
-                        float(v) for v in t_grid[grid_idx:grid_idx + done]
-                    )
-                    stored_x.extend(out[j].copy() for j in range(done))
-                    accepted_since_store = 0
-                else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = float(t_grid[grid_idx + j])
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(out[j].copy())
-                            accepted_since_store = 0
+                times = t_grid[grid_idx:grid_idx + done]
                 grid_idx += done
-                t = float(t_grid[grid_idx - 1])
+                t = float(times[-1])
                 prev = t_grid[grid_idx - 2] if grid_idx >= 2 else t_start
-                dt = float(t_grid[grid_idx - 1] - prev)
+                dt = float(times[-1] - prev)
                 history = runner.export_history()
                 states = history[-1][1].copy()
-                stats["steps"] += done
-                if stats["steps"] >= opts.max_steps:
-                    raise SimulationError(
-                        f"exceeded max_steps={opts.max_steps} at t={t:.6e}",
-                        step=stats["steps"],
-                        time=t,
-                        dt=dt,
-                        partial_result=EnsembleTransientResult(
-                            stored_t,
-                            stored_x,
-                            ensemble.variable_names,
-                            stats=dict(stats),
-                        ),
-                    )
+                march.accept_chunk(times, runner.out_x[:done], dt, t_stop)
             if status != 0:
                 kernel_info["reason"] = (
                     f"compiled ensemble sweep returned status {status} at "
@@ -762,7 +772,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
                 return False
         return True
 
-    while t < t_stop - 1e-15 * max(abs(t_stop), 1.0):
+    while t < t_end:
         if kernel_runner is not None and t_grid is not None:
             if _kernel_march():
                 break
@@ -778,9 +788,12 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
                 b_new = backend.from_host(b_new)
 
         x_guess = _extrapolate(history, t_new)
-        new_states, converged, q_new, fb_new = controller.solve_step(
-            integrator, history, t_new, b_new, x_guess
-        )
+        try:
+            new_states, converged, q_new, fb_new = controller.solve_step(
+                integrator, history, t_new, b_new, x_guess
+            )
+        except SimulationError as exc:
+            raise march.fail(exc, dt)
 
         if not converged.all():
             stats["newton_failures"] += 1
@@ -790,19 +803,11 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             t_grid = b_grid = None
             if dt < opts.dt_min:
                 failed = np.nonzero(~converged)[0]
-                raise SimulationError(
+                raise march.fail(
                     f"step size underflow at step {stats['steps']}, "
                     f"t={t:.6e}: Newton diverged for scenario(s) "
                     f"{failed.tolist()} with dt={2 * dt:.3e}",
-                    step=stats["steps"],
-                    time=t,
-                    dt=2 * dt,
-                    partial_result=EnsembleTransientResult(
-                        stored_t,
-                        stored_x,
-                        ensemble.variable_names,
-                        stats=dict(stats),
-                    ),
+                    2 * dt,
                 )
             continue
 
@@ -813,65 +818,9 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             history.pop(0)
         if t_grid is not None:
             grid_idx += 1
+        march.accept(t, dt, states, final=t >= t_stop)
 
-        stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(copy_host(states))
-            accepted_since_store = 0
-        if stats["steps"] >= opts.max_steps:
-            raise SimulationError(
-                f"exceeded max_steps={opts.max_steps} at t={t:.6e}",
-                step=stats["steps"],
-                time=t,
-                dt=dt,
-                partial_result=EnsembleTransientResult(
-                    stored_t,
-                    stored_x,
-                    ensemble.variable_names,
-                    stats=dict(stats),
-                ),
-            )
-
-    kernel_info["python_steps"] = (
-        stats["steps"] - kernel_info.get("compiled_steps", 0)
-    )
-    chord_stats = controller.chord.stats
-    stats["newton_iterations"] = int(controller.iterations.sum())
-    stats["newton_fallbacks"] = int(controller.fallbacks.sum())
-    stats["jacobian_factorizations"] = controller.factorizations()
-    shared = {
-        "solves": stats["steps"],
-        "residual_evaluations": chord_stats["residual_evaluations"],
-        "jacobian_refreshes": chord_stats["jacobian_refreshes"],
-        "factorizations": stats["jacobian_factorizations"],
-        # Lock-step wall time is shared: every scenario's steps happen
-        # inside the same loop iterations.
-        "wall_time_s": time.perf_counter() - run_start,
-    }
-    stats["solver"] = SolverStats(
-        iterations=stats["newton_iterations"],
-        fallbacks=stats["newton_fallbacks"],
-        **shared,
-    ).as_dict()
-    # Lock-step scenarios share refreshes/factorisations/residual sweeps;
-    # iterations and fallbacks are genuinely per scenario.
-    stats["solver_per_scenario"] = [
-        SolverStats(
-            iterations=int(controller.iterations[b]),
-            fallbacks=int(controller.fallbacks[b]),
-            **shared,
-        ).as_dict()
-        for b in range(batch)
-    ]
-
-    return EnsembleTransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        ensemble.variable_names,
-        stats,
-    )
+    return march.finish()
 
 
 def merge_ensemble_results(results):

@@ -20,8 +20,11 @@ Two drivers share the stepping kernel:
 
 * :func:`solve_wampde_envelope` — fixed, uniform t2 steps;
 * :func:`solve_wampde_envelope_adaptive` — proportional step control from
-  a predictor-corrector error estimate, for runs whose slow dynamics have
+  a step-doubling error estimate, for runs whose slow dynamics have
   widely varying rates (e.g. sharp settling followed by a long coast).
+
+Both run their bookkeeping — resume, store cadence, checkpoints, failure
+context and final stats — through :class:`repro.resilience.march.March`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
 from repro.kernels.sweep import maybe_kernelize_batch
 from repro.linalg.collocation import CollocationJacobianAssembler
-from repro.linalg.lu_cache import FrozenFactorization
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -42,7 +44,7 @@ from repro.linalg.solver_core import (
     core_from_options,
 )
 from repro.linalg.sparse_tools import kron_diffmat
-from repro.resilience.checkpoint import Checkpoint, CheckpointManager
+from repro.resilience.march import March
 from repro.phase_conditions import as_phase_condition
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.utils.validation import check_odd, check_positive
@@ -277,11 +279,6 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         self._eval_z = None
         self._eval_q = None
         self._eval_f = None
-        # (z, h) of the most recent bordered-Jacobian assembly — the
-        # metadata a checkpoint stores instead of the (unpicklable)
-        # factorisation itself.  Refreshed inside jacobian(), so it tracks
-        # exactly the matrix the chord policy holds factors of.
-        self._jac_meta = None
 
     def _evaluate_qf(self, states, z):
         """Flat ``q_batch``/``f_batch`` at ``z``, memoised on the iterate."""
@@ -318,7 +315,9 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         )
 
     def jacobian(self, z):
-        self._jac_meta = (np.array(z, dtype=float), self._h)
+        # (z, h) of the assembly: the checkpoint stand-in for the
+        # (unpicklable) factors the chord policy will hold of it.
+        self.core.jacobian_meta = (np.array(z, dtype=float), self._h)
         states = z[:-1].reshape(self.num_t1, self.n)
         w = z[-1]
         dq = self.dae.dq_dx_batch(states)
@@ -347,44 +346,11 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
             "size": self.num_t1 * self.n + 1,
         }
 
-    def factor_metadata(self):
-        """Checkpointable description of the frozen chord factorisation.
-
-        Returns ``(z, h)`` — enough to re-assemble and refactorise the
-        exact bordered matrix the chord policy currently holds — or
-        ``None`` when no factors are held (full-Newton mode, or right
-        after an invalidation), in which case a resumed march starts
-        unfactored exactly like the live run would have continued.
-        """
-        chord = self.core._chord
-        if chord is not None and chord._have and self._jac_meta is not None:
-            z, h = self._jac_meta
-            return (np.array(z, dtype=float), float(h))
-        return None
-
-    def solver_snapshot(self):
-        """Checkpointable solver-core bookkeeping (stats + parameters)."""
-        return {
-            "stats": self.core.stats.as_dict(),
-            "params": dict(self.core._params),
-        }
-
-    def restore(self, snapshot, factor_meta):
-        """Rebuild the stepper state captured by a checkpoint.
-
-        Factorising the re-assembled matrix is deterministic (SuperLU on
-        identical input), so after this call the chord policy makes
-        bit-for-bit the decisions of the uninterrupted march.
-        """
-        stats = self.core.stats
-        for key, value in snapshot["stats"].items():
-            setattr(stats, key, value)
-        self.core._params.update(snapshot["params"])
-        if factor_meta is not None and self.core._chord is not None:
-            z, h = factor_meta
-            self._h = float(h)
-            matrix = self.jacobian(np.asarray(z, dtype=float))
-            self.core.adopt_factorization(FrozenFactorization().factor(matrix))
+    def matrix_at(self, meta):
+        """The bordered step matrix at frozen-factor metadata ``(z, h)``."""
+        z, h = meta
+        self._h = float(h)
+        return self.jacobian(np.asarray(z, dtype=float))
 
     def step(self, x_samples, omega, q_old, rhs_old, t2_new, h):
         """One implicit t2 step; returns ``(x_new, omega_new, iterations)``.
@@ -436,27 +402,6 @@ def _apply_warm_inputs(warm_start, initial_samples, omega0):
             "omega0 is required (directly or via warm_start)"
         )
     return initial_samples, omega0
-
-
-def _adopt_warm_solver(stepper, warm_start):
-    """Adopt a warm solver state + frozen-factorisation metadata.
-
-    The chord policy then starts the march with factors already in hand;
-    :meth:`SolverCore.note_parameters` still drops them on an ``h``/
-    ``omega`` jump, so a badly matched warm start degrades to a cold one
-    instead of corrupting the solve.
-    """
-    if warm_start is None:
-        return
-    state = getattr(warm_start, "solver_state", None)
-    if state:
-        stepper.core.adopt_warm_state(state)
-    meta = getattr(warm_start, "factor_meta", None)
-    if meta is not None and stepper.core._chord is not None:
-        z, h = meta
-        stepper._h = float(h)
-        matrix = stepper.jacobian(np.asarray(z, dtype=float))
-        stepper.core.adopt_factorization(FrozenFactorization().factor(matrix))
 
 
 def _validate_inputs(dae, initial_samples, omega0, t2_start, t2_stop):
@@ -537,119 +482,59 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
     )
     stepper = _EnvelopeStepper(dae, initial_samples.shape[0], opts)
     h = (t2_stop - t2_start) / num_steps
-    manager = CheckpointManager(
-        every=int(getattr(opts, "checkpoint_every", 0) or 0),
-        path=getattr(opts, "checkpoint_path", None),
+    march = _envelope_march(
+        "wampde_envelope", dae, stepper, opts, resume_from,
+        lambda: {"x_samples": x_samples.copy(), "omega": omega}, warm=True,
     )
-
-    if resume_from is not None:
-        checkpoint = (
-            resume_from
-            if isinstance(resume_from, Checkpoint)
-            else Checkpoint.load(resume_from)
-        )
-        if checkpoint.kind != "wampde_envelope":
-            raise SimulationError(
-                f"cannot resume a WaMPDE envelope march from a "
-                f"{checkpoint.kind!r} checkpoint"
-            )
-        payload = checkpoint.payload
-        x_samples = np.array(payload["x_samples"], dtype=float)
-        omega = float(payload["omega"])
-        t2 = float(payload["t2"])
-        stored_t2 = list(payload["stored_t2"])
-        stored_omega = list(payload["stored_omega"])
-        stored_samples = [np.array(s, dtype=float)
-                          for s in payload["stored_samples"]]
-        stats = dict(payload["stats"])
-        since_store = int(payload["since_store"])
-        start_step = int(checkpoint.step)
-        stepper.restore(payload["solver"], payload["factor_meta"])
-    else:
+    if march.state is None:
         x_samples = initial_samples.copy()
         omega = float(omega0)
-        t2 = float(t2_start)
-        stored_t2 = [t2]
-        stored_omega = [omega]
-        stored_samples = [x_samples.copy()]
-        stats = {"steps": 0, "newton_iterations": 0}
-        since_store = 0
-        start_step = 0
-        _adopt_warm_solver(stepper, warm_start)
-    stats["kernel"] = kernel_info
+        march.start(float(t2_start), h, omega, x_samples,
+                    warm_start=warm_start)
+    else:
+        x_samples = np.array(march.state["x_samples"], dtype=float)
+        omega = float(march.state["omega"])
+    march.stats["kernel"] = kernel_info
+    t2 = float(march.t)
     rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
 
-    def take_checkpoint():
-        return Checkpoint(
-            kind="wampde_envelope",
-            step=stats["steps"],
-            t=t2,
-            dt=h,
-            payload={
-                "x_samples": x_samples.copy(),
-                "omega": omega,
-                "t2": t2,
-                "stored_t2": list(stored_t2),
-                "stored_omega": list(stored_omega),
-                "stored_samples": [s.copy() for s in stored_samples],
-                "stats": dict(stats),
-                "since_store": since_store,
-                "t2_start": t2_start,
-                "t2_stop": t2_stop,
-                "num_steps": num_steps,
-                "solver": stepper.solver_snapshot(),
-                "factor_meta": stepper.factor_metadata(),
-            },
-        )
-
-    for step_index in range(start_step, num_steps):
+    for step_index in range(march.stats["steps"], num_steps):
         t2_new = t2_start + (step_index + 1) * h
         try:
             x_samples, omega, iterations = stepper.step(
                 x_samples, omega, q_old, rhs_old, t2_new, h
             )
         except ConvergenceError as exc:
-            partial_stats = dict(stats)
-            partial_stats["solver"] = stepper.core.stats.as_dict()
-            raise SimulationError(
+            raise march.fail(
                 f"WaMPDE envelope step {step_index + 1} failed to converge "
                 f"at t2={t2_new:.6e}: {exc}",
-                step=stats["steps"],
-                time=t2,
-                dt=h,
-                iterations=exc.iterations,
-                residual_norm=exc.residual_norm,
-                checkpoint=manager.take(take_checkpoint),
-                partial_result=WampdeEnvelopeResult(
-                    stored_t2, stored_omega, stored_samples,
-                    dae.variable_names, partial_stats,
-                ),
+                h, exc,
             ) from exc
-        stats["newton_iterations"] += iterations
+        except SimulationError as exc:
+            raise march.fail(exc, h)
+        march.stats["newton_iterations"] += iterations
         t2 = t2_new
         rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
-        stats["steps"] += 1
-        since_store += 1
-        if since_store >= opts.store_every or step_index == num_steps - 1:
-            stored_t2.append(t2)
-            stored_omega.append(omega)
-            stored_samples.append(x_samples.copy())
-            since_store = 0
-        manager.offer(stats["steps"], take_checkpoint)
+        march.accept(t2, h, omega, x_samples,
+                     final=step_index == num_steps - 1)
+    return march.finish()
 
-    stats["solver"] = stepper.core.stats.as_dict()
-    if stepper.core.recovery:
-        stats["recovery"] = stepper.core.recovery.as_dict()
-    stats["warm"] = {
-        "factor_meta": stepper.factor_metadata(),
-        "solver_state": stepper.core.export_warm_state(),
-    }
-    return WampdeEnvelopeResult(
-        np.asarray(stored_t2),
-        np.asarray(stored_omega),
-        np.asarray(stored_samples),
-        dae.variable_names,
-        stats,
+
+def _envelope_march(kind, dae, stepper, opts, resume_from, snapshot,
+                    counters=(), max_steps=None, warm=False):
+    """The :class:`~repro.resilience.march.March` of a WaMPDE envelope."""
+    return March(
+        kind, opts, resume_from,
+        result=lambda t2, omega, samples, stats: WampdeEnvelopeResult(
+            t2, omega, samples, dae.variable_names, stats
+        ),
+        fields=("t2", "omega", "samples"),
+        snapshot=snapshot,
+        counters=("newton_iterations",) + counters,
+        core=stepper.core,
+        matrix_at=stepper.matrix_at,
+        max_steps=max_steps,
+        warm=warm,
     )
 
 
@@ -718,81 +603,26 @@ def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,
     h_physics = 1e-3 / float(omega0)
     h_floor = max(opts.dt2_min, span * 1e-12, h_noise, h_physics)
 
-    manager = CheckpointManager(
-        every=int(getattr(opts, "checkpoint_every", 0) or 0),
-        path=getattr(opts, "checkpoint_path", None),
+    march = _envelope_march(
+        "wampde_envelope_adaptive", dae, stepper, opts, resume_from,
+        lambda: {"x_samples": x_samples.copy(), "omega": omega},
+        counters=("rejected_steps", "newton_failures"), max_steps=max_steps,
     )
-    if resume_from is not None:
-        checkpoint = (
-            resume_from
-            if isinstance(resume_from, Checkpoint)
-            else Checkpoint.load(resume_from)
-        )
-        if checkpoint.kind != "wampde_envelope_adaptive":
-            raise SimulationError(
-                f"cannot resume an adaptive WaMPDE envelope march from a "
-                f"{checkpoint.kind!r} checkpoint"
-            )
-        payload = checkpoint.payload
-        x_samples = np.array(payload["x_samples"], dtype=float)
-        omega = float(payload["omega"])
-        t2 = float(payload["t2"])
-        h = float(checkpoint.dt)
-        stored_t2 = list(payload["stored_t2"])
-        stored_omega = list(payload["stored_omega"])
-        stored_samples = [np.array(s, dtype=float)
-                          for s in payload["stored_samples"]]
-        stats = dict(payload["stats"])
-        stepper.restore(payload["solver"], payload["factor_meta"])
-    else:
+    if march.state is None:
         x_samples = initial_samples.copy()
         omega = float(omega0)
-        t2 = float(t2_start)
-        stored_t2 = [t2]
-        stored_omega = [omega]
-        stored_samples = [x_samples.copy()]
-        stats = {"steps": 0, "newton_iterations": 0, "rejected_steps": 0,
-                 "newton_failures": 0}
+        march.start(float(t2_start), h, omega, x_samples)
+    else:
+        x_samples = np.array(march.state["x_samples"], dtype=float)
+        omega = float(march.state["omega"])
+        h = float(march.dt)
+    stats = march.stats
     stats["kernel"] = kernel_info
+    t2 = float(march.t)
+    t2_end = t2_stop - 1e-15 * max(abs(t2_stop), 1.0)
     rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
 
-    def take_checkpoint():
-        return Checkpoint(
-            kind="wampde_envelope_adaptive",
-            step=stats["steps"],
-            t=t2,
-            dt=h,
-            payload={
-                "x_samples": x_samples.copy(),
-                "omega": omega,
-                "t2": t2,
-                "stored_t2": list(stored_t2),
-                "stored_omega": list(stored_omega),
-                "stored_samples": [s.copy() for s in stored_samples],
-                "stats": dict(stats),
-                "t2_start": t2_start,
-                "t2_stop": t2_stop,
-                "solver": stepper.solver_snapshot(),
-                "factor_meta": stepper.factor_metadata(),
-            },
-        )
-
-    def fail(message):
-        partial_stats = dict(stats)
-        partial_stats["solver"] = stepper.core.stats.as_dict()
-        return SimulationError(
-            message,
-            step=stats["steps"],
-            time=t2,
-            dt=h,
-            checkpoint=manager.take(take_checkpoint),
-            partial_result=WampdeEnvelopeResult(
-                stored_t2, stored_omega, stored_samples,
-                dae.variable_names, partial_stats,
-            ),
-        )
-
-    while t2 < t2_stop - 1e-15 * max(abs(t2_stop), 1.0):
+    while t2 < t2_end:
         h = min(h, t2_stop - t2)
         try:
             # Full step.
@@ -807,16 +637,19 @@ def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,
             x_half, omega_half, it_half = stepper.step(
                 x_mid, omega_mid, q_mid, rhs_mid, t2 + h, 0.5 * h
             )
-        except ConvergenceError:
+        except ConvergenceError as exc:
             stats["newton_failures"] += 1
             if h <= h_floor * 1.01:
-                raise fail(
+                raise march.fail(
                     f"WaMPDE adaptive step underflow at t2={t2:.6e} "
                     f"(Newton cannot converge at the minimum step "
-                    f"{h_floor:.3e}; try a looser rtol or more t1 samples)"
+                    f"{h_floor:.3e}; try a looser rtol or more t1 samples)",
+                    h, exc,
                 ) from None
             h = max(0.5 * h, h_floor)
             continue
+        except SimulationError as exc:
+            raise march.fail(exc, h)
         stats["newton_iterations"] += it_full + it_mid + it_half
 
         # Guard against Newton landing on a spurious solution branch: the
@@ -827,12 +660,13 @@ def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,
         jump = max(abs(omega_full - omega), abs(omega_half - omega))
         if jump > 0.1 * abs(omega):
             if h <= h_floor * 1.01:
-                raise fail(
+                raise march.fail(
                     f"WaMPDE adaptive run lost the oscillation branch at "
                     f"t2={t2:.6e} (omega jumped {jump:.3e} from "
                     f"{omega:.3e} at the minimum step).  Local time-domain "
                     f"phase anchors can degenerate when the waveform "
-                    f"distorts; try phase_condition='fourier'."
+                    f"distorts; try phase_condition='fourier'.",
+                    h,
                 )
             stats["rejected_steps"] += 1
             h = max(0.25 * h, h_floor)
@@ -858,27 +692,10 @@ def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,
         t2 = t2 + h
         x_samples, omega = x_half, omega_half
         rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
-        stats["steps"] += 1
-        stored_t2.append(t2)
-        stored_omega.append(omega)
-        stored_samples.append(x_samples.copy())
         growth = 0.9 * err ** (-1.0 / (order + 1)) if err > 0 else 5.0
         h = max(min(h * min(5.0, max(0.2, growth)), opts.dt2_max), h_floor)
-        manager.offer(stats["steps"], take_checkpoint)
-        if stats["steps"] >= max_steps:
-            raise fail(
-                f"WaMPDE adaptive run exceeded max_steps={max_steps}"
-            )
+        march.accept(t2, h, omega, x_samples, final=t2 >= t2_end)
+    return march.finish()
 
-    stats["solver"] = stepper.core.stats.as_dict()
-    if stepper.core.recovery:
-        stats["recovery"] = stepper.core.recovery.as_dict()
-    return WampdeEnvelopeResult(
-        np.asarray(stored_t2),
-        np.asarray(stored_omega),
-        np.asarray(stored_samples),
-        dae.variable_names,
-        stats,
-    )
 
 

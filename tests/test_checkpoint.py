@@ -1,6 +1,10 @@
 """Checkpoint/restart tests: snapshots, cadence, and bit-identical
 resume across the transient and envelope engines.
 
+The failure/resume/streaming contract every march route keeps is in
+``test_march.py``; this file covers the checkpoint object, the cadence
+manager, spooled checkpoints and kind checks.
+
 The resume contract is strict: a run interrupted mid-march and resumed
 from its checkpoint must reproduce the uninterrupted run's trajectory
 *bit for bit* (``np.array_equal``, not ``allclose``) — the snapshot
@@ -101,50 +105,6 @@ class TestTransientResume:
     def run_options(self, **kwargs):
         return TransientOptions(integrator="trap", dt=1e-2, **kwargs)
 
-    def test_fixed_step_resume_is_bit_identical(self):
-        dae = VanDerPolDae(mu=3.0)
-        x0 = [2.0, 0.0]
-        reference = simulate_transient(dae, x0, 0.0, 8.0, self.run_options())
-
-        with pytest.raises(SimulationError, match="max_steps") as info:
-            simulate_transient(
-                dae, x0, 0.0, 8.0, self.run_options(max_steps=300)
-            )
-        exc = info.value
-        assert exc.checkpoint is not None
-        assert exc.checkpoint.kind == "transient"
-        assert exc.checkpoint.step == 300
-        assert exc.partial_result is not None
-        assert exc.partial_result.t[-1] < 8.0
-
-        resumed = simulate_transient(
-            dae, x0, 0.0, 8.0, self.run_options(),
-            resume_from=exc.checkpoint,
-        )
-        assert np.array_equal(resumed.t, reference.t)
-        assert np.array_equal(resumed.x, reference.x)
-
-    def test_adaptive_resume_is_bit_identical(self):
-        dae = VanDerPolDae(mu=3.0)
-        x0 = [2.0, 0.0]
-        options = TransientOptions(
-            integrator="trap", dt=1e-2, adaptive=True
-        )
-        reference = simulate_transient(dae, x0, 0.0, 8.0, options)
-        with pytest.raises(SimulationError, match="max_steps") as info:
-            simulate_transient(
-                dae, x0, 0.0, 8.0,
-                TransientOptions(
-                    integrator="trap", dt=1e-2, adaptive=True,
-                    max_steps=200,
-                ),
-            )
-        resumed = simulate_transient(
-            dae, x0, 0.0, 8.0, options, resume_from=info.value.checkpoint
-        )
-        assert np.array_equal(resumed.t, reference.t)
-        assert np.array_equal(resumed.x, reference.x)
-
     def test_resume_from_spooled_path(self, tmp_path):
         dae = VanDerPolDae(mu=3.0)
         x0 = [2.0, 0.0]
@@ -225,29 +185,6 @@ class TestWampdeEnvelopeResume:
         assert exc.iterations is not None
         assert exc.partial_result is not None
         assert "solver" in exc.partial_result.stats
-
-    def test_adaptive_resume_is_bit_identical(self, vdp_limit_cycle):
-        dae, hb = vdp_limit_cycle
-        reference = solve_wampde_envelope_adaptive(
-            dae, hb.samples, hb.frequency, 0.0, 60.0
-        )
-        # The coasting controller covers [0, 60] in ~7 steps; cap at 4 to
-        # interrupt genuinely mid-march.
-        with pytest.raises(SimulationError, match="max_steps") as info:
-            solve_wampde_envelope_adaptive(
-                dae, hb.samples, hb.frequency, 0.0, 60.0, max_steps=4
-            )
-        exc = info.value
-        assert exc.checkpoint is not None
-        assert exc.checkpoint.kind == "wampde_envelope_adaptive"
-        assert exc.partial_result is not None
-        resumed = solve_wampde_envelope_adaptive(
-            dae, hb.samples, hb.frequency, 0.0, 60.0,
-            resume_from=exc.checkpoint,
-        )
-        assert np.array_equal(resumed.t2, reference.t2)
-        assert np.array_equal(resumed.omega, reference.omega)
-        assert np.array_equal(resumed.samples, reference.samples)
 
     def test_resume_rejects_wrong_kind(self, vdp_limit_cycle):
         dae, hb = vdp_limit_cycle

@@ -205,7 +205,7 @@ class TestStreaming:
         from repro.service.workers import _with_streaming
 
         streamed = _with_streaming(
-            request, StreamSink(sink_queue, ("x", "v")), 25
+            request, StreamSink(sink_queue), 25
         )
         assert streamed.options.checkpoint_every == 25
         api.run(streamed)
