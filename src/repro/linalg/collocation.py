@@ -1,7 +1,10 @@
 """Pattern-reuse assembly of spectral-collocation Jacobians.
 
 Every multi-time engine in this library (harmonic balance, MPDE and WaMPDE
-collocation) solves Newton systems whose matrix has the same shape::
+collocation) solves Newton systems whose matrix has the same shape (large
+forced harmonic balance applies it matrix-free instead, see
+:mod:`repro.linalg.spectral`, and assembles it here only when GMRES misses
+its budget)::
 
     J  =  outer * ( scale * (W ⊗-blockwise) @ blockdiag(dq_i)
                     + blockdiag(df_i) )

@@ -1,12 +1,24 @@
 """Iterative linear solvers for large collocation and transient systems.
 
 The paper notes that "the use of iterative linear techniques [Saa96] enables
-large systems to be handled efficiently".  For the circuit sizes exercised
-here direct sparse LU is usually fastest, but :class:`GmresLinearSolver`
-provides the matrix-free-style alternative: restarted GMRES with an ILU —
-or, for Newton sequences whose matrix drifts slowly, a *frozen complete LU*
-— preconditioner.  Both classes implement the ``(matrix, rhs) -> solution``
-callable protocol expected by :func:`repro.linalg.newton.newton_solve`.
+large systems to be handled efficiently".  :class:`GmresLinearSolver` is the
+one restarted-GMRES call site, used two ways:
+
+* **Matrix-free.**  Handed a :class:`scipy.sparse.linalg.LinearOperator`,
+  it runs GMRES on the operator with the operator's own ``preconditioner``.
+  Forced harmonic balance does this by default above
+  :data:`repro.steadystate.harmonic_balance.MATRIX_FREE_MIN_UNKNOWNS`
+  unknowns: the Jacobian is an FFT product preconditioned by the
+  period-averaged Jacobian (:mod:`repro.linalg.spectral`), and nothing of
+  size ``N²`` is assembled or factorised unless GMRES misses its budget.
+* **Assembled.**  Handed a matrix, it preconditions with an ILU or, for
+  Newton sequences whose matrix drifts slowly, a *frozen complete LU*
+  (``linear_solver="gmres"`` and the ``"gmres"`` recovery rung).  Smaller
+  collocation systems solve fastest by direct sparse LU
+  (:class:`repro.linalg.lu_cache.ReusableLUSolver`, the default).
+
+Both classes implement the ``(matrix, rhs) -> solution`` callable protocol
+expected by :func:`repro.linalg.newton.newton_solve`.
 """
 
 from __future__ import annotations
@@ -30,7 +42,12 @@ class DirectLinearSolver:
 class GmresLinearSolver:
     """Restarted GMRES with ILU or frozen-LU preconditioning.
 
-    Two preconditioning regimes:
+    A :class:`~scipy.sparse.linalg.LinearOperator` is solved matrix-free
+    with its own ``preconditioner`` attribute (none if it has no such
+    attribute); ``preconditioner`` and ``freeze`` below apply to assembled
+    matrices.  ``stats["krylov_iterations"]`` counts GMRES inner
+    iterations and ``stats["factorizations"]`` the LU/ILU preconditioners
+    built.  Two preconditioning regimes for assembled matrices:
 
     * ``preconditioner="ilu"`` (the historical default) builds an
       incomplete LU from *each* matrix handed in — robust, but pays a
@@ -81,7 +98,8 @@ class GmresLinearSolver:
         self.freeze = bool(freeze)
         self._frozen_operator = None
         self._frozen_shape = None
-        self.stats = {"factorizations": 0, "solves": 0, "refreshes": 0}
+        self.stats = {"factorizations": 0, "solves": 0, "refreshes": 0,
+                      "krylov_iterations": 0}
 
     def invalidate(self):
         """Drop any frozen preconditioner factors."""
@@ -116,6 +134,11 @@ class GmresLinearSolver:
         return self._frozen_operator
 
     def _gmres(self, matrix, rhs, preconditioner):
+        stats = self.stats
+
+        def count(_residual):
+            stats["krylov_iterations"] += 1
+
         solution, info = spla.gmres(
             matrix,
             rhs,
@@ -124,23 +147,30 @@ class GmresLinearSolver:
             restart=self.restart,
             maxiter=self.maxiter,
             M=preconditioner,
+            callback=count,
+            callback_type="pr_norm",
         )
         return solution, info
 
     def __call__(self, matrix, rhs):
-        matrix = sp.csc_matrix(matrix)
         rhs = np.asarray(rhs, dtype=float).ravel()
         self.stats["solves"] += 1
-
-        preconditioner = self._get_preconditioner(matrix)
-        solution, info = self._gmres(matrix, rhs, preconditioner)
-        if info != 0 and self.freeze and self.preconditioner is not None:
-            # The frozen factors have drifted too far from the current
-            # matrix: refresh them once and retry before giving up.
-            self.invalidate()
-            self.stats["refreshes"] += 1
+        if isinstance(matrix, spla.LinearOperator):
+            # Matrix-free: the operator brings its own preconditioner.
+            solution, info = self._gmres(
+                matrix, rhs, getattr(matrix, "preconditioner", None)
+            )
+        else:
+            matrix = sp.csc_matrix(matrix)
             preconditioner = self._get_preconditioner(matrix)
             solution, info = self._gmres(matrix, rhs, preconditioner)
+            if info != 0 and self.freeze and self.preconditioner is not None:
+                # The frozen factors have drifted too far from the current
+                # matrix: refresh them once and retry before giving up.
+                self.invalidate()
+                self.stats["refreshes"] += 1
+                preconditioner = self._get_preconditioner(matrix)
+                solution, info = self._gmres(matrix, rhs, preconditioner)
         if info != 0:
             raise ConvergenceError(
                 f"GMRES failed with info={info} "

@@ -130,12 +130,23 @@ class SolverStats:
     jacobian_refreshes:
         Calls into ``system.jacobian`` — i.e. assembler data refreshes.
     factorizations:
-        Matrix factorisations performed by the linear-solver backend
-        (SuperLU/LAPACK; the dominant envelope cost).
+        LU factorisations of assembled matrices performed by the
+        linear-solver backend (SuperLU/LAPACK; the dominant envelope
+        cost), GMRES LU preconditioners included.
+    krylov_iterations:
+        GMRES inner iterations (the ``"gmres"`` linear solver, the
+        ``"gmres"`` recovery rung and matrix-free forced harmonic
+        balance).
     fallbacks:
         Chord solves that fell back to damped full Newton.
     wall_time_s:
         Wall-clock seconds spent inside :meth:`SolverCore.solve`.
+
+    A solve that escalates past its first recovery rung counts the work of
+    every rung it tried: its ``iterations`` are the sum of the iterations
+    its :class:`~repro.resilience.recovery.RecoveryAttempt` records carry,
+    failed rungs included, and its ``factorizations`` and
+    ``krylov_iterations`` include those of the ``"gmres"`` rung.
     """
 
     solves: int = 0
@@ -143,6 +154,7 @@ class SolverStats:
     residual_evaluations: int = 0
     jacobian_refreshes: int = 0
     factorizations: int = 0
+    krylov_iterations: int = 0
     fallbacks: int = 0
     wall_time_s: float = 0.0
 
@@ -157,6 +169,7 @@ class SolverStats:
             f"{self.residual_evaluations} residual evals, "
             f"{self.jacobian_refreshes} Jacobian refreshes, "
             f"{self.factorizations} factorizations, "
+            f"{self.krylov_iterations} Krylov iterations, "
             f"{self.fallbacks} fallbacks, {self.wall_time_s:.3f} s"
         )
 
@@ -410,22 +423,37 @@ class SolverCore:
             if isinstance(self._linear_solver, ReusableLUSolver)
             else ReusableLUSolver()
         )
-        # Stats dicts that carry factorisation counts, resolved once — the
-        # per-solve accounting reads them on the hot path.
-        sources = []
-        if self._chord is not None:
-            sources.append(self._chord.stats)
-        solver_stats = getattr(self._linear_solver, "stats", None)
-        if isinstance(solver_stats, dict):
-            sources.append(solver_stats)
-        if self._fallback_solver is not self._linear_solver:
-            sources.append(self._fallback_solver.stats)
-        self._fact_sources = tuple(sources)
         # Recovery ladder: the escalation policy solve() walks on failure,
         # plus the structured log of every escalation.  The log rides on
         # the stats object as a plain attribute (not a dataclass field),
         # so SolverStats.as_dict() payloads keep their historical keys.
         self._ladder = self._resolve_ladder(opts.ladder)
+        # The "gmres" rung's solver builds its LU preconditioner per call
+        # and keeps nothing between calls, so one instance serves every
+        # escalation and its counters are resolved with the others below.
+        self._rung_gmres_solver = None
+        if "gmres" in self._ladder:
+            from repro.linalg.gmres import GmresLinearSolver
+
+            self._rung_gmres_solver = GmresLinearSolver(
+                preconditioner="lu", freeze=False
+            )
+        # Stats dicts that carry factorisation and Krylov counts, resolved
+        # once — the per-solve accounting reads them on the hot path.
+        dicts = []
+        if self._chord is not None:
+            dicts.append(self._chord.stats)
+        solver_stats = getattr(self._linear_solver, "stats", None)
+        if isinstance(solver_stats, dict):
+            dicts.append(solver_stats)
+        if self._fallback_solver is not self._linear_solver:
+            dicts.append(self._fallback_solver.stats)
+        if self._rung_gmres_solver is not None:
+            dicts.append(self._rung_gmres_solver.stats)
+        self._fact_sources = tuple(d for d in dicts if "factorizations" in d)
+        self._krylov_sources = tuple(
+            d for d in dicts if "krylov_iterations" in d
+        )
         self._policy = RecoveryPolicy(
             rungs=self._ladder,
             budgets=dict(opts.rung_budgets or {}),
@@ -615,7 +643,13 @@ class SolverCore:
         fact_before = 0
         for source in self._fact_sources:
             fact_before += source["factorizations"]
+        krylov_sources = self._krylov_sources
+        if krylov_sources:
+            krylov_before = 0
+            for source in krylov_sources:
+                krylov_before += source["krylov_iterations"]
         fallbacks_before = stats.fallbacks
+        escalated_before = self.recovery.escalated_solves
         result = None
         raised_iterations = 0
         start = time.perf_counter()
@@ -635,6 +669,11 @@ class SolverCore:
             for source in self._fact_sources:
                 fact_after += source["factorizations"]
             stats.factorizations += fact_after - fact_before
+            if krylov_sources:
+                krylov_after = 0
+                for source in krylov_sources:
+                    krylov_after += source["krylov_iterations"]
+                stats.krylov_iterations += krylov_after - krylov_before
             stats.solves += 1
             newton_iterations = (
                 result.iterations if result is not None else raised_iterations
@@ -646,11 +685,18 @@ class SolverCore:
                 stats.jacobian_refreshes += (
                     chord_stats["factorizations"] - chord_fact_before
                 )
-                # Count every chord iteration burned, including the ones a
-                # failed attempt spent before the full-Newton fallback
-                # (whose own iterations are newton_iterations; without a
-                # fallback result.iterations IS the chord count, so don't
-                # double-add).
+            if self.recovery.escalated_solves > escalated_before:
+                # An escalated solve burned the iterations of every rung
+                # it tried, failed ones included.
+                stats.iterations += sum(
+                    attempt.iterations
+                    for attempt in self.recovery.last_solve_attempts()
+                )
+            elif chord is not None:
+                # One rung ran: the chord policy counts its own iterations;
+                # a ladder that starts at "full_newton" adds that rung's
+                # (without a fallback result.iterations IS the chord
+                # count, so don't double-add).
                 stats.iterations += (
                     chord_stats["iterations"] - chord_before
                 )
@@ -826,15 +872,13 @@ class SolverCore:
         return result, None, "damped full Newton from restart point"
 
     def _rung_gmres(self, counting, z0):
-        """Full Newton through a fresh LU-preconditioned GMRES solver.
+        """Full Newton through an LU-preconditioned GMRES solver.
 
         A different linear-algebra route around a badly conditioned
         direct factorisation: the complete-LU preconditioner is rebuilt
         per call (``freeze=False``), and GMRES solves the current matrix
         to its own tolerance rather than trusting one factorisation.
         """
-        from repro.linalg.gmres import GmresLinearSolver
-
         self.invalidate()
         residual, jacobian = counting()
         result = newton_solve(
@@ -842,9 +886,7 @@ class SolverCore:
             jacobian,
             z0,
             options=self.options.newton,
-            linear_solver=GmresLinearSolver(
-                preconditioner="lu", freeze=False
-            ),
+            linear_solver=self._rung_gmres_solver,
         )
         return result, None, "GMRES retry with per-iteration LU preconditioner"
 

@@ -867,7 +867,8 @@ def _merge_chunked(results, backend_info):
     solver = dict(first.stats.get("solver") or {})
     if solver:
         for key in ("iterations", "fallbacks", "residual_evaluations",
-                    "jacobian_refreshes", "factorizations", "solves"):
+                    "jacobian_refreshes", "factorizations",
+                    "krylov_iterations", "solves"):
             solver[key] = sum(
                 int((r.stats.get("solver") or {}).get(key, 0))
                 for r in results

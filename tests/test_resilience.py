@@ -179,6 +179,11 @@ class TestRecoveryLadder:
         assert last.converged
         assert "pseudo-transient" in last.detail
         assert core.stats.fallbacks == 1
+        # The escalated solve counts the iterations of every rung it
+        # tried, failed ones included.
+        logged = [a.iterations for a in core.recovery.attempts]
+        assert logged == [0, 0, 1, 1, 2]
+        assert core.stats.iterations == sum(logged) == 4
 
     def test_extended_full_ladder_reaches_gmres(self):
         core = make_core(mode="full")
@@ -187,6 +192,13 @@ class TestRecoveryLadder:
         assert result.converged
         np.testing.assert_allclose(result.x, COS_ROOT, atol=1e-9)
         assert core.recovery.rungs() == ["newton", "full_newton", "gmres"]
+        logged = [a.iterations for a in core.recovery.attempts]
+        assert logged == [1, 1, 5]
+        assert core.stats.iterations == sum(logged) == 7
+        # One LU each for the newton and full_newton rungs, then the gmres
+        # rung's per-iteration LU preconditioners.
+        assert core.stats.factorizations == 7
+        assert core.stats.krylov_iterations >= 5
 
     def test_rung_budgets_retry_before_escalating(self):
         core = make_core(rung_budgets={"chord": 2})

@@ -192,6 +192,72 @@ class TestHarmonicBalanceForced:
         assert v_out.mean() > 0.01
 
 
+def _rectifier_hb(amplitude, num_samples, linear_solver=None):
+    from repro.circuits.library import rc_diode_mixer_circuit
+    from repro.linalg.solver_core import SolverCoreOptions
+
+    dae = rc_diode_mixer_circuit(
+        lo_amplitude=0.0, rf_amplitude=amplitude, rf_frequency=1e4
+    ).to_dae()
+    x_dc = dc_operating_point(dae)
+    return harmonic_balance_forced(
+        dae, period=1e-4, num_samples=num_samples,
+        initial=np.tile(x_dc, (num_samples, 1)),
+        solver_options=SolverCoreOptions(linear_solver=linear_solver),
+    )
+
+
+def _scaled_gap(result, reference):
+    scale = np.abs(reference.samples).max(axis=0)
+    return (np.abs(result.samples - reference.samples) / scale).max()
+
+
+class TestForcedHarmonicBalanceRoute:
+    """The default linear solver picks the matrix-free route by size."""
+
+    def test_matrix_free_matches_assembled_lu(self):
+        default = _rectifier_hb(0.3, 301)
+        assembled = _rectifier_hb(0.3, 301, linear_solver="lu")
+        assert default.newton_iterations == assembled.newton_iterations == 7
+        assert _scaled_gap(default, assembled) <= 1e-12
+        assert default.stats["factorizations"] == 0
+        assert default.stats["krylov_iterations"] > 0
+        assert assembled.stats["krylov_iterations"] == 0
+        assert assembled.stats["factorizations"] == 7
+
+    def test_below_crossover_is_the_assembled_route(self):
+        default = _rectifier_hb(0.3, 31)
+        assembled = _rectifier_hb(0.3, 31, linear_solver="lu")
+        np.testing.assert_array_equal(default.samples, assembled.samples)
+        assert default.stats["krylov_iterations"] == 0
+        assert default.stats["factorizations"] == 7
+
+    def test_gmres_miss_finishes_on_the_assembled_route(self):
+        """A strong drive defeats the averaged-Jacobian preconditioner:
+        one GMRES miss, then sparse LU for the rest of the solve."""
+        default = _rectifier_hb(1.0, 301)
+        assembled = _rectifier_hb(1.0, 301, linear_solver="lu")
+        stats = default.stats
+        assert 0 < stats["factorizations"] < stats["iterations"]
+        assert stats["krylov_iterations"] > 0
+        assert default.newton_iterations == assembled.newton_iterations
+        assert _scaled_gap(default, assembled) <= 1e-12
+
+    def test_matrix_free_memory_is_linear_in_samples(self):
+        """No O(N^2) array: the same solve with ``linear_solver="lu"``
+        peaks at about 200 MiB of traced memory."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = _rectifier_hb(0.3, 801)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats["factorizations"] == 0
+        assert peak <= 16 * 2**20
+
+
 class TestHarmonicBalanceAutonomous:
     def test_vdp_frequency(self, vdp_limit_cycle):
         dae, hb = vdp_limit_cycle
