@@ -254,11 +254,11 @@ def _bench_ensemble_sweep_compiled(batch=8):
 def _bench_ensemble_large_b(batch=256, shard=8):
     """Single large-B lock-step march versus shard-sized passes (ratcheted).
 
-    The array-backend tentpole's win condition: a thousand-scenario-class
-    ensemble (``B = 256``) advanced as ONE lock-step march must beat the
-    same scenarios run as ``B // shard`` sequential shard-sized passes
-    (``shard = 8`` — the host python-kernel shard size from
-    :meth:`repro.backend.ArrayBackend.ensemble_shard_size`) by >= 3x,
+    The batched-LU win condition: a thousand-scenario-class ensemble
+    (``B = 256``) advanced as ONE lock-step march must beat the same
+    scenarios run as ``B // shard`` sequential shard-sized passes
+    (``shard = 8`` — the NumPy lock-step shard size,
+    :attr:`repro.api.EnsembleRequest.SHARD_BLOCK_PYTHON`) by >= 3x,
     asserted outright.  Both sides pin ``kernel="python"`` so the entry
     ratchets what whole-batch array dispatch buys over fragmented
     marches; trajectories are cross-checked against independently
@@ -339,7 +339,7 @@ def _bench_ensemble_large_b(batch=256, shard=8):
         f"B={batch} march only {speedup:.2f}x faster than "
         f"{batch // shard} sequential B={shard} passes (require >= 3x)"
     )
-    assert march.stats["backend"]["routing"] == "python-lockstep"
+    assert march.stats["kernel"]["mode"] == "python"
     return {
         "name": "ensemble_large_b",
         "steps": int(march.stats["steps"]) * batch,

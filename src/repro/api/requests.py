@@ -322,13 +322,10 @@ class EnsembleRequest(AnalysisRequest):
     ``run()`` uses the vectorised lock-step engine
     (:func:`repro.transient.ensemble.simulate_transient_ensemble`); the
     service may instead execute :meth:`shards` — scenario-block
-    sub-requests sized by the resolved array backend
-    (:meth:`repro.backend.ArrayBackend.ensemble_shard_size`) — across
-    its worker pool and :meth:`merge` the trajectories.  Device backends
-    return no shards at all: the whole batch is one device-resident
-    march, and fragmenting it into slivers would waste the device.
-    Fixed-step shards land on the same time grid, so both paths agree
-    within solver tolerance.
+    sub-requests sized by the kernel mode the run resolves to — across
+    its worker pool and :meth:`merge` the trajectories.  Fixed-step
+    shards land on the same time grid, so both paths agree within solver
+    tolerance.
     """
 
     dae: object = None  # an EnsembleDAE
@@ -338,6 +335,13 @@ class EnsembleRequest(AnalysisRequest):
     options: object = None
 
     kind = "ensemble"
+
+    #: Scenarios per worker shard on the NumPy lock-step march, whose
+    #: per-step dispatch cost small shards spread across the pool.
+    SHARD_BLOCK_PYTHON = 8
+    #: Scenarios per worker shard on the compiled march, which amortises
+    #: its per-call overhead over larger shards.
+    SHARD_BLOCK_COMPILED = 64
 
     def run(self, warm_start=None):
         from repro.transient.ensemble import simulate_transient_ensemble
@@ -357,24 +361,22 @@ class EnsembleRequest(AnalysisRequest):
         return _warm_start(x0=np.array(result.x[-1], dtype=float))
 
     def _shard_size(self):
-        """Scenarios per shard for the request's resolved backend.
+        """Scenarios per shard for the kernel mode the run resolves to.
 
-        ``None`` disables sharding — either the backend is a device (the
-        whole batch belongs in one march) or the backend string is
-        invalid (``run()`` then surfaces the configuration error instead
-        of the service masking it at shard time).
+        ``None`` disables sharding when the ``kernel`` option cannot be
+        resolved: ``run()`` then surfaces the configuration error instead
+        of the service masking it at shard time.
         """
-        from repro.backend import resolve_backend
         from repro.errors import ConfigurationError
+        from repro.kernels.backends import resolve_mode
 
-        opts = self.options
-        kernel = getattr(opts, "kernel", "auto") if opts is not None \
-            else "auto"
         try:
-            backend, _ = resolve_backend(getattr(opts, "backend", None))
+            mode, _ = resolve_mode(getattr(self.options, "kernel", "auto"))
         except ConfigurationError:
             return None
-        return backend.ensemble_shard_size(kernel)
+        if mode == "python":
+            return self.SHARD_BLOCK_PYTHON
+        return self.SHARD_BLOCK_COMPILED
 
     def shards(self):
         from repro.errors import ValidationError
@@ -430,9 +432,6 @@ class SweepRequest(AnalysisRequest):
     method: str = "continuation"
     on_failure: str = "raise"
     stacked_factory: object = None
-    #: Array backend name for the ensemble settle transient (``None``
-    #: resolves the default; see :func:`repro.backend.resolve_backend`).
-    backend: object = None
 
     kind = "sweep"
 
@@ -445,7 +444,6 @@ class SweepRequest(AnalysisRequest):
             phase_condition=self.phase_condition, method=self.method,
             on_failure=self.on_failure,
             stacked_factory=self.stacked_factory,
-            backend=self.backend,
         )
 
     #: Sweep points per worker shard.  Chunks (not single points) keep

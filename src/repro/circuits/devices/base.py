@@ -24,7 +24,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.errors import DeviceError
 
 
@@ -115,8 +114,8 @@ class Device(ABC):
         """Copy with per-scenario stacks sliced to ``indices``.
 
         Devices that accept stacked parameters
-        (:func:`per_scenario_parameter`) override this so chunked ensemble
-        marches can carve a ``(B,)`` stacked circuit into backend-sized
+        (:func:`per_scenario_parameter`) override this so ensemble
+        service shards can carve a ``(B,)`` stacked circuit into scenario
         blocks; parameterless devices are shared as-is.
         """
         return self
@@ -155,17 +154,15 @@ class Device(ABC):
 
     def q_local_batch(self, U):
         """Row-wise :meth:`q_local`; zeros fast path for static devices."""
-        xp = array_namespace(U)
         if type(self).q_local is Device.q_local:
-            return xp.zeros((U.shape[0], self.n_local))
-        # The generic loop evaluates the scalar stamp pointwise and is
-        # host-only; devices that should run on array backends override
-        # with a vectorised version.
+            return np.zeros((U.shape[0], self.n_local))
+        # The generic loop evaluates the scalar stamp pointwise; hot
+        # devices override with a vectorised version.
         U = np.asarray(U, dtype=float)
         return np.stack([self.q_local(u) for u in U])
 
     def f_local_batch(self, U):
-        """Row-wise :meth:`f_local` (host loop fallback)."""
+        """Row-wise :meth:`f_local` (pointwise loop fallback)."""
         U = np.asarray(U, dtype=float)
         return np.stack([self.f_local(u) for u in U])
 
@@ -178,14 +175,13 @@ class Device(ABC):
 
     def dq_local_batch(self, U):
         """Row-wise :meth:`dq_local`; zeros fast path for static devices."""
-        xp = array_namespace(U)
         if type(self).dq_local is Device.dq_local:
-            return xp.zeros((U.shape[0], self.n_local, self.n_local))
+            return np.zeros((U.shape[0], self.n_local, self.n_local))
         U = np.asarray(U, dtype=float)
         return np.stack([self.dq_local(u) for u in U])
 
     def df_local_batch(self, U):
-        """Row-wise :meth:`df_local` (host loop fallback)."""
+        """Row-wise :meth:`df_local` (pointwise loop fallback)."""
         U = np.asarray(U, dtype=float)
         return np.stack([self.df_local(u) for u in U])
 
@@ -226,16 +222,14 @@ class TwoTerminalStatic(Device):
         return np.array([[g, -g], [-g, g]])
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        i = xp.asarray(self.current(U[:, 0] - U[:, 1]), dtype=float)
-        return xp.stack([i, -i], axis=1)
+        U = np.asarray(U, dtype=float)
+        i = np.asarray(self.current(U[:, 0] - U[:, 1]), dtype=float)
+        return np.stack([i, -i], axis=1)
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        g = xp.asarray(self.conductance(U[:, 0] - U[:, 1]), dtype=float)
-        out = xp.empty((U.shape[0], 2, 2))
+        U = np.asarray(U, dtype=float)
+        g = np.asarray(self.conductance(U[:, 0] - U[:, 1]), dtype=float)
+        out = np.empty((U.shape[0], 2, 2))
         out[:, 0, 0] = g
         out[:, 0, 1] = -g
         out[:, 1, 0] = -g

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import (
     Device,
     per_scenario_parameter,
@@ -52,15 +51,13 @@ class Capacitor(Device):
         )
 
     def q_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         charge = self.capacitance * (U[:, 0] - U[:, 1])
-        return xp.stack([charge, -charge], axis=1)
+        return np.stack([charge, -charge], axis=1)
 
     def dq_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        out = xp.empty((U.shape[0], 2, 2))
+        U = np.asarray(U, dtype=float)
+        out = np.empty((U.shape[0], 2, 2))
         out[:, 0, 0] = self.capacitance
         out[:, 0, 1] = -out[:, 0, 0]
         out[:, 1, 0] = -out[:, 0, 0]
@@ -68,9 +65,7 @@ class Capacitor(Device):
         return out
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        return xp.zeros((xp.asarray(U).shape[0], 2))
+        return np.zeros((np.asarray(U).shape[0], 2))
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        return xp.zeros((xp.asarray(U).shape[0], 2, 2))
+        return np.zeros((np.asarray(U).shape[0], 2, 2))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import Device
 
 
@@ -35,17 +34,15 @@ class VCCS(Device):
         )
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         i = self.gm * (U[:, 2] - U[:, 3])
-        out = xp.zeros((U.shape[0], 4))
+        out = np.zeros((U.shape[0], 4))
         out[:, 0] = i
         out[:, 1] = -i
         return out
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 4, 4))
+        out = np.zeros((np.asarray(U).shape[0], 4, 4))
         out[:, 0, 2] = self.gm
         out[:, 0, 3] = -self.gm
         out[:, 1, 2] = -self.gm
@@ -84,17 +81,15 @@ class VCVS(Device):
         )
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        out = xp.zeros((U.shape[0], 5))
+        U = np.asarray(U, dtype=float)
+        out = np.zeros((U.shape[0], 5))
         out[:, 0] = U[:, 4]
         out[:, 1] = -U[:, 4]
         out[:, 4] = (U[:, 0] - U[:, 1]) - self.mu * (U[:, 2] - U[:, 3])
         return out
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 5, 5))
+        out = np.zeros((np.asarray(U).shape[0], 5, 5))
         out[:, 0, 4] = 1.0
         out[:, 1, 4] = -1.0
         out[:, 4, 0] = 1.0

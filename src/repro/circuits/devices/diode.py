@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import TwoTerminalStatic
 from repro.constants import THERMAL_VOLTAGE_300K
 from repro.errors import DeviceError
@@ -42,28 +41,26 @@ class Diode(TwoTerminalStatic):
 
     def current(self, v):
         """Branch current; vectorised over arrays of junction voltages."""
-        xp = array_namespace(v)
-        v = xp.asarray(v, dtype=float)
+        v = np.asarray(v, dtype=float)
         limited, v_limit = self._split(v)
         exp_lim = np.exp(_LIMIT_MULTIPLE)
         slope = self.saturation_current * exp_lim / self.thermal_voltage
         i_lim = self.saturation_current * (exp_lim - 1.0)
-        value = xp.where(
+        value = np.where(
             limited,
             i_lim + slope * (v - v_limit),
             self.saturation_current
-            * xp.expm1(xp.minimum(v, v_limit) / self.thermal_voltage),
+            * np.expm1(np.minimum(v, v_limit) / self.thermal_voltage),
         )
         return value if value.ndim else float(value)
 
     def conductance(self, v):
         """Derivative ``di/dv``; vectorised over arrays."""
-        xp = array_namespace(v)
-        v = xp.asarray(v, dtype=float)
+        v = np.asarray(v, dtype=float)
         limited, v_limit = self._split(v)
         value = (
             self.saturation_current
-            * xp.exp(xp.where(limited, v_limit, v) / self.thermal_voltage)
+            * np.exp(np.where(limited, v_limit, v) / self.thermal_voltage)
             / self.thermal_voltage
         )
         return value if value.ndim else float(value)

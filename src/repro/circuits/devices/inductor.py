@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import (
     Device,
     per_scenario_parameter,
@@ -55,28 +54,24 @@ class Inductor(Device):
         )
 
     def q_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        out = xp.zeros((U.shape[0], 3))
+        U = np.asarray(U, dtype=float)
+        out = np.zeros((U.shape[0], 3))
         out[:, 2] = self.inductance * U[:, 2]
         return out
 
     def dq_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 3, 3))
+        out = np.zeros((np.asarray(U).shape[0], 3, 3))
         out[:, 2, 2] = self.inductance
         return out
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        return xp.stack(
+        U = np.asarray(U, dtype=float)
+        return np.stack(
             [U[:, 2], -U[:, 2], -(U[:, 0] - U[:, 1])], axis=1
         )
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 3, 3))
+        out = np.zeros((np.asarray(U).shape[0], 3, 3))
         out[:, 0, 2] = 1.0
         out[:, 1, 2] = -1.0
         out[:, 2, 0] = -1.0

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import (
     Device,
     per_scenario_parameter,
@@ -183,21 +182,19 @@ class MemsVaractor(Device):
     # -- batched stamping --------------------------------------------------------
 
     def q_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         v = U[:, 0] - U[:, 1]
         z = U[:, 2]
         charge = self.capacitance(z) * v
-        return xp.stack([charge, -charge, z, self.mass * U[:, 3]], axis=1)
+        return np.stack([charge, -charge, z, self.mass * U[:, 3]], axis=1)
 
     def dq_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         v = U[:, 0] - U[:, 1]
         z = U[:, 2]
         cap = self.capacitance(z)
         dcap = self.dcapacitance_dz(z)
-        out = xp.zeros((U.shape[0], 4, 4))
+        out = np.zeros((U.shape[0], 4, 4))
         out[:, 0, 0] = cap
         out[:, 0, 1] = -cap
         out[:, 0, 2] = dcap * v
@@ -209,16 +206,14 @@ class MemsVaractor(Device):
         return out
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        out = xp.zeros((U.shape[0], 4))
+        U = np.asarray(U, dtype=float)
+        out = np.zeros((U.shape[0], 4))
         out[:, 2] = -U[:, 3]
         out[:, 3] = self.damping * U[:, 3] + self.stiffness * U[:, 2]
         return out
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 4, 4))
+        out = np.zeros((np.asarray(U).shape[0], 4, 4))
         out[:, 2, 3] = -1.0
         out[:, 3, 2] = self.stiffness
         out[:, 3, 3] = self.damping

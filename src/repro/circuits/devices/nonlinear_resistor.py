@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import TwoTerminalStatic
 from repro.errors import DeviceError
 
@@ -75,10 +74,8 @@ class TanhNegativeConductance(TwoTerminalStatic):
         self.imax = imax
 
     def current(self, v):
-        xp = array_namespace(v)
-        return self.gsat * v - self.imax * xp.tanh(self.gneg * v / self.imax)
+        return self.gsat * v - self.imax * np.tanh(self.gneg * v / self.imax)
 
     def conductance(self, v):
-        xp = array_namespace(v)
-        sech2 = 1.0 / xp.cosh(self.gneg * v / self.imax) ** 2
+        sech2 = 1.0 / np.cosh(self.gneg * v / self.imax) ** 2
         return self.gsat - self.gneg * sech2

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import (
     Device,
     per_scenario_parameter,
@@ -50,12 +49,10 @@ class CurrentSource(Device):
         return np.array([-value, value])
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        return xp.zeros((xp.asarray(U).shape[0], 2))
+        return np.zeros((np.asarray(U).shape[0], 2))
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        return xp.zeros((xp.asarray(U).shape[0], 2, 2))
+        return np.zeros((np.asarray(U).shape[0], 2, 2))
 
     def b_local_batch(self, times):
         times = np.asarray(times, dtype=float).ravel()
@@ -103,13 +100,11 @@ class VoltageSource(Device):
         return np.array([0.0, 0.0, self.scale * float(self.waveform(t))])
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
-        return xp.stack([U[:, 2], -U[:, 2], U[:, 0] - U[:, 1]], axis=1)
+        U = np.asarray(U, dtype=float)
+        return np.stack([U[:, 2], -U[:, 2], U[:, 0] - U[:, 1]], axis=1)
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        out = xp.zeros((xp.asarray(U).shape[0], 3, 3))
+        out = np.zeros((np.asarray(U).shape[0], 3, 3))
         out[:, 0, 2] = 1.0
         out[:, 1, 2] = -1.0
         out[:, 2, 0] = 1.0

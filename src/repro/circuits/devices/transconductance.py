@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices.base import Device
 from repro.errors import DeviceError
 
@@ -35,13 +34,11 @@ class TanhTransconductance(Device):
 
     def output_current(self, v_ctrl):
         """Saturating output current for a control voltage."""
-        xp = array_namespace(v_ctrl)
-        return self.imax * xp.tanh(self.gm * v_ctrl / self.imax)
+        return self.imax * np.tanh(self.gm * v_ctrl / self.imax)
 
     def transconductance(self, v_ctrl):
         """Derivative of :meth:`output_current`."""
-        xp = array_namespace(v_ctrl)
-        sech2 = 1.0 / xp.cosh(self.gm * v_ctrl / self.imax) ** 2
+        sech2 = 1.0 / np.cosh(self.gm * v_ctrl / self.imax) ** 2
         return self.gm * sech2
 
     def f_local(self, u):
@@ -58,19 +55,17 @@ class TanhTransconductance(Device):
         return jac
 
     def f_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         i = self.output_current(U[:, 2] - U[:, 3])
-        out = xp.zeros((U.shape[0], 4))
+        out = np.zeros((U.shape[0], 4))
         out[:, 0] = i
         out[:, 1] = -i
         return out
 
     def df_local_batch(self, U):
-        xp = array_namespace(U)
-        U = xp.asarray(U, dtype=float)
+        U = np.asarray(U, dtype=float)
         g = self.transconductance(U[:, 2] - U[:, 3])
-        out = xp.zeros((U.shape[0], 4, 4))
+        out = np.zeros((U.shape[0], 4, 4))
         out[:, 0, 2] = g
         out[:, 0, 3] = -g
         out[:, 1, 2] = -g

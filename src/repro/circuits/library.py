@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.devices import (
     CubicConductance,
     CurrentSource,
@@ -214,15 +213,13 @@ class MemsVcoDae(SemiExplicitDAE):
 
     def capacitance(self, z):
         """RF capacitance at displacement ``z`` (vectorised)."""
-        xp = array_namespace(z)
-        s2 = (xp.asarray(z) / self.params.z_scale) ** 2
+        s2 = (np.asarray(z) / self.params.z_scale) ** 2
         return self.params.c0 / (1.0 + s2) ** 2
 
     def dcapacitance_dz(self, z):
         """Derivative dC/dz (vectorised)."""
-        xp = array_namespace(z)
         zs = self.params.z_scale
-        s = xp.asarray(z) / zs
+        s = np.asarray(z) / zs
         return -4.0 * self.params.c0 * s / (zs * (1.0 + s**2) ** 3)
 
     # -- single-point interface ------------------------------------------------
@@ -264,11 +261,10 @@ class MemsVcoDae(SemiExplicitDAE):
     # -- vectorised batch interface ---------------------------------------------
 
     def q_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         p = self.params
         v, il, z, u = states.T
-        out = xp.empty_like(states)
+        out = np.empty_like(states)
         out[:, 0] = self.capacitance(z) * v
         out[:, 1] = p.inductance * il
         out[:, 2] = z
@@ -276,11 +272,10 @@ class MemsVcoDae(SemiExplicitDAE):
         return out
 
     def f_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         p = self.params
         v, il, z, u = states.T
-        out = xp.empty_like(states)
+        out = np.empty_like(states)
         out[:, 0] = il - p.g1 * v + p.g3 * v**3
         out[:, 1] = -v
         out[:, 2] = -u
@@ -290,16 +285,15 @@ class MemsVcoDae(SemiExplicitDAE):
     def qf_batch(self, states):
         # Ensemble hot path: one unpack and one capacitance evaluation for
         # both stacks (mirrors the single-point qf fast path).
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         p = self.params
         v, il, z, u = states.T
-        q = xp.empty_like(states)
+        q = np.empty_like(states)
         q[:, 0] = self.capacitance(z) * v
         q[:, 1] = p.inductance * il
         q[:, 2] = z
         q[:, 3] = p.mass * u
-        f = xp.empty_like(states)
+        f = np.empty_like(states)
         f[:, 0] = il - p.g1 * v + p.g3 * v**3
         f[:, 1] = -v
         f[:, 2] = -u
@@ -314,11 +308,10 @@ class MemsVcoDae(SemiExplicitDAE):
         return out
 
     def dq_dx_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         p = self.params
         v, il, z, u = states.T
-        out = xp.zeros((states.shape[0], 4, 4))
+        out = np.zeros((states.shape[0], 4, 4))
         out[:, 0, 0] = self.capacitance(z)
         out[:, 0, 2] = self.dcapacitance_dz(z) * v
         out[:, 1, 1] = p.inductance
@@ -327,11 +320,10 @@ class MemsVcoDae(SemiExplicitDAE):
         return out
 
     def df_dx_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         p = self.params
         v = states[:, 0]
-        out = xp.zeros((states.shape[0], 4, 4))
+        out = np.zeros((states.shape[0], 4, 4))
         out[:, 0, 0] = -p.g1 + 3.0 * p.g3 * v**2
         out[:, 0, 1] = 1.0
         out[:, 1, 0] = -1.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.circuits.netlist import GROUND_NAMES
 from repro.dae.base import SemiExplicitDAE
 
@@ -100,8 +99,8 @@ class CircuitDAE(SemiExplicitDAE):
         """Stacked-circuit slice: every device's ``(B,)`` parameter stacks
         restricted to ``indices`` (see
         :meth:`repro.circuits.devices.base.Device.subset_scenarios`).  Lets
-        chunked ensemble marches carve one stacked circuit into
-        backend-sized blocks."""
+        ensemble service shards carve one stacked circuit into scenario
+        blocks."""
         from repro.circuits.netlist import Circuit
 
         circuit = Circuit(self.circuit.title)
@@ -136,7 +135,9 @@ class CircuitDAE(SemiExplicitDAE):
             rows = slot.rows[row_mask]
             cols = slot.columns[col_mask]
             block = local[np.ix_(row_mask, col_mask)]
-            out[np.ix_(rows, cols)] += block
+            # add.at, not +=: a device with two ports on one node repeats
+            # that node's row or column, and both entries must land.
+            np.add.at(out, np.ix_(rows, cols), block)
         return out
 
     # -- DAE interface -----------------------------------------------------------
@@ -177,13 +178,12 @@ class CircuitDAE(SemiExplicitDAE):
         """Local state stack ``(m, n_local)``; ground columns read 0."""
         return states[:, slot.gather_cols] * slot.gather_scale
 
-    def _accumulate_vector_batch(self, m, contributions, xp=np):
+    def _accumulate_vector_batch(self, m, contributions):
         """Sum per-device ``(m, n_valid)`` stacks into an ``(m, n)`` array.
 
         ``contributions`` yields ``(slot, values)`` pairs where ``values``
         holds the surviving local rows (``slot.row_sel``) of the device's
-        batched evaluation.  The scatter indices are host integer math;
-        only the value payloads live on ``xp``.
+        batched evaluation.
         """
         offsets = self.n * np.arange(m)
         idx_parts = []
@@ -191,19 +191,18 @@ class CircuitDAE(SemiExplicitDAE):
         for slot, values in contributions:
             idx = offsets[:, None] + slot.row_targets[None, :]
             idx_parts.append(idx.ravel())
-            val_parts.append(xp.ascontiguousarray(values).ravel())
+            val_parts.append(np.ascontiguousarray(values).ravel())
         if not idx_parts:
-            return xp.zeros((m, self.n))
-        flat = xp.bincount(
-            xp.asarray(np.concatenate(idx_parts)),
-            weights=xp.concatenate(val_parts),
+            return np.zeros((m, self.n))
+        flat = np.bincount(
+            np.concatenate(idx_parts),
+            weights=np.concatenate(val_parts),
             minlength=m * self.n,
         )
         return flat.reshape(m, self.n)
 
     def _accumulate_matrix_batch(self, states, evaluate):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         m = states.shape[0]
         offsets = self.n * self.n * np.arange(m)
         idx_parts = []
@@ -215,17 +214,16 @@ class CircuitDAE(SemiExplicitDAE):
             idx_parts.append(idx.ravel())
             val_parts.append(block.reshape(m, -1).ravel())
         if not idx_parts:
-            return xp.zeros((m, self.n, self.n))
-        flat = xp.bincount(
-            xp.asarray(np.concatenate(idx_parts)),
-            weights=xp.concatenate(val_parts),
+            return np.zeros((m, self.n, self.n))
+        flat = np.bincount(
+            np.concatenate(idx_parts),
+            weights=np.concatenate(val_parts),
             minlength=m * self.n * self.n,
         )
         return flat.reshape(m, self.n, self.n)
 
     def q_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         return self._accumulate_vector_batch(
             states.shape[0],
             (
@@ -237,12 +235,10 @@ class CircuitDAE(SemiExplicitDAE):
                 )
                 for slot in self._slots
             ),
-            xp=xp,
         )
 
     def f_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         return self._accumulate_vector_batch(
             states.shape[0],
             (
@@ -254,14 +250,12 @@ class CircuitDAE(SemiExplicitDAE):
                 )
                 for slot in self._slots
             ),
-            xp=xp,
         )
 
     def qf_batch(self, states):
         # One gather per device serves both stamps (the ensemble engine
         # calls this at every Newton iterate).
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         m = states.shape[0]
         q_parts = []
         f_parts = []
@@ -274,13 +268,11 @@ class CircuitDAE(SemiExplicitDAE):
                 (slot, slot.device.f_local_batch(local)[:, slot.row_sel])
             )
         return (
-            self._accumulate_vector_batch(m, q_parts, xp=xp),
-            self._accumulate_vector_batch(m, f_parts, xp=xp),
+            self._accumulate_vector_batch(m, q_parts),
+            self._accumulate_vector_batch(m, f_parts),
         )
 
     def b_batch(self, times):
-        # Waveform evaluation is host-only by design: the ensemble engine
-        # transfers the (m, n) result to the device when needed.
         times = np.asarray(times, dtype=float).ravel()
         return self._accumulate_vector_batch(
             times.size,

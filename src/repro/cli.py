@@ -129,7 +129,7 @@ def _print_solver_stats(stats):
               f"compile {kernel.get('compile_time_s', 0.0):.3f}s{extra})")
     elif kernel and kernel.get("requested") != "python":
         # Never fall back to the slow path silently: say why the run
-        # stayed python even when the user didn't ask for a backend.
+        # stayed python even when the user didn't ask for a kernel.
         print(f"kernel: python ({kernel.get('reason', 'not eligible')})")
     recovery = (stats or {}).get("recovery")
     if recovery and recovery.get("escalated_solves"):
@@ -216,7 +216,6 @@ def _run_tuning_sweep(args):
         dae_factory=factory, values=values, period_guess=T_NOMINAL,
         num_t1=args.num_t1, method=method,
         stacked_factory=stacked_factory,
-        backend=getattr(args, "backend", None),
     ))
     print(format_table(
         ["Vc [V]", "frequency [MHz]", "amplitude [Vpp]"],
@@ -408,14 +407,6 @@ def build_parser():
         "--ensemble", action=argparse.BooleanOptionalAction, default=True,
         help="run the sweep through the lock-step ensemble path "
              "(--no-ensemble = point-by-point continuation)",
-    )
-    vco.add_argument(
-        "--backend", choices=("auto", "numpy", "strict", "cupy"),
-        default=None,
-        help="array backend for the --sweep ensemble settle transient: "
-             "'numpy' (host, the default), 'cupy' (GPU, when installed), "
-             "'strict' (host numerics that reject implicit transfers), "
-             "or 'auto' ($REPRO_XP or numpy)",
     )
     vco.add_argument("--sweep-min", type=float, default=0.4,
                      help="lowest swept control voltage [V]")

@@ -136,8 +136,8 @@ class EnsembleDAE:
     def subset(self, indices):
         """A new ensemble restricted to the given scenario ``indices``.
 
-        Used by the backend-chunked ensemble march (split ``B`` into
-        device-sized blocks) and by backend-aware service sharding.  A
+        Used by service sharding
+        (:meth:`repro.api.requests.EnsembleRequest.shards`).  A
         stacked ensemble subsets through the stacked DAE's optional
         ``subset_scenarios(indices)`` hook (parameter-stack slicing);
         without that hook, member DAEs are sliced; with neither, raises

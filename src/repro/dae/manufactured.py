@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import array_namespace
 from repro.dae.base import SemiExplicitDAE
 from repro.errors import ValidationError
 from repro.utils.validation import check_nonnegative, check_positive
@@ -194,33 +193,29 @@ class VanDerPolDae(SemiExplicitDAE):
     # Vectorised batch evaluation (exercised heavily by multi-time solvers).
 
     def q_batch(self, states):
-        xp = array_namespace(states)
-        return xp.asarray(states, dtype=float).copy()
+        return np.asarray(states, dtype=float).copy()
 
     def f_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         y = states[:, 0]
         w = states[:, 1]
-        out = xp.empty_like(states)
+        out = np.empty_like(states)
         out[:, 0] = -w
         out[:, 1] = -self.mu * (1.0 - y**2) * w + y
         return out
 
     def dq_dx_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
-        out = xp.zeros((states.shape[0], 2, 2))
+        states = np.asarray(states, dtype=float)
+        out = np.zeros((states.shape[0], 2, 2))
         out[:, 0, 0] = 1.0
         out[:, 1, 1] = 1.0
         return out
 
     def df_dx_batch(self, states):
-        xp = array_namespace(states)
-        states = xp.asarray(states, dtype=float)
+        states = np.asarray(states, dtype=float)
         y = states[:, 0]
         w = states[:, 1]
-        out = xp.zeros((states.shape[0], 2, 2))
+        out = np.zeros((states.shape[0], 2, 2))
         out[:, 0, 1] = -1.0
         out[:, 1, 0] = 2.0 * self.mu * y * w + 1.0
         out[:, 1, 1] = -self.mu * (1.0 - y**2)

@@ -20,8 +20,8 @@ class ConfigurationError(ReproError, ValueError):
     """Options request a capability the environment cannot provide.
 
     Raised eagerly at configuration time -- e.g. ``kernel="c"`` without
-    a C compiler, or ``backend="cupy"`` without CuPy -- instead of
-    failing deep inside a march.
+    a C compiler, or an unknown ``kernel`` mode -- instead of failing
+    deep inside a march.
     """
 
 

@@ -114,6 +114,8 @@ static int lu_factor_(double* A, long long* piv) {
 static void lu_solve_(const double* A, const long long* piv,
                       const double* b, double* out) {
     for (int i = 0; i < N; ++i) out[i] = b[i];
+    /* lu_factor_ swaps whole rows, so later swaps also move the stored
+       multipliers: apply every swap first, then forward-substitute. */
     for (int k = 0; k < N; ++k) {
         long long pidx = piv[k];
         if (pidx != k) {
@@ -121,8 +123,9 @@ static void lu_solve_(const double* A, const long long* piv,
             out[k] = out[pidx];
             out[pidx] = tmp;
         }
-        for (int i = k + 1; i < N; ++i) out[i] -= A[i * N + k] * out[k];
     }
+    for (int k = 0; k < N; ++k)
+        for (int i = k + 1; i < N; ++i) out[i] -= A[i * N + k] * out[k];
     for (int i = N - 1; i >= 0; --i) {
         double acc = out[i];
         for (int j = i + 1; j < N; ++j) acc -= A[i * N + j] * out[j];

@@ -28,8 +28,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.errors import ConfigurationError
-
 
 class FrozenFactorization:
     """Factor once, solve many — the kernel behind stale-Jacobian Newton.
@@ -111,6 +109,69 @@ class FrozenFactorization:
         raise RuntimeError("FrozenFactorization.solve called before factor")
 
 
+def _batched_lu_factor(stack):
+    """Vectorised Doolittle LU with partial pivoting over a ``(B, n, n)`` stack.
+
+    The ``k``-loop runs over the ``n`` columns only and every operation
+    inside it is a whole-batch array op, so the cost is ``O(n)`` NumPy
+    dispatches instead of ``O(B)`` per-block LAPACK calls.  Returns
+    ``(lu, perm)``: ``lu`` holds L (unit diagonal, below) and U (on and
+    above) of every block, ``perm`` the ``(B, n)`` row permutation to
+    apply to each right-hand side.
+
+    Raises :class:`numpy.linalg.LinAlgError` if any block is singular or
+    produces non-finite factors — the whole batch fails, as in the
+    compiled kernel, and the ensemble chord turns that into a
+    :class:`~repro.errors.SingularJacobianError` (dt halving).
+    """
+    a = np.array(stack)
+    batch, n = a.shape[0], a.shape[1]
+    bidx = np.arange(batch)
+    perm = np.arange(n) * np.ones((batch, 1), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            # Partial pivoting: per-block argmax over |column k|.
+            p = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
+            rows_k = a[bidx, k]
+            rows_p = a[bidx, p]
+            a[bidx, k] = rows_p
+            a[bidx, p] = rows_k
+            perm_k = perm[bidx, k]
+            perm[bidx, k] = perm[bidx, p]
+            perm[bidx, p] = perm_k
+            if k + 1 < n:
+                pivot = a[:, k, k]
+                a[:, k + 1:, k] = a[:, k + 1:, k] / pivot[:, None]
+                a[:, k + 1:, k + 1:] = (
+                    a[:, k + 1:, k + 1:]
+                    - a[:, k + 1:, k:k + 1] * a[:, k:k + 1, k + 1:]
+                )
+    diag = a[bidx[:, None], np.arange(n)[None, :], np.arange(n)[None, :]]
+    if not (np.all(np.isfinite(a)) and np.all(diag != 0.0)):
+        raise np.linalg.LinAlgError(
+            "singular (or non-finite) block in batched factorisation"
+        )
+    return a, perm
+
+
+def _batched_lu_solve(lu, perm, rhs):
+    """Solve every block of :func:`_batched_lu_factor` for ``(B, n)`` rows:
+    a permutation gather, then forward and back substitution."""
+    n = rhs.shape[1]
+    bidx = np.arange(rhs.shape[0])
+    x = rhs[bidx[:, None], perm]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, n):
+            x[:, k] = x[:, k] - np.sum(lu[:, k, :k] * x[:, :k], axis=1)
+        for k in range(n - 1, -1, -1):
+            if k + 1 < n:
+                x[:, k] = x[:, k] - np.sum(
+                    lu[:, k, k + 1:] * x[:, k + 1:], axis=1
+                )
+            x[:, k] = x[:, k] / lu[:, k, k]
+    return x
+
+
 class BlockFactorization:
     """Factor ``B`` independent ``(n, n)`` blocks; solve all in one shot.
 
@@ -118,31 +179,26 @@ class BlockFactorization:
     block-diagonal system that never couples scenarios, so the
     factorisation batches perfectly:
 
-    * a ``(B, n, n)`` dense stack with ``n <= DENSE_LIMIT`` — one batched
-      LU factorisation through the array backend
-      (:class:`repro.backend.BatchedLinalg`): stacked ``getrf``-style
-      factors, no materialised inverses, and every :meth:`solve` is a
-      permutation gather plus batched substitution.  On a device backend
-      the whole stack factors and solves without leaving the device;
-    * a larger dense stack — per-block LAPACK LU on the host (the loop
-      runs only on refactorisation, which the chord policy makes rare);
+    * a ``(B, n, n)`` dense stack with ``n <= DENSE_LIMIT`` — one
+      vectorised LU factorisation of the whole stack
+      (:func:`_batched_lu_factor`): no materialised inverses, and every
+      :meth:`solve` is a permutation gather plus batched substitution;
+    * a larger dense stack — per-block LAPACK LU (the loop runs only on
+      refactorisation, which the chord policy makes rare);
     * a sparse block-diagonal matrix (from
       :class:`repro.linalg.transient_assembler.TransientStepAssembler` in
-      batch mode) — one SuperLU factorisation of the whole block diagonal
-      (host only).
+      batch mode) — one SuperLU factorisation of the whole block
+      diagonal.
 
     ``solve`` takes and returns ``(B, n)`` right-hand sides (row ``b`` is
     scenario ``b``'s system).
     """
 
-    #: Largest per-block dense size handled by the batched factorisation —
+    #: Largest per-block dense size handled by the batched factorisation --
     #: aligned with the compiled kernels' 64-unknown dense cap.
     DENSE_LIMIT = 64
 
-    def __init__(self, backend=None):
-        from repro.backend import NUMPY
-
-        self._backend = NUMPY if backend is None else backend
+    def __init__(self):
         self._mode = None
         self._lu = None
         self._perm = None
@@ -157,32 +213,21 @@ class BlockFactorization:
 
     def factor(self, blocks):
         """Factorise a ``(B, n, n)`` stack or sparse block-diagonal matrix."""
-        backend = self._backend
         if sp.issparse(blocks):
-            if backend.is_device:
-                raise ConfigurationError(
-                    "sparse block-diagonal factorisation is host-only; "
-                    "device backends require a dense (B, n, n) stack"
-                )
             csc = blocks if sp.isspmatrix_csc(blocks) else blocks.tocsc()
             self._splu = spla.splu(csc)
             self._mode = "sparse"
             return self
-        stack = backend.asarray(blocks)
+        stack = np.asarray(blocks, dtype=float)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(
                 f"blocks must be a (B, n, n) stack, got shape {stack.shape}"
             )
         self._shape = (stack.shape[0], stack.shape[1])
         if stack.shape[1] <= self.DENSE_LIMIT:
-            self._lu, self._perm = backend.linalg.lu_factor(stack)
+            self._lu, self._perm = _batched_lu_factor(stack)
             self._mode = "batched"
         else:
-            if backend.is_device:
-                raise ConfigurationError(
-                    f"device backends cap dense blocks at n="
-                    f"{self.DENSE_LIMIT}, got n={stack.shape[1]}"
-                )
             self._lus = [sla.lu_factor(block) for block in stack]
             self._mode = "lu"
         return self
@@ -190,8 +235,8 @@ class BlockFactorization:
     def solve(self, rhs):
         """Solve every scenario's system; ``rhs`` and the result are ``(B, n)``."""
         if self._mode == "batched":
-            return self._backend.linalg.lu_solve(
-                self._lu, self._perm, self._backend.asarray(rhs)
+            return _batched_lu_solve(
+                self._lu, self._perm, np.asarray(rhs, dtype=float)
             )
         if self._mode == "lu":
             rhs = np.asarray(rhs, dtype=float)

@@ -208,20 +208,12 @@ class SolverOptionsMixin:
         compiled kernel (:class:`~repro.errors.ConfigurationError`
         without a C compiler); ``"python"`` — force the NumPy engine.
         Engines without a kernelised loop accept and ignore the option.
-    backend:
-        Array backend for batched/ensemble hot paths (see
-        :mod:`repro.backend`): ``None``/``"auto"`` — ``$REPRO_XP`` or the
-        NumPy default; ``"numpy"``/``"cupy"``/``"strict"`` — require that
-        backend (:class:`~repro.errors.ConfigurationError` when
-        unavailable); or an :class:`repro.backend.ArrayBackend` instance.
-        Engines without a batched path accept and ignore the option.
     """
 
     newton: NewtonOptions = None
     linear_solver: object = None
     ladder: object = None
     kernel: object = "auto"
-    backend: object = None
 
 
 @dataclass

@@ -47,30 +47,22 @@ class TransientStepAssembler:
     dq_mask, df_mask:
         Boolean ``(n, n)`` supersets of the nonzero patterns of ``dq_dx`` /
         ``df_dx`` (see :meth:`repro.dae.base.SemiExplicitDAE.dq_structure`).
-    dense_limit:
-        Systems with ``n <= dense_limit`` (or with a nearly full union
-        pattern) are assembled densely; ``None`` uses :attr:`DENSE_LIMIT`.
     batch:
         ``None`` (the default) for a single system — ``refresh`` takes
         and returns 2-D ``(n, n)`` shapes exactly as before.  An integer
         ``B >= 1`` selects ensemble mode: ``refresh`` takes ``(B, n, n)``
         stacks and assembles the block diagonal of the per-scenario steps
         (see the module docstring).
-    backend:
-        Optional :class:`repro.backend.ArrayBackend`.  The dense path
-        then allocates its buffers through ``backend.xp`` and accepts
-        device Jacobian stacks; the sparse path is host-only (a device
-        backend with a sparse pattern raises
-        :class:`~repro.errors.ConfigurationError` — the ensemble engine
-        routes such systems back to the host).
+
+    Systems with ``n <= DENSE_LIMIT`` (or with a nearly full union
+    pattern) are assembled densely.
     """
 
     #: Below this size (or above ~50% fill) dense assembly + LAPACK wins
     #: over CSC bookkeeping + SuperLU.
     DENSE_LIMIT = 64
 
-    def __init__(self, dq_mask, df_mask, dense_limit=None, batch=None,
-                 backend=None):
+    def __init__(self, dq_mask, df_mask, batch=None):
         dq_mask = np.asarray(dq_mask, dtype=bool)
         df_mask = np.asarray(df_mask, dtype=bool)
         if dq_mask.shape != df_mask.shape or dq_mask.ndim != 2 \
@@ -85,31 +77,21 @@ class TransientStepAssembler:
                 raise ValueError(f"batch must be >= 1, got {batch}")
         n = dq_mask.shape[0]
         union = dq_mask | df_mask
-        limit = self.DENSE_LIMIT if dense_limit is None else int(dense_limit)
 
         self.n = n
         self.batch = batch
         self.dq_mask = dq_mask
         self.df_mask = df_mask
-        self.backend = backend
-        self._xp = np if backend is None else backend.xp
         # The dense/sparse decision is made at *member* level: ensembles of
         # small systems keep the (B, n, n) stack that the batched
         # factorisation of BlockFactorization consumes directly.
-        self.dense = bool(n <= limit or union.mean() > 0.5)
+        self.dense = bool(n <= self.DENSE_LIMIT or union.mean() > 0.5)
 
         block_shape = (n, n) if batch is None else (batch, n, n)
         if self.dense:
-            self._buffer = self._xp.zeros(block_shape)
-            self._scratch = self._xp.empty(block_shape)
+            self._buffer = np.zeros(block_shape)
+            self._scratch = np.empty(block_shape)
             return
-        if backend is not None and getattr(backend, "is_device", False):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "sparse step assembly is host-only; device backends "
-                "require a dense (or near-dense) member pattern"
-            )
 
         # Structural entries of the union pattern (one block), and the
         # gather map from the natural block-major value order into the CSC
@@ -155,17 +137,14 @@ class TransientStepAssembler:
             Dense ``(n, n)`` pointwise Jacobians, or ``(batch, n, n)``
             stacks when the assembler was built in ensemble mode.
         """
-        if self.dense:
-            xp = self._xp
-            dq = xp.asarray(dq, dtype=float)
-            df = xp.asarray(df, dtype=float)
-            buf = self._buffer
-            xp.multiply(dq, alpha, out=buf)
-            xp.multiply(df, beta, out=self._scratch)
-            buf += self._scratch
-            return buf
         dq = np.asarray(dq, dtype=float)
         df = np.asarray(df, dtype=float)
+        if self.dense:
+            buf = self._buffer
+            np.multiply(dq, alpha, out=buf)
+            np.multiply(df, beta, out=self._scratch)
+            buf += self._scratch
+            return buf
         values = self._values
         np.multiply(dq[..., self._rows, self._cols], alpha, out=values)
         values[..., ~self._dq_sel] = 0.0
@@ -175,10 +154,3 @@ class TransientStepAssembler:
         np.take(values.reshape(-1), self._perm, out=self._matrix.data)
         return self._matrix
 
-
-def step_assembler_for(dae, dense_limit=None, batch=None, backend=None):
-    """Build a :class:`TransientStepAssembler` from a DAE's structural masks."""
-    return TransientStepAssembler(
-        dae.dq_structure(), dae.df_structure(), dense_limit=dense_limit,
-        batch=batch, backend=backend,
-    )

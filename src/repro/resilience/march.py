@@ -37,8 +37,8 @@ def _copy(value):
 
 
 def _copy_stats(stats):
-    # Nested dicts (``kernel``, ``backend``) keep changing while the march
-    # runs; a snapshot must not.
+    # Nested dicts (``kernel``) keep changing while the march runs; a
+    # snapshot must not.
     return {key: dict(value) if isinstance(value, dict) else value
             for key, value in stats.items()}
 
@@ -86,9 +86,6 @@ class March:
     warm:
         Export ``stats["warm"]`` (solver state and frozen-factor
         metadata) on the final result.
-    copy:
-        Copies a value before it is stored (default: arrays are copied,
-        scalars kept).
 
     Attributes
     ----------
@@ -103,7 +100,7 @@ class March:
 
     def __init__(self, kind, options, resume_from=None, *, result, fields,
                  snapshot=None, counters=(), core=None, matrix_at=None,
-                 summarize=None, max_steps=None, warm=False, copy=_copy):
+                 summarize=None, max_steps=None, warm=False):
         self.kind = kind
         self.result = result
         self.snapshot = snapshot
@@ -112,7 +109,6 @@ class March:
         self.summarize = summarize
         self.max_steps = math.inf if max_steps is None else max_steps
         self.warm = warm
-        self.copy = copy
         self.store_every = getattr(options, "store_every", 1)
         self.manager = None if kind is None else CheckpointManager(
             every=getattr(options, "checkpoint_every", 0) or 0,
@@ -152,7 +148,7 @@ class March:
         parameter jump, so a badly matched seed degrades to a cold start.
         """
         self.t, self.dt = t, dt
-        self.columns = [[t]] + [[self.copy(value)] for value in values]
+        self.columns = [[t]] + [[_copy(value)] for value in values]
         if warm_start is not None:
             self.core.adopt_warm_state(
                 getattr(warm_start, "solver_state", None) or {}
@@ -261,7 +257,7 @@ class March:
     def _store(self, t, values):
         self.columns[0].append(t)
         for column, value in zip(self.columns[1:], values):
-            column.append(self.copy(value))
+            column.append(_copy(value))
         self.since_store = 0
 
     def _accepted(self):

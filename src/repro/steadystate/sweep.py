@@ -70,7 +70,7 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
                                num_t1=25, variable=0,
                                phase_condition="fourier",
                                method="continuation", on_failure="raise",
-                               stacked_factory=None, backend=None):
+                               stacked_factory=None):
     """Free-running frequency versus a swept parameter.
 
     Parameters
@@ -103,11 +103,6 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
     stacked_factory:
         Optional ``values_array -> SemiExplicitDAE`` enabling the
         vectorised stacked-parameter fast path of the ensemble method.
-    backend:
-        Array backend for the ensemble method's lock-step settle
-        transient (see
-        :attr:`repro.linalg.solver_core.SolverOptionsMixin.backend`);
-        ignored by continuation, whose point solves are host-only.
 
     Returns
     -------
@@ -132,7 +127,6 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
             dae_factory, values, period_guess, num_t1=num_t1,
             variable=variable, phase_condition=phase_condition,
             on_failure=on_failure, stacked_factory=stacked_factory,
-            backend=backend,
         )
 
     # Imported here: the initial-condition pipeline lives in repro.wampde,
@@ -211,7 +205,7 @@ def ensemble_frequency_sweep(dae_factory, values, period_guess, num_t1=25,
                              variable=0, phase_condition="fourier",
                              on_failure="raise", stacked_factory=None,
                              settle_cycles=40, steps_per_cycle=60,
-                             perturbation=0.1, backend=None):
+                             perturbation=0.1):
     """Tuning curve with every parameter value settled in lock-step.
 
     The batched analogue of running
@@ -234,11 +228,6 @@ def ensemble_frequency_sweep(dae_factory, values, period_guess, num_t1=25,
     perturbation:
         Kick added to ``variable`` of each scenario's DC point to start
         the oscillation.
-    backend:
-        Array backend for the shared settle transient — the sweep's
-        dominant cost.  ``None`` resolves the default (``$REPRO_XP`` or
-        NumPy); the per-scenario HB refinements stay host-side either
-        way.
 
     Returns
     -------
@@ -293,7 +282,6 @@ def ensemble_frequency_sweep(dae_factory, values, period_guess, num_t1=25,
             ensemble, x0, 0.0, settle_cycles * period_guess,
             TransientOptions(
                 integrator="trap", dt=period_guess / steps_per_cycle,
-                backend=backend,
             ),
         )
         solved = 0

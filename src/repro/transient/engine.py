@@ -328,6 +328,9 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
     history = None
     t_grid = b_grid = None
     grid_idx = 0
+    # Set once the compiled sweep hands the rest of the run to the python
+    # loop; a resumed run must stay there too to reproduce the original.
+    handed_back = False
 
     def snapshot():
         # History arrays are replaced, never written in place, so the
@@ -337,6 +340,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             "grid_active": t_grid is not None,
             "grid_idx": grid_idx,
             "last_alpha": controller._last_alpha,
+            "handed_back": handed_back,
         }
 
     def summarize(stats):
@@ -368,6 +372,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         x = history[-1][1].copy()
         controller._last_alpha = state["last_alpha"]
         grid_idx = state["grid_idx"]
+        handed_back = state.get("handed_back", False)
         if state["grid_active"] and not opts.adaptive:
             t_grid, b_grid = _forcing_grid(
                 dae, t_start, t_stop, float(opts.dt)
@@ -426,6 +431,10 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         )
     else:
         kernel_blocked = None
+    if handed_back:
+        kernel_blocked = (
+            "the resumed run had handed the march back to the python loop"
+        )
     kernel_runner, kernel_info = prepare_transient_runner(
         dae, opts, integrator, blocked=kernel_blocked
     )
@@ -445,7 +454,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         # the recovery ladder and failure semantics are untouched; an
         # adaptive status-4 underflow exits *without* committing the final
         # shrink, so the python replay reproduces the exact failure.
-        nonlocal t, x, dt, history, grid_idx
+        nonlocal t, x, dt, history, grid_idx, handed_back
         runner = kernel_runner
         runner.load(history, controller)
         if opts.adaptive:
@@ -493,6 +502,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
                     f"compiled sweep returned status {status} at step "
                     f"{stats['steps']}; python loop resumed"
                 )
+                handed_back = True
                 return
 
     if kernel_runner is not None:

@@ -31,6 +31,14 @@ Because Python/NumPy dispatch dominates small-system transient loops (see
 ROADMAP), batching B scenarios makes the ensemble run in far less than
 B times the single-run wall time; the ``ensemble_sweep`` bench entry
 ratchets that speedup.
+
+Two routes march the grid: the compiled C ensemble sweep (``kernel="auto"``
+with a host compiler, or ``"c"``) and the NumPy lock-step loop above,
+which also replays any step the compiled sweep hands back.
+``stats["kernel"]["mode"]`` and ``["reason"]`` record which route ran.
+The service splits large batches into scenario shards
+(:meth:`repro.api.requests.EnsembleRequest.shards`) and stitches them
+back with :func:`merge_ensemble_results`.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ import time
 import numpy as np
 
 from repro.api.serialize import SerializableMixin
-from repro.backend import NUMPY, resolve_backend
 from repro.dae.ensemble import EnsembleDAE
 from repro.errors import SimulationError, SingularJacobianError
 from repro.kernels.sweep import (
@@ -132,13 +139,11 @@ class _EnsembleChord:
     per-scenario fallback instead of poisoning the whole batch.
     """
 
-    def __init__(self, options, contraction, refresh_every_iteration=False,
-                 backend=None):
+    def __init__(self, options, contraction, refresh_every_iteration=False):
         self.options = options
         self.contraction = float(contraction)
         self.refresh_every_iteration = bool(refresh_every_iteration)
-        self.backend = NUMPY if backend is None else backend
-        self.factor = BlockFactorization(backend=self.backend)
+        self.factor = BlockFactorization()
         self._have = False
         self.stats = {
             "factorizations": 0,
@@ -177,20 +182,13 @@ class _EnsembleChord:
         opts = self.options
         atol = opts.atol
         stats = self.stats
-        # Array payloads (states, residuals, updates) live on the backend;
-        # convergence masks and norms are small (B,) vectors synchronised
-        # to the host explicitly — the chord policy branches on them.
-        backend = self.backend
-        xp = backend.xp
-        to_host = backend.to_host
-        dev = backend.from_host
-        states = xp.array(states0, dtype=float)
+        states = np.array(states0, dtype=float)
         batch = states.shape[0]
         iterations = np.zeros(batch, dtype=int)
 
         residuals = residual(states)
         stats["residual_evaluations"] += 1
-        norms = to_host(xp.max(xp.abs(residuals), axis=1))
+        norms = np.max(np.abs(residuals), axis=1)
         converged = norms <= atol
         num_left = batch - int(converged.sum())
         if num_left == 0:
@@ -219,7 +217,7 @@ class _EnsembleChord:
                 fresh = True
 
             updates = self.factor.solve(residuals)
-            finite = to_host(xp.all(xp.isfinite(updates), axis=1))
+            finite = np.all(np.isfinite(updates), axis=1)
             if not finite.all() and not finite[active].all():
                 if not fresh:
                     self._refactor(jacobian, states, iterations=iteration,
@@ -243,12 +241,10 @@ class _EnsembleChord:
             if all_active:
                 trial = states - updates
             else:
-                trial = xp.where(
-                    dev(active)[:, None], states - updates, states
-                )
+                trial = np.where(active[:, None], states - updates, states)
             trial_residuals = residual(trial)
             stats["residual_evaluations"] += 1
-            trial_norms = to_host(xp.max(xp.abs(trial_residuals), axis=1))
+            trial_norms = np.max(np.abs(trial_residuals), axis=1)
 
             improved = (trial_norms < norms) | (trial_norms <= atol)
             if not improved.all():
@@ -273,26 +269,24 @@ class _EnsembleChord:
                     need = uphill.copy()
                     for halving in range(opts.max_step_halvings):
                         step[need] *= 0.5
-                        trial = xp.where(
-                            dev(active)[:, None],
-                            states - dev(step)[:, None] * updates, states,
+                        trial = np.where(
+                            active[:, None],
+                            states - step[:, None] * updates, states,
                         )
                         trial_residuals = residual(trial)
                         stats["residual_evaluations"] += 1
-                        trial_norms = to_host(
-                            xp.max(xp.abs(trial_residuals), axis=1)
-                        )
+                        trial_norms = np.max(np.abs(trial_residuals), axis=1)
                         need = uphill & ~(
                             np.isfinite(trial_norms) & (trial_norms < norms)
                         )
                         if not need.any():
                             break
 
-            update_small = to_host(xp.all(
-                xp.abs(trial - states)
-                <= opts.rtol * xp.maximum(xp.abs(trial), 1.0),
+            update_small = np.all(
+                np.abs(trial - states)
+                <= opts.rtol * np.maximum(np.abs(trial), 1.0),
                 axis=1,
-            ))
+            )
             slow = trial_norms > self.contraction * norms
             states, residuals, norms = trial, trial_residuals, trial_norms
             newly = active & (
@@ -325,7 +319,7 @@ class _EnsembleStepController:
     ``SolverCore`` chord-with-fallback policy) using their member DAEs.
     """
 
-    def __init__(self, ensemble, opts, backend=None):
+    def __init__(self, ensemble, opts):
         if opts.linear_solver is not None:
             raise SimulationError(
                 "ensemble transients use the batched block factorisation; "
@@ -333,15 +327,13 @@ class _EnsembleStepController:
             )
         self.ensemble = ensemble
         self.opts = opts
-        self.backend = NUMPY if backend is None else backend
         self.assembler = TransientStepAssembler(
             ensemble.dq_structure(), ensemble.df_structure(),
-            batch=ensemble.batch_size, backend=backend,
+            batch=ensemble.batch_size,
         )
         self.chord = _EnsembleChord(
             opts.newton, opts.refresh_contraction,
             refresh_every_iteration=not opts.stale_jacobian,
-            backend=self.backend,
         )
         self._alpha = None
         self.iterations = np.zeros(ensemble.batch_size, dtype=int)
@@ -415,28 +407,25 @@ class _EnsembleStepController:
             # more diagonally dominant.
             batch = ensemble.batch_size
             return (
-                self.backend.xp.array(history[-1][1], dtype=float),
+                np.array(history[-1][1], dtype=float),
                 np.zeros(batch, dtype=bool),
                 history[-1][2], history[-1][3],
             )
         self.iterations += iterations
 
         if not converged.all() and ensemble.has_members:
-            # Per-scenario rescue through the standard serial controller
-            # (always on the host — rescue rows synchronise explicitly).
-            to_host = self.backend.to_host
+            # Per-scenario rescue through the standard serial controller.
             q_rows, fb_rows = stash
             for index in np.nonzero(~converged)[0]:
                 self.fallbacks[index] += 1
                 controller = self._member_controller(index)
                 member_history = [
-                    (t_i, to_host(x_i)[index], to_host(q_i)[index],
-                     to_host(fb_i)[index])
+                    (t_i, x_i[index], q_i[index], fb_i[index])
                     for (t_i, x_i, q_i, fb_i) in history
                 ]
                 result, q_member, fb_member, _a, _b = controller.solve_step(
                     integrator, member_history, t_new,
-                    to_host(b_new)[index], to_host(x_guess)[index],
+                    b_new[index], x_guess[index],
                 )
                 self.iterations[index] += result.iterations
                 if result.converged:
@@ -506,84 +495,10 @@ def simulate_transient_ensemble(ensemble, x0, t_start, t_stop, options=None):
             f"initial states must have shape {(batch, n)}, got {states.shape}"
         )
 
-    # Array-backend routing (see repro.backend): the march runs on the
-    # resolved backend's xp; requests a device backend cannot serve
-    # (member loops, sparse step patterns) fall back to the host with the
-    # cause recorded in stats["backend"]["fallback"].
-    backend, meta = resolve_backend(getattr(opts, "backend", None))
-    backend_info = {
-        "requested": meta["requested"],
-        "source": meta["source"],
-        "name": backend.name,
-    }
-    if backend.is_device:
-        fallback = None
-        if ensemble._stacked is None:
-            fallback = (
-                "member-loop ensembles evaluate member DAEs on the host"
-            )
-        else:
-            union = ensemble.dq_structure() | ensemble.df_structure()
-            if not (n <= TransientStepAssembler.DENSE_LIMIT
-                    or union.mean() > 0.5):
-                fallback = (
-                    "sparse step assembly is host-only (member pattern "
-                    "exceeds the dense batched-factorisation cap)"
-                )
-        if fallback is not None:
-            backend = NUMPY
-            backend_info["name"] = backend.name
-            backend_info["fallback"] = fallback
-
-    # Device backends chunk very large ensembles into backend-sized
-    # blocks (REPRO_XP_BLOCK / ArrayBackend.block_size): B=1024 runs as a
-    # handful of device-resident marches on one shared grid instead of
-    # hundreds of serial small-B passes.
-    block = backend.block_size if backend.is_device else None
-    if block and batch > block and (
-        ensemble._members is not None
-        or hasattr(ensemble._stacked, "subset_scenarios")
-    ):
-        pieces = []
-        for start in range(0, batch, block):
-            indices = np.arange(start, min(start + block, batch))
-            pieces.append(_run_lockstep(
-                ensemble.subset(indices), states[indices], t_start,
-                t_stop, opts, integrator, backend, dict(backend_info),
-            ))
-        return _merge_chunked(pieces, backend_info)
-    return _run_lockstep(
-        ensemble, states, t_start, t_stop, opts, integrator, backend,
-        backend_info,
-    )
-
-
-def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
-                  backend, backend_info):
-    """One lock-step march of a (possibly chunked) ensemble.
-
-    ``states`` is the validated host ``(B, n)`` initial stack; ``backend``
-    is already resolved (host fallbacks applied).  On a device backend the
-    whole march — batch evaluation, step assembly, batched factorisation,
-    chord updates — stays on ``backend.xp``; only convergence masks,
-    stored trajectory snapshots and per-scenario rescues synchronise to
-    the host.
-    """
-    batch, n = ensemble.batch_size, ensemble.n
-    is_device = backend.is_device
-
     # Compiled batched evaluations for every python-handled iterate
     # (handed-back steps, per-scenario rescues): on by default under
-    # "auto"; kernel="python" pins the NumPy reference path.  Compiled
-    # kernels are host-only — device marches skip kernelisation.
-    if ensemble._stacked is not None and is_device:
-        requested = getattr(opts, "kernel", "auto")
-        batch_eval_info = {
-            "requested": "auto" if requested is None else str(requested),
-            "mode": "python",
-            "reason": "device backends evaluate batches through xp",
-        }
-    elif ensemble._stacked is not None:
+    # "auto"; kernel="python" pins the NumPy reference path.
+    if ensemble._stacked is not None:
         stacked, batch_eval_info = maybe_kernelize_batch(
             ensemble._stacked, getattr(opts, "kernel", "auto"),
             expected_batch=batch,
@@ -595,7 +510,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             )
     else:
         requested = getattr(opts, "kernel", "auto")
-        # Still resolve so an explicitly requested unavailable backend
+        # Still resolve so an explicitly requested unavailable kernel
         # raises instead of silently looping members in python.
         resolve_mode(requested)
         batch_eval_info = {
@@ -606,16 +521,10 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
 
     t = float(t_start)
     dt = float(opts.dt)
-    controller = _EnsembleStepController(
-        ensemble, opts, backend=backend if is_device else None
-    )
+    controller = _EnsembleStepController(ensemble, opts)
 
-    if is_device:
-        states = backend.from_host(states)
     charges, statics = ensemble.qf_rows(states)
     b_start = ensemble.b_rows(t)
-    if is_device:
-        b_start = backend.from_host(b_start)
     history = [(t, states.copy(), charges, statics - b_start)]
 
     # Fixed-step fast path: the whole (T, B, n) forcing grid up front.
@@ -627,19 +536,13 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
         t_grid = t_start + dt * np.arange(1, n_steps + 1)
         t_grid[-1] = t_stop
         b_grid = ensemble.b_rows_grid(t_grid)
-        if is_device:
-            b_grid = backend.from_host(b_grid)
 
     # Fused compiled march over the shared grid: whole chunks per call,
     # zero python per step.  Steps the in-kernel vectorised chord cannot
     # fully converge hand back to the python loop below, whose
-    # per-scenario rescue path is unchanged.
-    if is_device:
-        blocked = (
-            f"{backend.name} device marches stay xp-resident; compiled "
-            f"kernels are host-only"
-        )
-    elif t_grid is None:
+    # per-scenario rescue path is unchanged.  The route and its reason
+    # land in stats["kernel"]["mode"] / ["reason"].
+    if t_grid is None:
         blocked = (
             "no precomputed forcing grid (horizon exceeds the batch "
             "limit); compiled ensemble sweeps march the shared grid"
@@ -653,26 +556,6 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
     if kernel_runner is not None:
         t_grid = np.ascontiguousarray(t_grid, dtype=float)
         b_grid = np.ascontiguousarray(b_grid, dtype=float)
-
-    # Machine-readable routing verdict: which execution path serves this
-    # march, and why.
-    if is_device:
-        backend_info["routing"] = "device-march"
-        backend_info["reason"] = (
-            f"lock-step march is resident on the {backend.name} backend; "
-            f"batched factorisation and chord updates stay on device"
-        )
-    elif kernel_runner is not None:
-        backend_info["routing"] = "compiled-kernel"
-        backend_info["reason"] = (
-            f"compiled {kernel_info['mode']} ensemble sweep marches the "
-            f"shared grid (host fast path)"
-        )
-    else:
-        backend_info["routing"] = "python-lockstep"
-        backend_info["reason"] = kernel_info.get("reason") or (
-            "vectorised NumPy lock-step march"
-        )
 
     def summarize(stats):
         stats["kernel"]["python_steps"] = (
@@ -719,10 +602,9 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
                   "jacobian_factorizations"),
         summarize=summarize,
         max_steps=opts.max_steps,
-        copy=backend.to_host_copy,
     )
     stats = march.stats
-    stats.update(scenarios=batch, kernel=kernel_info, backend=backend_info)
+    stats.update(scenarios=batch, kernel=kernel_info)
     run_start = time.perf_counter()
     march.start(t, dt, states)
     history_cap = max(integrator.steps, 2) + 1
@@ -784,8 +666,6 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             dt = min(dt, t_stop - t)
             t_new = t + dt
             b_new = ensemble.b_rows(t_new)
-            if is_device:
-                b_new = backend.from_host(b_new)
 
         x_guess = _extrapolate(history, t_new)
         try:
@@ -826,33 +706,22 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
 def merge_ensemble_results(results):
     """Merge scenario-sharded lock-step results into one ensemble result.
 
-    The public face of the chunk merger used by
-    :meth:`repro.api.requests.EnsembleRequest.merge`: every shard must
-    have marched the same fixed-step grid (scenario slices of one
+    Used by :meth:`repro.api.requests.EnsembleRequest.merge`: every shard
+    must have marched the same fixed-step grid.  Scenario slices of one
     request always do, unless a shard halved its dt after a Newton
-    failure — surfaced as :class:`~repro.errors.SimulationError`).
+    failure; that shard left the shared grid and cannot be merged, which
+    surfaces as a :class:`~repro.errors.SimulationError` rather than a
+    silently interpolated answer.  Counters add up over the shards.
     """
     results = list(results)
-    backend_info = dict(results[0].stats.get("backend") or {})
-    return _merge_chunked(results, backend_info)
-
-
-def _merge_chunked(results, backend_info):
-    """Stitch backend-sized chunk marches back into one ensemble result.
-
-    Chunks run the same fixed-step grid; a chunk that halved its dt (a
-    Newton failure) left the shared grid and cannot be merged — that is
-    surfaced as a :class:`~repro.errors.SimulationError` rather than a
-    silently interpolated answer.
-    """
     first = results[0]
     t = first.t
     for r in results[1:]:
         if r.t.shape != t.shape or not np.array_equal(r.t, t):
             raise SimulationError(
-                "scenario chunks diverged from the shared lock-step grid "
-                "(a chunk halved dt after a Newton failure); re-run with "
-                "a smaller options.dt or a larger backend block size"
+                "scenario shards diverged from the shared lock-step grid "
+                "(a shard halved dt after a Newton failure); re-run with "
+                "a smaller options.dt"
             )
     x = np.concatenate([r.x for r in results], axis=1)
     stats = dict(first.stats)
@@ -868,22 +737,9 @@ def _merge_chunked(results, backend_info):
     if solver:
         for key in ("iterations", "fallbacks", "residual_evaluations",
                     "jacobian_refreshes", "factorizations",
-                    "krylov_iterations", "solves"):
+                    "krylov_iterations", "solves", "wall_time_s"):
             solver[key] = sum(
-                int((r.stats.get("solver") or {}).get(key, 0))
-                for r in results
+                (r.stats.get("solver") or {}).get(key, 0) for r in results
             )
-        # Chunks march sequentially on one device: wall time adds up.
-        solver["wall_time_s"] = sum(
-            float((r.stats.get("solver") or {}).get("wall_time_s", 0.0))
-            for r in results
-        )
         stats["solver"] = solver
-    merged_backend = dict(backend_info)
-    merged_backend["chunks"] = len(results)
-    for key in ("routing", "reason"):
-        value = (first.stats.get("backend") or {}).get(key)
-        if value is not None:
-            merged_backend[key] = value
-    stats["backend"] = merged_backend
     return EnsembleTransientResult(t, x, first.variable_names, stats)

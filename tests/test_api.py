@@ -3,9 +3,9 @@
 Covers the serialization protocol (``to_dict``/``from_dict`` round-trips
 bit-identically), the content-key scheme (construction-order
 independence for circuits), the ``run()`` dispatcher, warm-start
-adoption, and CLI-vs-API parity: the ``vco`` subcommand and a
+adoption, CLI-vs-API parity (the ``vco`` subcommand and a
 programmatic :class:`EnvelopeRequest` must produce bit-identical
-trajectories.
+trajectories), and ensemble sharding: shard sizes and the merge.
 """
 
 import numpy as np
@@ -16,6 +16,8 @@ from repro.api.serialize import SerializationError, to_jsonable
 from repro.circuits.devices import Capacitor, CurrentSource, Resistor
 from repro.circuits.netlist import Circuit
 from repro.dae import VanDerPolDae
+from repro.errors import ConfigurationError, SimulationError
+from repro.kernels.backends import probe_cc
 from repro.service.keys import content_key
 from repro.transient import TransientOptions, simulate_transient
 
@@ -218,3 +220,70 @@ class TestCliApiParity:
 
         args = build_parser().parse_args(["vco", "--workers", "4"])
         assert args.workers == 4
+
+
+def _vdp_ensemble_request(batch, t_stop=0.1, **options):
+    from repro.dae import ensemble_from_factory
+
+    mus = np.linspace(0.1, 0.7, batch)
+    ensemble = ensemble_from_factory(
+        lambda mu: VanDerPolDae(mu=mu), mus,
+        lambda stack: VanDerPolDae(mu=np.asarray(stack)),
+    )
+    return api.EnsembleRequest(
+        dae=ensemble, x0=np.tile([2.0, 0.0], (batch, 1)), t_start=0.0,
+        t_stop=t_stop, options=TransientOptions(**{"dt": 0.02, **options}),
+    )
+
+
+class TestEnsembleShards:
+    """Shard sizes follow the kernel mode the run resolves to: 8 scenarios
+    for the NumPy lock-step march, 64 for the compiled one."""
+
+    def test_python_kernel_shards_in_blocks_of_8(self):
+        shards = _vdp_ensemble_request(20, kernel="python").shards()
+        assert [s.dae.batch_size for s in shards] == [8, 8, 4]
+        # Shards carry their scenario slice of x0.
+        assert shards[-1].x0.shape == (4, 2)
+
+    @pytest.mark.skipif(not probe_cc(), reason="no C compiler on PATH")
+    def test_compiled_kernel_takes_larger_shards(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert _vdp_ensemble_request(60, kernel="auto").shards() is None
+        shards = _vdp_ensemble_request(130, kernel="auto").shards()
+        assert [s.dae.batch_size for s in shards] == [64, 64, 2]
+
+    def test_shard_size_follows_resolved_kernel(self, monkeypatch):
+        # "auto" that resolves to the NumPy march shards like "python".
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        shards = _vdp_ensemble_request(20, kernel="auto").shards()
+        assert shards is not None
+        assert [s.dae.batch_size for s in shards] == [8, 8, 4]
+
+    def test_invalid_kernel_leaves_the_error_to_run(self):
+        request = _vdp_ensemble_request(20, kernel="gpu")
+        assert request.shards() is None
+        with pytest.raises(ConfigurationError, match="kernel"):
+            api.run(request)
+
+    def test_merge_round_trips(self):
+        request = _vdp_ensemble_request(20, kernel="python")
+        reference = api.run(request)
+        shard_results = [api.run(s) for s in request.shards()]
+        merged = request.merge(shard_results)
+        np.testing.assert_allclose(
+            merged.x, reference.x, rtol=1e-9, atol=1e-12
+        )
+        assert merged.stats["scenarios"] == 20
+        assert len(merged.stats["solver_per_scenario"]) == 20
+        assert merged.stats["newton_iterations"] == sum(
+            r.stats["newton_iterations"] for r in shard_results
+        )
+
+    def test_merge_rejects_shards_off_the_shared_grid(self):
+        from repro.transient.ensemble import merge_ensemble_results
+
+        coarse = api.run(_vdp_ensemble_request(2, kernel="python"))
+        fine = api.run(_vdp_ensemble_request(2, kernel="python", dt=0.01))
+        with pytest.raises(SimulationError, match="shared lock-step grid"):
+            merge_ensemble_results([coarse, fine])

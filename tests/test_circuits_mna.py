@@ -10,6 +10,7 @@ from repro.circuits import (
     Circuit,
     CurrentSource,
     Inductor,
+    VCCS,
     Resistor,
     VoltageSource,
 )
@@ -144,6 +145,21 @@ class TestMnaAssembly:
         assert jacobian_error(
             dae.dq_dx(x), finite_difference_jacobian(dae.q, x)
         ) < 1e-5
+
+    def test_device_with_two_ports_on_one_node(self, rng):
+        # A VCCS sensing the node it drives is a conductance gm to ground:
+        # its output and control columns coincide, and the single-point
+        # Jacobian must keep both entries, like the batched scatter does.
+        ckt = Circuit("self-sensing vccs")
+        ckt.add(Resistor("R1", "n1", "0", 1e3))
+        ckt.add(VCCS("G1", "n1", "0", "n1", "0", gm=2e-4))
+        ckt.add(VCCS("G2", "n1", "0", "0", "n1", gm=5e-5))
+        dae = ckt.to_dae()
+        x = rng.normal(size=dae.n)
+        np.testing.assert_allclose(dae.df_dx(x), [[1e-3 + 2e-4 - 5e-5]])
+        np.testing.assert_array_equal(
+            dae.df_dx(x), dae.df_dx_batch(x[None])[0]
+        )
 
     def test_batch_consistency(self, rng):
         dae = lc_oscillator_circuit().to_dae()

@@ -236,7 +236,7 @@ class TestWorkerPool:
         assert len(merged.stats["solver_per_scenario"]) == 32
 
     def test_small_batches_are_not_fragmented(self):
-        # The shard size is derived from the resolved backend; a batch
+        # The shard size is derived from the resolved kernel; a batch
         # at or below one block runs as a single job instead of being
         # split into per-member slivers.
         assert _ensemble_request(batch=8).shards() is None
