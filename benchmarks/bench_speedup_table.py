@@ -28,7 +28,8 @@ def _bench_ported_solvers():
     Two representative call sites of the shared solver core join the perf
     ratchet here: forced harmonic balance and the bi-periodic MPDE solve,
     both on the RC-diode mixer (the library's standard nonlinear
-    non-autonomous testbench).  Returns BENCH method entries.
+    non-autonomous testbench) and both on the matrix-free route of
+    :mod:`repro.linalg.spectral`.  Returns BENCH method entries.
     """
     from repro.circuits.library import rc_diode_mixer_circuit
     from repro.constants import TWO_PI
@@ -81,9 +82,16 @@ def _bench_ported_solvers():
         qp = solve_mpde_quasiperiodic(
             mixer, forcing, num_t1=31, num_t2=31, initial=x_dc
         )
+    # A 31 x 31 grid (29,791 point couplings) runs the matrix-free route
+    # too; an LU factorisation here means the solve fell back to assembly.
+    assert qp.stats["factorizations"] == 0, (
+        f"the bi-periodic MPDE fell back to assembly: {qp.stats}"
+    )
     entries.append({
         "name": "solve_mpde_quasiperiodic",
         "steps": int(qp.newton_iterations),
+        "krylov_iterations": int(qp.stats["krylov_iterations"]),
+        "factorizations": int(qp.stats["factorizations"]),
         "wall_time_s": timer.elapsed,
         "wall_time_retimed_s": timer.elapsed,
     })

@@ -2,9 +2,9 @@
 
 Every multi-time engine in this library (harmonic balance, MPDE and WaMPDE
 collocation) solves Newton systems whose matrix has the same shape (large
-forced harmonic balance applies it matrix-free instead, see
-:mod:`repro.linalg.spectral`, and assembles it here only when GMRES misses
-its budget)::
+forced harmonic balance and bi-periodic MPDE problems apply it matrix-free
+instead, see :mod:`repro.linalg.spectral`, and assemble it here only when
+GMRES misses its budget)::
 
     J  =  outer * ( scale * (W ⊗-blockwise) @ blockdiag(dq_i)
                     + blockdiag(df_i) )

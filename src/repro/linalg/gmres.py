@@ -6,15 +6,19 @@ one restarted-GMRES call site, used two ways:
 
 * **Matrix-free.**  Handed a :class:`scipy.sparse.linalg.LinearOperator`,
   it runs GMRES on the operator with the operator's own ``preconditioner``.
-  Forced harmonic balance does this by default above
-  :data:`repro.steadystate.harmonic_balance.MATRIX_FREE_MIN_UNKNOWNS`
-  unknowns: the Jacobian is an FFT product preconditioned by the
-  period-averaged Jacobian (:mod:`repro.linalg.spectral`), and nothing of
-  size ``N²`` is assembled or factorised unless GMRES misses its budget.
+  Forced harmonic balance and the bi-periodic MPDE do this by default from
+  :data:`repro.linalg.spectral.MATRIX_FREE_MIN_COUPLING` point-coupling
+  nonzeros on: the Jacobian is an FFT product preconditioned by the
+  Jacobian averaged along one grid axis (:mod:`repro.linalg.spectral`),
+  nothing of size ``N²`` is assembled or factorised unless GMRES misses its
+  budget, and each Newton step is solved inexactly: the route's
+  :class:`~repro.linalg.spectral.SpectralNewtonSolver` sets :attr:`rtol`
+  per step by Eisenstat–Walker forcing.
 * **Assembled.**  Handed a matrix, it preconditions with an ILU or, for
   Newton sequences whose matrix drifts slowly, a *frozen complete LU*
-  (``linear_solver="gmres"`` and the ``"gmres"`` recovery rung).  Smaller
-  collocation systems solve fastest by direct sparse LU
+  (``linear_solver="gmres"`` and the ``"gmres"`` recovery rung, which keep
+  exact solves at the default ``rtol``).  Smaller collocation systems solve
+  fastest by direct sparse LU
   (:class:`repro.linalg.lu_cache.ReusableLUSolver`, the default).
 
 Both classes implement the ``(matrix, rhs) -> solution`` callable protocol
@@ -68,7 +72,8 @@ class GmresLinearSolver:
     Parameters
     ----------
     rtol:
-        Relative residual tolerance passed to scipy's GMRES.
+        Relative residual tolerance passed to scipy's GMRES: the true
+        residual ``‖b - A x‖₂`` must fall to ``rtol ‖b‖₂``.
     restart:
         Krylov subspace size between restarts.
     maxiter:

@@ -135,8 +135,8 @@ class SolverStats:
         cost), GMRES LU preconditioners included.
     krylov_iterations:
         GMRES inner iterations (the ``"gmres"`` linear solver, the
-        ``"gmres"`` recovery rung and matrix-free forced harmonic
-        balance).
+        ``"gmres"`` recovery rung, and the matrix-free route of forced
+        harmonic balance and the bi-periodic MPDE).
     fallbacks:
         Chord solves that fell back to damped full Newton.
     wall_time_s:

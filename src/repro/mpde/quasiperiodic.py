@@ -1,23 +1,38 @@
-"""Bi-periodic MPDE boundary-value solver (AM-quasiperiodic steady state)."""
+"""Bi-periodic MPDE boundary-value solver (AM-quasiperiodic steady state).
+
+:func:`solve_mpde_quasiperiodic` solves ``(D1 + D2) q(x) + f(x) - b = 0``
+on the ``N1 x N0`` tensor grid of the two forcing periods, the 2-D case of
+:class:`~repro.linalg.spectral.PeriodicCollocationSystem` (forced harmonic
+balance is the 1-D case).  The residual differentiates ``q`` by FFT along
+both axes.  The linear-algebra route follows the rule forced harmonic
+balance uses (:func:`~repro.linalg.spectral.takes_matrix_free_route`).
+From :data:`~repro.linalg.spectral.MATRIX_FREE_MIN_COUPLING` point-coupling
+nonzeros on (``N1 N0 (N1 + N0 - 1)``; from a 19 x 19 grid when square), a
+full-Newton solve with the default linear solver and ladder solves each
+Newton step inexactly by GMRES on the matrix-free Jacobian, preconditioned
+by the Jacobian averaged along the axis where it varies least and exact
+along the other.  Nothing of size ``(N1 N0)²`` is built unless GMRES misses
+its budget; then the rest of the solve assembles the Jacobian and
+factorises it by sparse LU.  Smaller grids, chord mode, explicit ladders
+and any explicit ``linear_solver`` keep the assembled route:
+``linear_solver="lu"`` always assembles.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import SimulationError
-from repro.linalg.collocation import CollocationJacobianAssembler
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import (
-    CollocationSystem,
-    SolverOptionsMixin,
-    core_from_options,
+from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
+from repro.linalg.spectral import (
+    PeriodicCollocationSystem,
+    SpectralNewtonSolver,
+    takes_matrix_free_route,
 )
-from repro.linalg.sparse_tools import kron_diffmat
-from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
 from repro.utils.validation import check_odd
 from repro.wampde.bivariate import BivariateWaveform
@@ -97,61 +112,6 @@ class MpdeQuasiperiodicResult(SerializableMixin):
         return self.interpolant(key)(times, times)
 
 
-class _BiperiodicSystem(CollocationSystem):
-    """Bi-periodic MPDE collocation system for the shared solver core.
-
-    The residual is ``(D1 + D2) q(x) + f(x) - b`` over the flattened
-    ``(N1, N0)`` tensor grid; the Jacobian is assembled pattern-reuse from
-    the dense point-coupling matrix of ``D1 + D2``.
-    """
-
-    def __init__(self, dae, forcing, n0, n1, b_grid):
-        self.dae = dae
-        self.n0 = n0
-        self.n1 = n1
-        self.n = dae.n
-        block = n0 * self.n
-        diffmat1 = fourier_differentiation_matrix(n0, forcing.period1)
-        diffmat2 = fourier_differentiation_matrix(n1, forcing.period2)
-        d1_all = sp.kron(
-            sp.identity(n1, format="csr"),
-            kron_diffmat(diffmat1, self.n, ordering="point"),
-            format="csr",
-        )
-        d2_all = kron_diffmat(diffmat2, block, ordering="point")
-        self.d_sum = (d1_all + d2_all).tocsr()
-        # Dense point-coupling matrix of d_sum for the pattern-reuse
-        # assembler.
-        self.coupling = (
-            np.kron(np.eye(n1), diffmat1)
-            + np.kron(diffmat2, np.eye(n0))
-        )
-        self.assembler = CollocationJacobianAssembler(
-            n1 * n0,
-            self.n,
-            dq_mask=dae.dq_structure(),
-            df_mask=dae.df_structure(),
-            coupling_mask=self.coupling != 0.0,
-        )
-        self.b_flat = np.asarray(b_grid, dtype=float).ravel()
-
-    def residual(self, z):
-        states = z.reshape(self.n1 * self.n0, self.n)
-        q_flat = self.dae.q_batch(states).ravel()
-        f_flat = self.dae.f_batch(states).ravel()
-        return self.d_sum @ q_flat + f_flat - self.b_flat
-
-    def jacobian(self, z):
-        states = z.reshape(self.n1 * self.n0, self.n)
-        dq = self.dae.dq_dx_batch(states)
-        df = self.dae.df_dx_batch(states)
-        return self.assembler.refresh(self.coupling, dq, diag_inner=df)
-
-    def structure(self):
-        return {"num_points": self.n1 * self.n0, "n_vars": self.n,
-                "num_border": 0, "size": self.n1 * self.n0 * self.n}
-
-
 def solve_mpde_quasiperiodic(dae, forcing, num_t1=15, num_t2=15,
                              initial=None, options=None):
     """Solve the bi-periodic MPDE collocation system.
@@ -168,10 +128,19 @@ def solve_mpde_quasiperiodic(dae, forcing, num_t1=15, num_t2=15,
     initial:
         Optional ``(N1, N0, n)`` or ``(n,)`` starting guess (a DC point is
         broadcast across the grid).
+    options:
+        :class:`MpdeQuasiperiodicOptions`.  With the defaults, a grid of at
+        least :data:`~repro.linalg.spectral.MATRIX_FREE_MIN_COUPLING`
+        point-coupling nonzeros takes the matrix-free GMRES route (see the
+        module docstring); ``linear_solver="lu"`` forces the assembled
+        Jacobian and sparse LU at any size.
 
     Returns
     -------
     MpdeQuasiperiodicResult
+        ``stats`` holds the :class:`~repro.linalg.solver_core.SolverStats`
+        keys; ``factorizations`` is 0 and ``krylov_iterations`` positive on
+        a matrix-free solve without a GMRES miss.
     """
     opts = options or MpdeQuasiperiodicOptions()
     n0 = check_odd(num_t1, "num_t1")
@@ -186,11 +155,8 @@ def solve_mpde_quasiperiodic(dae, forcing, num_t1=15, num_t2=15,
     t2_grid = collocation_grid(n1, forcing.period2)
     b_grid = forcing.grid(t1_grid, t2_grid)  # (N1, N0, n)
 
-    block = n0 * n
-    total = n1 * block
-
     if initial is None:
-        z0 = np.zeros(total)
+        z0 = np.zeros(n1 * n0 * n)
     else:
         initial = np.asarray(initial, dtype=float)
         if initial.shape == (n,):
@@ -203,8 +169,18 @@ def solve_mpde_quasiperiodic(dae, forcing, num_t1=15, num_t2=15,
                 f"got {initial.shape}"
             )
 
+    grid = (n1, n0)
+    matrix_free = takes_matrix_free_route(
+        grid, opts.linear_solver, opts.newton_mode, opts.ladder
+    )
+    if matrix_free:
+        opts = replace(opts, linear_solver=SpectralNewtonSolver())
+    system = PeriodicCollocationSystem(
+        dae, grid, (forcing.period2, forcing.period1),
+        np.asarray(b_grid, dtype=float).ravel(), matrix_free,
+    )
     core = core_from_options(opts)
-    result = core.solve(_BiperiodicSystem(dae, forcing, n0, n1, b_grid), z0)
+    result = core.solve(system, z0)
     samples = result.x.reshape(n1, n0, n)
     return MpdeQuasiperiodicResult(
         t1_grid,

@@ -42,8 +42,9 @@ def spectral_derivative(samples, period=1.0, order=1, axis=-1):
     Equals ``fourier_differentiation_matrix(N, period) @ samples`` (for
     ``order=1``) to rounding, in ``O(N log N)`` instead of ``O(N²)``: one
     real-FFT pair, since an odd ``N`` has no Nyquist mode to special-case.
-    Forced harmonic balance evaluates its residual and its matrix-free
-    Jacobian (:mod:`repro.linalg.spectral`) with it.
+    Forced harmonic balance and the bi-periodic MPDE evaluate their
+    residuals and their matrix-free Jacobian (:mod:`repro.linalg.spectral`)
+    with it, once per grid axis.
 
     Parameters
     ----------

@@ -20,16 +20,20 @@ pick the chord policy, a GMRES linear solver or the recovery ladder); the
 per-solve :class:`~repro.linalg.solver_core.SolverStats` are reported on
 :attr:`HBResult.stats`.
 
-The forced solver picks its linear-algebra route by size.  From
-:data:`MATRIX_FREE_MIN_UNKNOWNS` unknowns on, a full-Newton solve with the
-default linear solver and ladder solves each Newton step by GMRES on the
-matrix-free Jacobian of :mod:`repro.linalg.spectral` (FFT products, the
-period-averaged Jacobian as preconditioner) and never builds the dense
-differentiation matrix; if GMRES misses its budget, the rest of the solve
-assembles the Jacobian and factorises it by sparse LU.  Smaller problems,
-chord mode, explicit ladders and any explicit ``linear_solver`` keep the
-assembled route: ``linear_solver="lu"`` always assembles.  Both routes
-evaluate the residual's ``D q`` by FFT.
+The forced solver picks its linear-algebra route by size, by the rule it
+shares with the bi-periodic MPDE
+(:func:`~repro.linalg.spectral.takes_matrix_free_route`).  From
+:data:`~repro.linalg.spectral.MATRIX_FREE_MIN_COUPLING` point-coupling
+nonzeros on (``N²`` for ``N`` samples), a full-Newton solve with the
+default linear solver and ladder solves each Newton step inexactly, by
+GMRES on the matrix-free Jacobian of :mod:`repro.linalg.spectral` (FFT
+products, the period-averaged Jacobian as preconditioner, Eisenstat–Walker
+forcing terms), and never builds the dense differentiation matrix; if
+GMRES misses its budget, the rest of the solve assembles the Jacobian and
+factorises it by sparse LU.  Smaller problems, chord mode, explicit ladders
+and any explicit ``linear_solver`` keep the assembled route:
+``linear_solver="lu"`` always assembles.  Both routes evaluate the
+residual's ``D q`` by FFT.
 
 The autonomous solver works on a diagonally equilibrated view of the DAE
 (:class:`~repro.dae.scaled.ScaledDAE` with
@@ -59,24 +63,15 @@ from repro.linalg.solver_core import (
 )
 from repro.linalg.sparse_tools import kron_diffmat
 from repro.linalg.spectral import (
-    SpectralCollocationOperator,
+    PeriodicCollocationSystem,
     SpectralNewtonSolver,
+    takes_matrix_free_route,
 )
 from repro.phase_conditions import as_phase_condition
-from repro.spectral.diffmat import (
-    fourier_differentiation_matrix,
-    spectral_derivative,
-)
+from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
 from repro.spectral.interpolation import TrigInterpolant
 from repro.utils.validation import check_odd, check_positive
-
-#: Unknowns (samples x variables) from which a forced-HB solve with the
-#: default linear solver takes the matrix-free route.  On the RC-diode
-#: rectifier (3 variables, 0.3 V drive, 7 Newton iterations, one core of a
-#: 2-core x86 host) the assembled route wins at 453 unknowns (41 vs 52 ms
-#: per solve) and loses at 525 (57 vs 40 ms).
-MATRIX_FREE_MIN_UNKNOWNS = 500
 
 
 @dataclass
@@ -139,55 +134,14 @@ def _make_core(solver_options, newton_options, default_newton):
     return SolverCore(replace(opts, newton=newton))
 
 
-class _ForcedHBSystem(CollocationSystem):
-    """Collocation system ``D q(x) + f(x) - b = 0`` on a known period.
-
-    The residual differentiates ``q`` by FFT.  With ``matrix_free`` the
-    Jacobian is a :class:`~repro.linalg.spectral.SpectralCollocationOperator`
-    until its first assembly (a GMRES miss); otherwise it is assembled.
-    ``D`` and the assembler are built on the first assembly.
-    """
+class _ForcedHBSystem(PeriodicCollocationSystem):
+    """Collocation system ``D q(x) + f(x) - b = 0`` on a known period."""
 
     def __init__(self, dae, num, period, matrix_free=False):
-        self.dae = dae
-        self.num = num
-        self.n = dae.n
-        self.period = period
-        self.matrix_free = matrix_free
-        self.b_flat = dae.b_batch(collocation_grid(num, period)).ravel()
-        self.diffmat = None
-        self.assembler = None
-
-    def residual(self, vec):
-        states = _unstack(vec, self.num, self.n)
-        derivative = spectral_derivative(
-            self.dae.q_batch(states), self.period, axis=0
+        super().__init__(
+            dae, (num,), (period,),
+            dae.b_batch(collocation_grid(num, period)).ravel(), matrix_free,
         )
-        return (derivative + self.dae.f_batch(states)).ravel() - self.b_flat
-
-    def jacobian(self, vec):
-        states = _unstack(vec, self.num, self.n)
-        dq = self.dae.dq_dx_batch(states)
-        df = self.dae.df_dx_batch(states)
-        if self.matrix_free:
-            return SpectralCollocationOperator(dq, df, self.period,
-                                               self._assemble)
-        return self._assemble(dq, df)
-
-    def _assemble(self, dq, df):
-        # One assembly ends the matrix-free route for the rest of the solve.
-        self.matrix_free = False
-        if self.assembler is None:
-            self.diffmat = fourier_differentiation_matrix(self.num, self.period)
-            self.assembler = CollocationJacobianAssembler(
-                self.num, self.n, dq_mask=self.dae.dq_structure(),
-                df_mask=self.dae.df_structure(),
-            )
-        return self.assembler.refresh(self.diffmat, dq, diag_inner=df)
-
-    def structure(self):
-        return {"num_points": self.num, "n_vars": self.n,
-                "num_border": 0, "size": self.num * self.n}
 
 
 def _warm_hb_samples(warm_start, num, n):
@@ -237,10 +191,11 @@ def harmonic_balance_forced(dae, period, num_samples=31, initial=None,
     solver_options:
         :class:`repro.linalg.solver_core.SolverCoreOptions` — Newton
         policy, linear solver and recovery ladder.  With the defaults, a
-        problem of at least :data:`MATRIX_FREE_MIN_UNKNOWNS` unknowns
-        (``num_samples * dae.n``) takes the matrix-free GMRES route (see
-        the module docstring); ``linear_solver="lu"`` forces the assembled
-        Jacobian and sparse LU at any size.
+        problem of at least
+        :data:`~repro.linalg.spectral.MATRIX_FREE_MIN_COUPLING`
+        ``num_samples²`` takes the matrix-free GMRES route (see the module
+        docstring); ``linear_solver="lu"`` forces the assembled Jacobian
+        and sparse LU at any size.
     warm_start:
         Optional warm-start seed (duck-typed; ``samples`` supplies the
         starting waveform when ``initial`` is ``None``).
@@ -259,11 +214,8 @@ def harmonic_balance_forced(dae, period, num_samples=31, initial=None,
     num = check_odd(num_samples, "num_samples")
     n = dae.n
     opts = solver_options or SolverCoreOptions()
-    matrix_free = (
-        opts.linear_solver is None
-        and opts.mode == "full"
-        and opts.ladder in (None, "default")
-        and num * n >= MATRIX_FREE_MIN_UNKNOWNS
+    matrix_free = takes_matrix_free_route(
+        (num,), opts.linear_solver, opts.mode, opts.ladder
     )
     if matrix_free:
         opts = replace(opts, linear_solver=SpectralNewtonSolver())

@@ -6,12 +6,22 @@ import pytest
 from repro.constants import TWO_PI
 from repro.dae import LinearRCDae
 from repro.errors import SimulationError, ValidationError
+from repro.linalg import (
+    FunctionSystem,
+    NewtonOptions,
+    SolverCore,
+    SolverCoreOptions,
+    kron_diffmat,
+)
+from repro.linalg.spectral import PeriodicCollocationSystem, coupling_matrix
 from repro.mpde import (
     BivariateForcing,
     additive_two_tone_forcing,
     solve_mpde_envelope,
     solve_mpde_quasiperiodic,
 )
+from repro.mpde.quasiperiodic import MpdeQuasiperiodicOptions
+from repro.spectral.grid import collocation_grid
 
 
 def rc_two_tone(f1=50.0, f2=1.0, a1=1.0, a2=0.5):
@@ -39,6 +49,51 @@ def rc_two_tone(f1=50.0, f2=1.0, a1=1.0, a2=0.5):
         return out
 
     return dae, forcing, exact
+
+
+def diode_mixer(lo_amplitude=0.4):
+    """The RC-diode mixer: 0.6 V bias + 0.05 V at 100 kHz (t1) and an LO
+    of ``lo_amplitude`` at 1 kHz (t2).  Returns ``(dae, forcing, x_dc)``."""
+    from repro.circuits.library import rc_diode_mixer_circuit
+    from repro.steadystate import dc_operating_point
+
+    dae = rc_diode_mixer_circuit().to_dae()
+    n = dae.n
+
+    def fast(t1):
+        b = np.zeros(n)
+        b[-1] = 0.6 + 0.05 * np.sin(TWO_PI * 1e5 * t1)
+        return b
+
+    def slow(t2):
+        b = np.zeros(n)
+        b[-1] = lo_amplitude * np.sin(TWO_PI * 1e3 * t2)
+        return b
+
+    forcing = additive_two_tone_forcing(fast, slow, 1e-5, 1e-3, n)
+    return dae, forcing, dc_operating_point(dae)
+
+
+def mixer_qp(grid, linear_solver=None, atol=1e-9):
+    dae, forcing, x_dc = diode_mixer()
+    return solve_mpde_quasiperiodic(
+        dae, forcing, num_t1=grid, num_t2=grid, initial=x_dc,
+        options=MpdeQuasiperiodicOptions(
+            linear_solver=linear_solver,
+            newton=NewtonOptions(atol=atol, max_iterations=60),
+        ),
+    )
+
+
+def mixer_system(grid):
+    """The collocation system ``mixer_qp`` solves, for residual checks."""
+    dae, forcing, _x_dc = diode_mixer()
+    b_grid = forcing.grid(collocation_grid(grid, forcing.period1),
+                          collocation_grid(grid, forcing.period2))
+    return PeriodicCollocationSystem(
+        dae, (grid, grid), (forcing.period2, forcing.period1),
+        b_grid.ravel(),
+    )
 
 
 class TestBivariateForcing:
@@ -107,38 +162,106 @@ class TestMpdeQuasiperiodic:
 
     def test_nonlinear_mixer_against_transient(self):
         """End-to-end on the diode mixer: MPDE vs brute-force transient."""
-        from repro.circuits.library import rc_diode_mixer_circuit
-        from repro.steadystate import dc_operating_point
         from repro.transient import TransientOptions, simulate_transient
 
-        dae = rc_diode_mixer_circuit().to_dae()
-        n = dae.n
-        f_rf, f_lo = 1e5, 1e3
-
-        def fast(t1):
-            b = np.zeros(n)
-            b[-1] = 0.6 + 0.05 * np.sin(TWO_PI * f_rf * t1)
-            return b
-
-        def slow(t2):
-            b = np.zeros(n)
-            b[-1] = 0.4 * np.sin(TWO_PI * f_lo * t2)
-            return b
-
-        forcing = additive_two_tone_forcing(fast, slow, 1 / f_rf, 1 / f_lo, n)
-        x_dc = dc_operating_point(dae)
+        dae, forcing, x_dc = diode_mixer()
         result = solve_mpde_quasiperiodic(
             dae, forcing, num_t1=15, num_t2=15, initial=x_dc
         )
         transient = simulate_transient(
             dae, x_dc, 0.0, 2.5e-3,
-            TransientOptions(integrator="trap", dt=1 / f_rf / 40),
+            TransientOptions(integrator="trap", dt=1e-5 / 40),
         )
         times = np.linspace(1.5e-3, 2.4e-3, 300)
         rec = result.reconstruct("v(out)", times)
         ref = transient.sample(times, "v(out)")
         spread = ref.max() - ref.min()
         assert np.max(np.abs(rec - ref)) < 0.05 * spread
+
+
+class TestMpdeQuasiperiodicRoute:
+    """The route rule forced HB uses: matrix-free from
+    ``MATRIX_FREE_MIN_COUPLING`` point-coupling nonzeros (21 x 21 has
+    18,081), assembled below it and for ``linear_solver="lu"``."""
+
+    def test_matrix_free_route_meets_the_contract(self):
+        """Both routes reach the solution of a tight ``"lu"`` reference:
+        final residual within atol, samples within 1e-7 (scaled), and at
+        most two Newton iterations more than ``"lu"``."""
+        default = mixer_qp(21)
+        assembled = mixer_qp(21, linear_solver="lu")
+        reference = mixer_qp(21, linear_solver="lu", atol=1e-14)
+        system = mixer_system(21)
+        scale = np.abs(reference.samples).max(axis=(0, 1))
+        for result in (default, assembled):
+            residual = system.residual(result.samples.ravel())
+            assert np.abs(residual).max() <= 1e-9
+            gap = np.abs(result.samples - reference.samples) / scale
+            assert gap.max() <= 1e-7
+        assert default.newton_iterations <= assembled.newton_iterations + 2
+        assert default.stats["factorizations"] == 0
+        assert default.stats["krylov_iterations"] > 0
+        assert assembled.stats["krylov_iterations"] == 0
+        assert assembled.stats["factorizations"] == assembled.newton_iterations
+
+    def test_below_the_gate_is_the_assembled_route(self):
+        """15 x 15 (6,525 couplings) assembles: the default route is
+        ``"lu"`` bit for bit, and the FFT residual leaves ``"lu"`` within
+        1e-12 of the solve on the sparse ``(D1 + D2) ⊗ I`` product."""
+        default = mixer_qp(15)
+        assembled = mixer_qp(15, linear_solver="lu")
+        np.testing.assert_array_equal(default.samples, assembled.samples)
+        assert default.stats["krylov_iterations"] == 0
+
+        system = mixer_system(15)
+        d_sum = kron_diffmat(coupling_matrix(system.grid, system.periods),
+                             system.n, ordering="point")
+        dae = system.dae
+
+        def residual(z):
+            states = z.reshape(-1, system.n)
+            return (d_sum @ dae.q_batch(states).ravel()
+                    + dae.f_batch(states).ravel() - system.b_flat)
+
+        core = SolverCore(SolverCoreOptions(
+            linear_solver="lu",
+            newton=NewtonOptions(atol=1e-9, max_iterations=60),
+        ))
+        x_dc = diode_mixer()[2]
+        sparse = core.solve(FunctionSystem(residual, system.jacobian),
+                            np.tile(x_dc, 15 * 15))
+        gap = np.abs(assembled.samples.ravel() - sparse.x)
+        assert gap.max() <= 1e-12
+
+    def test_gmres_miss_finishes_on_the_assembled_route(self, monkeypatch):
+        """A Krylov budget too small for the second Newton step: one miss,
+        then sparse LU for the rest of the solve, to the same answer."""
+        from repro.linalg import spectral
+
+        monkeypatch.setattr(spectral, "KRYLOV_RESTART", 2)
+        monkeypatch.setattr(spectral, "KRYLOV_BUDGET", 2)
+        default = mixer_qp(21)
+        assembled = mixer_qp(21, linear_solver="lu")
+        stats = default.stats
+        assert 0 < stats["factorizations"] < stats["iterations"]
+        assert stats["krylov_iterations"] > 0
+        scale = np.abs(assembled.samples).max(axis=(0, 1))
+        gap = np.abs(default.samples - assembled.samples) / scale
+        assert gap.max() <= 1e-7
+
+    def test_matrix_free_memory(self):
+        """No ``(N1 N0)²`` array: 29 x 29 peaks far below the ~20 MiB of
+        traced memory the assembled route needs."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = mixer_qp(29)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats["factorizations"] == 0
+        assert peak <= 10 * 2**20
 
 
 class TestMpdeEnvelope:
