@@ -7,24 +7,40 @@ not generated code but the NumPy engines themselves.
 
 The unit carries seven entry points: ``eval_qf`` / ``eval_jac``
 (single point), ``eval_qf_batch`` / ``eval_jac_batch`` (lock-step and
-collocation batches), ``sweep`` — the fused fixed-step chord march
-(integrator terms, polynomial predictor, residual, frozen-LU chord
-Newton with refresh/line-search policy, history ring update) that runs
-many grid steps per call with zero Python in between — plus its two
-siblings: ``sweep_adaptive``, the same serial chord step wrapped in the
-proportional local-error dt controller (constant forcing only), and
-``sweep_ens``, the batched ``(B, n)`` lock-step ensemble march over a
-``(B, n, n)`` frozen-LU factor stack with per-scenario convergence /
-abandonment masks and a per-scenario damped line search.
+collocation batches), and three transient sweeps that march many steps
+per call with zero Python in between: ``sweep`` (the fixed-step grid),
+``sweep_adaptive`` (constant forcing under the proportional local-error
+dt controller) and ``sweep_ens`` (the batched ``(B, n)`` lock-step
+ensemble over a ``(B, n, n)`` frozen-LU factor stack).
 
-``sweep`` transcribes :class:`repro.linalg.newton.StaleJacobianNewton`
-and the :func:`repro.transient.engine.simulate_transient` fixed-grid
-inner loop statement for statement; ``sweep_adaptive`` additionally
-transcribes the engine's adaptive error-control block, and ``sweep_ens``
-transcribes :class:`repro.transient.ensemble._EnsembleChord` /
-``_EnsembleStepController``.  Any change there must be mirrored here
-(the equivalence tests in ``tests/test_kernels.py`` will catch a
-drift).  Status codes returned by the sweep entry points:
+The sweeps state each part of a transient step once, as static helpers
+over one ``(3, B, n)`` history ring; the serial sweeps are its
+``B = 1`` case.  Each helper transcribes one piece of Python:
+
+=================  ===================================================
+``step_terms_``    ``transient.integrators.Integrator.residual_terms``
+``note_alpha_``    ``SolverCore.note_parameters(alpha=...)`` behind the
+                   engine's alpha-changed guard
+``predict_``       ``transient.engine._extrapolate``
+``push_history_``  the engine's history append (oldest entry dropped)
+``refactor_``      the chord drivers' ``_refactor``, for ``B`` blocks
+``enter_``         ``SolverCore.refactor_at``: the LU rebuild from
+                   ``jac_meta`` on resume or re-entry
+``small_update_``  ``linalg.newton.update_is_small``
+``chord_solve_``   ``linalg.newton.StaleJacobianNewton.solve``
+=================  ===================================================
+
+``sweep`` and ``sweep_adaptive`` both solve each step with
+``chord_solve_``; beyond the helpers ``sweep_adaptive`` holds only the
+engine's adaptive error-control block, and ``sweep_ens`` only the
+lock-step chord of ``transient.ensemble._EnsembleChord``.  Any change
+to the Python above must be mirrored here.  The drift guard is the
+route-parity matrix (``tests/test_route_parity.py``), which holds the
+C routes to the NumPy engines' exact iteration, factorisation and
+residual-evaluation counts on generated circuits, next to the
+equivalence tests in ``tests/test_kernels.py``.
+
+Status codes returned by the sweep entry points:
 
 ====  =========================================================
 0     ran to ``gi_end`` / ``max_accept`` / ``t_stop``
@@ -153,18 +169,241 @@ static double residual_(const double* x, const double* p,
     return norm;
 }
 
-static int refactor_(const double* x, const double* p, double alpha,
-                     double beta, double* A, long long* piv, double* dqs,
-                     double* dfs, double* jac_meta) {
-    eval_jac(x, p, dqs, dfs);
-    for (int i = 0; i < N; ++i)
-        for (int j = 0; j < N; ++j)
-            A[i * N + j] = alpha * dqs[i * N + j] + beta * dfs[i * N + j];
-    if (!lu_factor_(A, piv)) return 0;
+/* One refactorisation of B blocks: alpha dQ + beta dF at each row of X
+   (parameters P + b * pstride), LU-factorised in place.  jac_meta
+   records (alpha, beta, X) once every block factorised, and the
+   factorisation counts in counters[3] (NULL: the entry rebuild, which
+   is not counted).  Returns 0 on a singular or non-finite block. */
+static int refactor_(const double* X, const double* P, long long B,
+                     long long pstride, double alpha, double beta,
+                     double* A, long long* piv, double* dqs, double* dfs,
+                     double* jac_meta, long long* counters) {
+    for (long long b = 0; b < B; ++b) {
+        double* Ab = A + b * NN;
+        eval_jac(X + b * N, P + b * pstride, dqs, dfs);
+        for (int k = 0; k < NN; ++k) Ab[k] = alpha * dqs[k] + beta * dfs[k];
+        if (!lu_factor_(Ab, piv + b * N)) return 0;
+    }
     jac_meta[0] = alpha;
     jac_meta[1] = beta;
-    for (int i = 0; i < N; ++i) jac_meta[2 + i] = x[i];
+    memcpy(jac_meta + 2, X, sizeof(double) * B * N);
+    if (counters) counters[3] += 1;
     return 1;
+}
+
+/* Entry (flags = [have_factors, rebuild_on_entry]): on resume or
+   re-entry, rebuild the frozen factors from the (alpha, beta, x rows)
+   in jac_meta.  Returns whether factors are held. */
+static int enter_(long long* flags, const double* P, long long B,
+                  long long pstride, double* A, long long* piv,
+                  double* jac_meta, double* X, double* dqs, double* dfs) {
+    int have = flags[0] != 0;
+    if (have && flags[1] != 0) {
+        memcpy(X, jac_meta + 2, sizeof(double) * B * N);
+        have = refactor_(X, P, B, pstride, jac_meta[0], jac_meta[1], A,
+                         piv, dqs, dfs, jac_meta, NULL);
+    }
+    flags[1] = 0;
+    return have;
+}
+
+/* Integrator.residual_terms over the (3, B, N) ring's newest hc
+   entries: the weights of R(x) = alpha q(x) + RHS + beta (f(x) - b)
+   and the history term RHS of each row. */
+static inline void step_terms_(long long integ, const double* h_t,
+                               const double* h_q, const double* h_fb,
+                               long long hc, long long B, double t_new,
+                               double* RHS, double* alpha,
+                               double* beta) {
+    long long M = B * N;
+    const double* q1 = h_q + (hc - 1) * M;
+    const double* fb1 = h_fb + (hc - 1) * M;
+    double dt = t_new - h_t[hc - 1];
+    if (integ == 1) {
+        *alpha = 1.0 / dt;
+        *beta = 0.5;
+        for (long long k = 0; k < M; ++k)
+            RHS[k] = -q1[k] / dt + 0.5 * fb1[k];
+    } else if (integ == 2 && hc >= 2) {
+        const double* q2 = h_q + (hc - 2) * M;
+        double t1 = h_t[hc - 1];
+        double t2 = h_t[hc - 2];
+        *alpha = (2.0 * t_new - t1 - t2) / ((t_new - t1) * (t_new - t2));
+        *beta = 1.0;
+        double d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2));
+        double d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1));
+        for (long long k = 0; k < M; ++k) RHS[k] = d1 * q1[k] + d2 * q2[k];
+    } else {
+        *alpha = 1.0 / dt;
+        *beta = 1.0;
+        for (long long k = 0; k < M; ++k) RHS[k] = -q1[k] / dt;
+    }
+}
+
+/* SolverCore.note_parameters(alpha=...) behind the engine's
+   "alpha changed" guard: reg = [params_alpha, last_alpha] (nan =
+   unset); a jump beyond param_rtol drops the frozen factors. */
+static inline void note_alpha_(double* reg, double alpha,
+                               double param_rtol, int* have) {
+    if (alpha == reg[1]) return;
+    double old = reg[0];
+    if (old == old && fabs(alpha - old) > param_rtol * fabs(old)) *have = 0;
+    reg[0] = alpha;
+    reg[1] = alpha;
+}
+
+/* _extrapolate: the polynomial predictor through the ring's newest
+   entries (quadratic, else linear, else the last state), per row. */
+static inline void predict_(const double* h_t, const double* h_x,
+                            long long hc, long long B, double t_new,
+                            double* X) {
+    long long M = B * N;
+    const double* x1 = h_x + (hc - 1) * M;
+    if (hc >= 3 && h_t[0] != h_t[1] && h_t[1] != h_t[2]
+            && h_t[0] != h_t[2]) {
+        double ta = h_t[0], tb = h_t[1], tc = h_t[2];
+        double la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc));
+        double lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc));
+        double lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb));
+        for (long long k = 0; k < M; ++k)
+            X[k] = la * h_x[k] + lb * h_x[M + k] + lc * h_x[2 * M + k];
+    } else if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
+        const double* x2 = h_x + (hc - 2) * M;
+        double frac = (t_new - h_t[hc - 1]) / (h_t[hc - 1] - h_t[hc - 2]);
+        for (long long k = 0; k < M; ++k)
+            X[k] = x1[k] + (x1[k] - x2[k]) * frac;
+    } else {
+        memcpy(X, x1, sizeof(double) * M);
+    }
+}
+
+/* Append an accepted step to the ring (hstate[0] = occupied entries),
+   dropping the oldest entry once all three are full. */
+static inline void push_history_(double* h_t, double* h_x, double* h_q,
+                                 double* h_fb, long long* hstate,
+                                 long long B, double t_new,
+                                 const double* X, const double* QV,
+                                 const double* FV) {
+    size_t row = sizeof(double) * B * N;
+    long long M = B * N;
+    long long hc = hstate[0];
+    if (hc == 3) {
+        memmove(h_t, h_t + 1, sizeof(double) * 2);
+        memmove(h_x, h_x + M, 2 * row);
+        memmove(h_q, h_q + M, 2 * row);
+        memmove(h_fb, h_fb + M, 2 * row);
+        hc = 2;
+    }
+    h_t[hc] = t_new;
+    memcpy(h_x + hc * M, X, row);
+    memcpy(h_q + hc * M, QV, row);
+    memcpy(h_fb + hc * M, FV, row);
+    hstate[0] = hc + 1;
+}
+
+/* update_is_small for one row: every |xn - xc| <= rtol max(|xn|, 1). */
+static inline int small_update_(const double* xn, const double* xc,
+                                double rtol) {
+    for (int i = 0; i < N; ++i) {
+        double m = fabs(xn[i]);
+        if (m < 1.0) m = 1.0;
+        if (!(fabs(xn[i] - xc[i]) <= rtol * m)) return 0;
+    }
+    return 1;
+}
+
+/* StaleJacobianNewton.solve from the guess in xc: chord iterations on
+   the frozen factors in (A, piv), refactorising at the current iterate
+   when none are held, an update goes non-finite or uphill on stale
+   factors, or the residual contracts slower than `contraction`; a damped
+   line search once fresh factors still go uphill.  Leaves the solution
+   in xc, with q and f - b at it in qv, fv.  Returns 0, or the sweep
+   status of the failure (factors dropped on 1 and 3, kept on 2). */
+static long long chord_solve_(const double* p, const double* b_row,
+                              double alpha, double beta, const double* rhs,
+                              const double* dopts, const long long* iopts,
+                              double* A, long long* piv, double* jac_meta,
+                              int* have, long long* counters, double* xc,
+                              double* xn, double* dxs, double* rc,
+                              double* rn, double* qv, double* fv,
+                              double* dqs, double* dfs) {
+    double atol = dopts[0];
+    double rtol = dopts[1];
+    double contraction = dopts[2];
+    long long maxiter = iopts[0];
+    long long halvings = iopts[1];
+    size_t row = sizeof(double) * N;
+    double norm = residual_(xc, p, b_row, alpha, beta, rhs, qv, fv, rc);
+    counters[2] += 1;
+    if (norm <= atol) return 0;
+    if (!isfinite(norm)) return 2;
+    int fresh = 0;
+    if (!*have) {
+        if (!refactor_(xc, p, 1, 0, alpha, beta, A, piv, dqs, dfs,
+                       jac_meta, counters))
+            goto singular;
+        *have = 1;
+        fresh = 1;
+    }
+    for (long long itn = 0; itn < maxiter;) {
+        itn += 1;
+        counters[1] += 1;
+        lu_solve_(A, piv, rc, dxs);
+        int ok = 1;
+        for (int i = 0; i < N; ++i)
+            if (!isfinite(dxs[i])) ok = 0;
+        if (!ok) {
+            if (fresh || !refactor_(xc, p, 1, 0, alpha, beta, A, piv, dqs,
+                                    dfs, jac_meta, counters))
+                goto singular;
+            fresh = 1;
+            continue;
+        }
+        for (int i = 0; i < N; ++i) xn[i] = xc[i] - dxs[i];
+        double norm_new = residual_(xn, p, b_row, alpha, beta, rhs, qv, fv,
+                                    rn);
+        counters[2] += 1;
+        if (norm_new <= atol) {
+            memcpy(xc, xn, row);
+            return 0;
+        }
+        if (!(norm_new < norm)) {
+            if (!fresh) {
+                /* Blame staleness first: refactorise and retry. */
+                if (!refactor_(xc, p, 1, 0, alpha, beta, A, piv, dqs, dfs,
+                               jac_meta, counters))
+                    goto singular;
+                fresh = 1;
+                continue;
+            }
+            double step = 0.5;
+            for (long long halving = 0; halving < halvings; ++halving) {
+                for (int i = 0; i < N; ++i) xn[i] = xc[i] - step * dxs[i];
+                norm_new = residual_(xn, p, b_row, alpha, beta, rhs, qv, fv,
+                                     rn);
+                counters[2] += 1;
+                if (isfinite(norm_new) && norm_new < norm) break;
+                if (halving < halvings - 1) step = step * 0.5;
+            }
+        }
+        int small = small_update_(xn, xc, rtol);
+        int slow = norm_new > contraction * norm;
+        memcpy(xc, xn, row);
+        memcpy(rc, rn, row);
+        norm = norm_new;
+        if (norm <= atol || (small && isfinite(norm))) return 0;
+        if (slow && !fresh) {
+            if (!refactor_(xc, p, 1, 0, alpha, beta, A, piv, dqs, dfs,
+                           jac_meta, counters))
+                goto singular;
+            fresh = 1;
+        }
+    }
+    *have = 0;
+    return 1;
+singular:
+    *have = 0;
+    return 3;
 }
 
 long long sweep(const double* t_grid, const double* b_grid,
@@ -177,199 +416,23 @@ long long sweep(const double* t_grid, const double* b_grid,
                 double* xc, double* xn, double* dxs, double* rc, double* rn,
                 double* qv, double* fv, double* rhs, double* dqs,
                 double* dfs) {
-    double atol = dopts[0];
-    double rtol = dopts[1];
-    double contraction = dopts[2];
-    double param_rtol = dopts[3];
-    long long maxiter = iopts[0];
-    long long halvings = iopts[1];
-    long long integ = iopts[2];
-    int have = flags[0] != 0;
-    if (have && flags[1] != 0) {
-        /* Resume: rebuild the frozen LU from checkpoint metadata. */
-        for (int i = 0; i < N; ++i) xc[i] = jac_meta[2 + i];
-        eval_jac(xc, p, dqs, dfs);
-        for (int i = 0; i < N; ++i)
-            for (int j = 0; j < N; ++j)
-                A[i * N + j] = jac_meta[0] * dqs[i * N + j]
-                    + jac_meta[1] * dfs[i * N + j];
-        if (!lu_factor_(A, piv)) have = 0;
-    }
-    flags[1] = 0;
+    int have = enter_(flags, p, 1, 0, A, piv, jac_meta, xc, dqs, dfs);
     long long status = 0;
     for (long long gi = gi_start; gi < gi_end; ++gi) {
         long long hc = hstate[0];
         double t_new = t_grid[gi];
-        double dt = t_new - h_t[hc - 1];
         double alpha, beta;
-        if (integ == 1) {
-            alpha = 1.0 / dt;
-            beta = 0.5;
-            for (int i = 0; i < N; ++i)
-                rhs[i] = -h_q[(hc - 1) * N + i] / dt
-                    + 0.5 * h_fb[(hc - 1) * N + i];
-        } else if (integ == 2 && hc >= 2) {
-            double t1 = h_t[hc - 1];
-            double t2 = h_t[hc - 2];
-            alpha = (2.0 * t_new - t1 - t2)
-                / ((t_new - t1) * (t_new - t2));
-            beta = 1.0;
-            double d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2));
-            double d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1));
-            for (int i = 0; i < N; ++i)
-                rhs[i] = d1 * h_q[(hc - 1) * N + i]
-                    + d2 * h_q[(hc - 2) * N + i];
-        } else {
-            alpha = 1.0 / dt;
-            beta = 1.0;
-            for (int i = 0; i < N; ++i)
-                rhs[i] = -h_q[(hc - 1) * N + i] / dt;
-        }
-        if (alpha != reg[1]) {
-            double old = reg[0];
-            if (old == old && fabs(alpha - old) > param_rtol * fabs(old))
-                have = 0;
-            reg[0] = alpha;
-            reg[1] = alpha;
-        }
-        if (hc >= 3 && h_t[0] != h_t[1] && h_t[1] != h_t[2]
-                && h_t[0] != h_t[2]) {
-            double ta = h_t[0], tb = h_t[1], tc = h_t[2];
-            double la = (t_new - tb) * (t_new - tc)
-                / ((ta - tb) * (ta - tc));
-            double lb = (t_new - ta) * (t_new - tc)
-                / ((tb - ta) * (tb - tc));
-            double lc = (t_new - ta) * (t_new - tb)
-                / ((tc - ta) * (tc - tb));
-            for (int i = 0; i < N; ++i)
-                xc[i] = la * h_x[0 * N + i] + lb * h_x[1 * N + i]
-                    + lc * h_x[2 * N + i];
-        } else if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
-            double frac = (t_new - h_t[hc - 1])
-                / (h_t[hc - 1] - h_t[hc - 2]);
-            for (int i = 0; i < N; ++i)
-                xc[i] = h_x[(hc - 1) * N + i]
-                    + (h_x[(hc - 1) * N + i] - h_x[(hc - 2) * N + i])
-                    * frac;
-        } else {
-            for (int i = 0; i < N; ++i) xc[i] = h_x[(hc - 1) * N + i];
-        }
+        step_terms_(iopts[2], h_t, h_q, h_fb, hc, 1, t_new, rhs, &alpha,
+                    &beta);
+        note_alpha_(reg, alpha, dopts[3], &have);
+        predict_(h_t, h_x, hc, 1, t_new, xc);
         counters[4] += 1;
-        double norm = residual_(xc, p, b_grid + gi * N, alpha, beta, rhs,
-                                qv, fv, rc);
-        counters[2] += 1;
-        long long itn = 0;
-        long long failed = 0;
-        int converged = norm <= atol;
-        if (!converged && !isfinite(norm)) failed = 2;
-        int fresh = 0;
-        if (!converged && failed == 0 && !have) {
-            if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs, jac_meta)) {
-                counters[3] += 1;
-                have = 1;
-                fresh = 1;
-            } else {
-                have = 0;
-                failed = 3;
-            }
-        }
-        while (failed == 0 && !converged && itn < maxiter) {
-            itn += 1;
-            counters[1] += 1;
-            lu_solve_(A, piv, rc, dxs);
-            int ok = 1;
-            for (int i = 0; i < N; ++i)
-                if (!isfinite(dxs[i])) ok = 0;
-            if (!ok) {
-                if (fresh) { have = 0; failed = 3; break; }
-                if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                              jac_meta)) {
-                    counters[3] += 1;
-                    fresh = 1;
-                    continue;
-                }
-                have = 0; failed = 3; break;
-            }
-            for (int i = 0; i < N; ++i) xn[i] = xc[i] - dxs[i];
-            double norm_new = residual_(xn, p, b_grid + gi * N, alpha,
-                                        beta, rhs, qv, fv, rn);
-            counters[2] += 1;
-            if (norm_new <= atol) {
-                for (int i = 0; i < N; ++i) xc[i] = xn[i];
-                norm = norm_new;
-                converged = 1;
-                break;
-            }
-            if (!(norm_new < norm)) {
-                if (!fresh) {
-                    if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                                  jac_meta)) {
-                        counters[3] += 1;
-                        fresh = 1;
-                        continue;
-                    }
-                    have = 0; failed = 3; break;
-                }
-                double step = 0.5;
-                for (long long halving = 0; halving < halvings; ++halving) {
-                    for (int i = 0; i < N; ++i)
-                        xn[i] = xc[i] - step * dxs[i];
-                    norm_new = residual_(xn, p, b_grid + gi * N, alpha,
-                                         beta, rhs, qv, fv, rn);
-                    counters[2] += 1;
-                    if (isfinite(norm_new) && norm_new < norm) break;
-                    if (halving < halvings - 1) step = step * 0.5;
-                }
-            }
-            int small = 1;
-            for (int i = 0; i < N; ++i) {
-                double m = fabs(xn[i]);
-                if (m < 1.0) m = 1.0;
-                double d = fabs(xn[i] - xc[i]);
-                if (!(d <= rtol * m)) small = 0;
-            }
-            int slow = norm_new > contraction * norm;
-            for (int i = 0; i < N; ++i) { xc[i] = xn[i]; rc[i] = rn[i]; }
-            norm = norm_new;
-            if (norm <= atol || (small && isfinite(norm))) {
-                converged = 1;
-                break;
-            }
-            if (slow && !fresh) {
-                if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                              jac_meta)) {
-                    counters[3] += 1;
-                    fresh = 1;
-                } else {
-                    have = 0; failed = 3; break;
-                }
-            }
-        }
-        if (!converged) {
-            if (failed == 0) { failed = 1; have = 0; }
-            status = failed;
-            break;
-        }
-        if (hc == 3) {
-            for (int j = 0; j < 2; ++j) {
-                h_t[j] = h_t[j + 1];
-                for (int i = 0; i < N; ++i) {
-                    h_x[j * N + i] = h_x[(j + 1) * N + i];
-                    h_q[j * N + i] = h_q[(j + 1) * N + i];
-                    h_fb[j * N + i] = h_fb[(j + 1) * N + i];
-                }
-            }
-            hc = 2;
-        }
-        h_t[hc] = t_new;
-        for (int i = 0; i < N; ++i) {
-            h_x[hc * N + i] = xc[i];
-            h_q[hc * N + i] = qv[i];
-            h_fb[hc * N + i] = fv[i];
-        }
-        hstate[0] = hc + 1;
-        long long row = gi - gi_start;
-        for (int i = 0; i < N; ++i) out_x[row * N + i] = xc[i];
+        status = chord_solve_(p, b_grid + gi * N, alpha, beta, rhs, dopts,
+                              iopts, A, piv, jac_meta, &have, counters, xc,
+                              xn, dxs, rc, rn, qv, fv, dqs, dfs);
+        if (status != 0) break;
+        push_history_(h_t, h_x, h_q, h_fb, hstate, 1, t_new, xc, qv, fv);
+        memcpy(out_x + (gi - gi_start) * N, xc, sizeof(double) * N);
         counters[0] += 1;
     }
     flags[0] = have ? 1 : 0;
@@ -386,31 +449,13 @@ long long sweep_adaptive(const double* b_row, long long max_accept,
                          double* xc, double* xn, double* dxs, double* rc,
                          double* rn, double* qv, double* fv, double* rhs,
                          double* dqs, double* dfs) {
-    double atol = dopts[0];
-    double rtol = dopts[1];
-    double contraction = dopts[2];
-    double param_rtol = dopts[3];
     double err_atol = dopts[4];
     double err_rtol = dopts[5];
     double dt_min = dopts[6];
     double dt_max = dopts[7];
     double t_stop = dopts[8];
-    long long maxiter = iopts[0];
-    long long halvings = iopts[1];
-    long long integ = iopts[2];
     long long order = iopts[3];
-    int have = flags[0] != 0;
-    if (have && flags[1] != 0) {
-        /* Resume: rebuild the frozen LU from checkpoint metadata. */
-        for (int i = 0; i < N; ++i) xc[i] = jac_meta[2 + i];
-        eval_jac(xc, p, dqs, dfs);
-        for (int i = 0; i < N; ++i)
-            for (int j = 0; j < N; ++j)
-                A[i * N + j] = jac_meta[0] * dqs[i * N + j]
-                    + jac_meta[1] * dfs[i * N + j];
-        if (!lu_factor_(A, piv)) have = 0;
-    }
-    flags[1] = 0;
+    int have = enter_(flags, p, 1, 0, A, piv, jac_meta, xc, dqs, dfs);
     double dt = reg[2];
     double mx = fabs(t_stop);
     if (1.0 > mx) mx = 1.0;
@@ -424,156 +469,16 @@ long long sweep_adaptive(const double* b_row, long long max_accept,
         double rem = t_stop - t;
         if (rem < dt) dt = rem;
         double t_new = t + dt;
-        double dts = t_new - h_t[hc - 1];
         double alpha, beta;
-        if (integ == 1) {
-            alpha = 1.0 / dts;
-            beta = 0.5;
-            for (int i = 0; i < N; ++i)
-                rhs[i] = -h_q[(hc - 1) * N + i] / dts
-                    + 0.5 * h_fb[(hc - 1) * N + i];
-        } else if (integ == 2 && hc >= 2) {
-            double t1 = h_t[hc - 1];
-            double t2 = h_t[hc - 2];
-            alpha = (2.0 * t_new - t1 - t2)
-                / ((t_new - t1) * (t_new - t2));
-            beta = 1.0;
-            double d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2));
-            double d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1));
-            for (int i = 0; i < N; ++i)
-                rhs[i] = d1 * h_q[(hc - 1) * N + i]
-                    + d2 * h_q[(hc - 2) * N + i];
-        } else {
-            alpha = 1.0 / dts;
-            beta = 1.0;
-            for (int i = 0; i < N; ++i)
-                rhs[i] = -h_q[(hc - 1) * N + i] / dts;
-        }
-        if (alpha != reg[1]) {
-            double old = reg[0];
-            if (old == old && fabs(alpha - old) > param_rtol * fabs(old))
-                have = 0;
-            reg[0] = alpha;
-            reg[1] = alpha;
-        }
-        if (hc >= 3 && h_t[0] != h_t[1] && h_t[1] != h_t[2]
-                && h_t[0] != h_t[2]) {
-            double ta = h_t[0], tb = h_t[1], tc = h_t[2];
-            double la = (t_new - tb) * (t_new - tc)
-                / ((ta - tb) * (ta - tc));
-            double lb = (t_new - ta) * (t_new - tc)
-                / ((tb - ta) * (tb - tc));
-            double lc = (t_new - ta) * (t_new - tb)
-                / ((tc - ta) * (tc - tb));
-            for (int i = 0; i < N; ++i)
-                xc[i] = la * h_x[0 * N + i] + lb * h_x[1 * N + i]
-                    + lc * h_x[2 * N + i];
-        } else if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
-            double frac = (t_new - h_t[hc - 1])
-                / (h_t[hc - 1] - h_t[hc - 2]);
-            for (int i = 0; i < N; ++i)
-                xc[i] = h_x[(hc - 1) * N + i]
-                    + (h_x[(hc - 1) * N + i] - h_x[(hc - 2) * N + i])
-                    * frac;
-        } else {
-            for (int i = 0; i < N; ++i) xc[i] = h_x[(hc - 1) * N + i];
-        }
+        step_terms_(iopts[2], h_t, h_q, h_fb, hc, 1, t_new, rhs, &alpha,
+                    &beta);
+        note_alpha_(reg, alpha, dopts[3], &have);
+        predict_(h_t, h_x, hc, 1, t_new, xc);
         counters[4] += 1;
-        double norm = residual_(xc, p, b_row, alpha, beta, rhs,
-                                qv, fv, rc);
-        counters[2] += 1;
-        long long itn = 0;
-        long long failed = 0;
-        int converged = norm <= atol;
-        if (!converged && !isfinite(norm)) failed = 2;
-        int fresh = 0;
-        if (!converged && failed == 0 && !have) {
-            if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs, jac_meta)) {
-                counters[3] += 1;
-                have = 1;
-                fresh = 1;
-            } else {
-                have = 0;
-                failed = 3;
-            }
-        }
-        while (failed == 0 && !converged && itn < maxiter) {
-            itn += 1;
-            counters[1] += 1;
-            lu_solve_(A, piv, rc, dxs);
-            int ok = 1;
-            for (int i = 0; i < N; ++i)
-                if (!isfinite(dxs[i])) ok = 0;
-            if (!ok) {
-                if (fresh) { have = 0; failed = 3; break; }
-                if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                              jac_meta)) {
-                    counters[3] += 1;
-                    fresh = 1;
-                    continue;
-                }
-                have = 0; failed = 3; break;
-            }
-            for (int i = 0; i < N; ++i) xn[i] = xc[i] - dxs[i];
-            double norm_new = residual_(xn, p, b_row, alpha, beta, rhs,
-                                        qv, fv, rn);
-            counters[2] += 1;
-            if (norm_new <= atol) {
-                for (int i = 0; i < N; ++i) xc[i] = xn[i];
-                norm = norm_new;
-                converged = 1;
-                break;
-            }
-            if (!(norm_new < norm)) {
-                if (!fresh) {
-                    if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                                  jac_meta)) {
-                        counters[3] += 1;
-                        fresh = 1;
-                        continue;
-                    }
-                    have = 0; failed = 3; break;
-                }
-                double step = 0.5;
-                for (long long halving = 0; halving < halvings; ++halving) {
-                    for (int i = 0; i < N; ++i)
-                        xn[i] = xc[i] - step * dxs[i];
-                    norm_new = residual_(xn, p, b_row, alpha, beta, rhs,
-                                         qv, fv, rn);
-                    counters[2] += 1;
-                    if (isfinite(norm_new) && norm_new < norm) break;
-                    if (halving < halvings - 1) step = step * 0.5;
-                }
-            }
-            int small = 1;
-            for (int i = 0; i < N; ++i) {
-                double m = fabs(xn[i]);
-                if (m < 1.0) m = 1.0;
-                double d = fabs(xn[i] - xc[i]);
-                if (!(d <= rtol * m)) small = 0;
-            }
-            int slow = norm_new > contraction * norm;
-            for (int i = 0; i < N; ++i) { xc[i] = xn[i]; rc[i] = rn[i]; }
-            norm = norm_new;
-            if (norm <= atol || (small && isfinite(norm))) {
-                converged = 1;
-                break;
-            }
-            if (slow && !fresh) {
-                if (refactor_(xc, p, alpha, beta, A, piv, dqs, dfs,
-                              jac_meta)) {
-                    counters[3] += 1;
-                    fresh = 1;
-                } else {
-                    have = 0; failed = 3; break;
-                }
-            }
-        }
-        if (!converged) {
-            if (failed == 0) { failed = 1; have = 0; }
-            status = failed;
-            break;
-        }
+        status = chord_solve_(p, b_row, alpha, beta, rhs, dopts, iopts, A,
+                              piv, jac_meta, &have, counters, xc, xn, dxs,
+                              rc, rn, qv, fv, dqs, dfs);
+        if (status != 0) break;
         /* Local-error control (simulate_transient's adaptive block). */
         double dt_next = dt;
         if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
@@ -614,26 +519,9 @@ long long sweep_adaptive(const double* b_row, long long max_accept,
             if (!(growth < 5.0)) growth = 5.0;
             dt_next = dt * growth;
         }
-        if (hc == 3) {
-            for (int j = 0; j < 2; ++j) {
-                h_t[j] = h_t[j + 1];
-                for (int i = 0; i < N; ++i) {
-                    h_x[j * N + i] = h_x[(j + 1) * N + i];
-                    h_q[j * N + i] = h_q[(j + 1) * N + i];
-                    h_fb[j * N + i] = h_fb[(j + 1) * N + i];
-                }
-            }
-            hc = 2;
-        }
-        h_t[hc] = t_new;
-        for (int i = 0; i < N; ++i) {
-            h_x[hc * N + i] = xc[i];
-            h_q[hc * N + i] = qv[i];
-            h_fb[hc * N + i] = fv[i];
-        }
-        hstate[0] = hc + 1;
+        push_history_(h_t, h_x, h_q, h_fb, hstate, 1, t_new, xc, qv, fv);
         out_t[accepted] = t_new;
-        for (int i = 0; i < N; ++i) out_x[accepted * N + i] = xc[i];
+        memcpy(out_x + accepted * N, xc, sizeof(double) * N);
         accepted += 1;
         counters[0] += 1;
         dt = dt_next;
@@ -655,26 +543,6 @@ static void ens_residual_(const double* X, const double* P, long long B,
                              FV + b * N, RC + b * N);
 }
 
-static int ens_refactor_(const double* X, const double* P, long long B,
-                         long long pstride, double alpha, double beta,
-                         double* A, long long* piv, double* dqs,
-                         double* dfs, double* jac_meta) {
-    for (long long b = 0; b < B; ++b) {
-        eval_jac(X + b * N, P + b * pstride, dqs, dfs);
-        for (int i = 0; i < N; ++i)
-            for (int j = 0; j < N; ++j)
-                A[b * NN + i * N + j] = alpha * dqs[i * N + j]
-                    + beta * dfs[i * N + j];
-        if (!lu_factor_(A + b * NN, piv + b * N)) return 0;
-    }
-    jac_meta[0] = alpha;
-    jac_meta[1] = beta;
-    for (long long b = 0; b < B; ++b)
-        for (int i = 0; i < N; ++i)
-            jac_meta[2 + b * N + i] = X[b * N + i];
-    return 1;
-}
-
 long long sweep_ens(const double* t_grid, const double* b_grid,
                     long long gi_start, long long gi_end, long long B,
                     long long pstride, double* h_t, double* h_x,
@@ -690,10 +558,8 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
     double atol = dopts[0];
     double rtol = dopts[1];
     double contraction = dopts[2];
-    double param_rtol = dopts[3];
     long long maxiter = iopts[0];
     long long halvings = iopts[1];
-    long long integ = iopts[2];
     long long* conv = masks + 0 * B;
     long long* aband = masks + 1 * B;
     long long* scratch = masks + 2 * B;
@@ -703,83 +569,16 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
     double* norms = fwork + 0 * B;
     double* tnorms = fwork + 1 * B;
     double* stepv = fwork + 2 * B;
-    int have = flags[0] != 0;
-    if (have && flags[1] != 0) {
-        /* Resume/re-entry: rebuild every LU block from metadata. */
-        for (long long b = 0; b < B; ++b)
-            for (int i = 0; i < N; ++i)
-                XC[b * N + i] = jac_meta[2 + b * N + i];
-        if (!ens_refactor_(XC, P, B, pstride, jac_meta[0], jac_meta[1],
-                           A, piv, dqs, dfs, jac_meta))
-            have = 0;
-    }
-    flags[1] = 0;
+    int have = enter_(flags, P, B, pstride, A, piv, jac_meta, XC, dqs, dfs);
     long long status = 0;
     for (long long gi = gi_start; gi < gi_end; ++gi) {
         long long hc = hstate[0];
         double t_new = t_grid[gi];
-        double dt = t_new - h_t[hc - 1];
         double alpha, beta;
-        if (integ == 1) {
-            alpha = 1.0 / dt;
-            beta = 0.5;
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    RHS[b * N + i] = -h_q[((hc - 1) * B + b) * N + i] / dt
-                        + 0.5 * h_fb[((hc - 1) * B + b) * N + i];
-        } else if (integ == 2 && hc >= 2) {
-            double t1 = h_t[hc - 1];
-            double t2 = h_t[hc - 2];
-            alpha = (2.0 * t_new - t1 - t2)
-                / ((t_new - t1) * (t_new - t2));
-            beta = 1.0;
-            double d1 = (t_new - t2) / ((t1 - t_new) * (t1 - t2));
-            double d2 = (t_new - t1) / ((t2 - t_new) * (t2 - t1));
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    RHS[b * N + i] =
-                        d1 * h_q[((hc - 1) * B + b) * N + i]
-                        + d2 * h_q[((hc - 2) * B + b) * N + i];
-        } else {
-            alpha = 1.0 / dt;
-            beta = 1.0;
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    RHS[b * N + i] =
-                        -h_q[((hc - 1) * B + b) * N + i] / dt;
-        }
-        /* _notify_alpha: one tracked alpha in reg[0] (nan = unset). */
-        double old = reg[0];
-        if (old == old && fabs(alpha - old) > param_rtol * fabs(old))
-            have = 0;
-        reg[0] = alpha;
-        if (hc >= 3 && h_t[0] != h_t[1] && h_t[1] != h_t[2]
-                && h_t[0] != h_t[2]) {
-            double ta = h_t[0], tb = h_t[1], tc = h_t[2];
-            double la = (t_new - tb) * (t_new - tc)
-                / ((ta - tb) * (ta - tc));
-            double lb = (t_new - ta) * (t_new - tc)
-                / ((tb - ta) * (tb - tc));
-            double lc = (t_new - ta) * (t_new - tb)
-                / ((tc - ta) * (tc - tb));
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    XC[b * N + i] = la * h_x[(0 * B + b) * N + i]
-                        + lb * h_x[(1 * B + b) * N + i]
-                        + lc * h_x[(2 * B + b) * N + i];
-        } else if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
-            double frac = (t_new - h_t[hc - 1])
-                / (h_t[hc - 1] - h_t[hc - 2]);
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    XC[b * N + i] = h_x[((hc - 1) * B + b) * N + i]
-                        + (h_x[((hc - 1) * B + b) * N + i]
-                           - h_x[((hc - 2) * B + b) * N + i]) * frac;
-        } else {
-            for (long long b = 0; b < B; ++b)
-                for (int i = 0; i < N; ++i)
-                    XC[b * N + i] = h_x[((hc - 1) * B + b) * N + i];
-        }
+        step_terms_(iopts[2], h_t, h_q, h_fb, hc, B, t_new, RHS, &alpha,
+                    &beta);
+        note_alpha_(reg, alpha, dopts[3], &have);
+        predict_(h_t, h_x, hc, B, t_new, XC);
         counters[4] += 1;
         ens_residual_(XC, P, B, pstride, b_grid + gi * B * N, alpha,
                       beta, RHS, QV, FV, RC, norms);
@@ -795,21 +594,16 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
                 num_left += 1;
             }
         }
-        long long failed = 0;
         int fresh = 0;
         if (num_left > 0 && !have) {
-            if (ens_refactor_(XC, P, B, pstride, alpha, beta, A, piv,
-                              dqs, dfs, jac_meta)) {
-                counters[3] += 1;
-                have = 1;
-                fresh = 1;
-            } else {
-                have = 0;
-                failed = 3;
-            }
+            if (!refactor_(XC, P, B, pstride, alpha, beta, A, piv, dqs, dfs,
+                           jac_meta, counters))
+                goto singular;
+            have = 1;
+            fresh = 1;
         }
         long long itn = 0;
-        while (failed == 0 && num_left > 0 && itn < maxiter) {
+        while (num_left > 0 && itn < maxiter) {
             itn += 1;
             counters[1] += 1;
             for (long long b = 0; b < B; ++b)
@@ -829,18 +623,15 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
             if (anybad) {
                 if (!fresh) {
                     /* Blame staleness first: refactorise and retry. */
-                    if (ens_refactor_(XC, P, B, pstride, alpha, beta, A,
-                                      piv, dqs, dfs, jac_meta)) {
-                        counters[3] += 1;
-                        fresh = 1;
-                        for (long long b = 0; b < B; ++b)
-                            if (conv[b] == 0 && aband[b] == 0)
-                                dits[b] -= 1;
-                        counters[1] -= 1;
-                        itn -= 1;
-                        continue;
-                    }
-                    have = 0; failed = 3; break;
+                    if (!refactor_(XC, P, B, pstride, alpha, beta, A, piv,
+                                   dqs, dfs, jac_meta, counters))
+                        goto singular;
+                    fresh = 1;
+                    for (long long b = 0; b < B; ++b)
+                        if (conv[b] == 0 && aband[b] == 0) dits[b] -= 1;
+                    counters[1] -= 1;
+                    itn -= 1;
+                    continue;
                 }
                 /* Fresh factors and still non-finite: abandon those
                  * scenarios to the python-side rescue. */
@@ -875,18 +666,15 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
             }
             if (anyup) {
                 if (!fresh) {
-                    if (ens_refactor_(XC, P, B, pstride, alpha, beta, A,
-                                      piv, dqs, dfs, jac_meta)) {
-                        counters[3] += 1;
-                        fresh = 1;
-                        for (long long b = 0; b < B; ++b)
-                            if (conv[b] == 0 && aband[b] == 0)
-                                dits[b] -= 1;
-                        counters[1] -= 1;
-                        itn -= 1;
-                        continue;
-                    }
-                    have = 0; failed = 3; break;
+                    if (!refactor_(XC, P, B, pstride, alpha, beta, A, piv,
+                                   dqs, dfs, jac_meta, counters))
+                        goto singular;
+                    fresh = 1;
+                    for (long long b = 0; b < B; ++b)
+                        if (conv[b] == 0 && aband[b] == 0) dits[b] -= 1;
+                    counters[1] -= 1;
+                    itn -= 1;
+                    continue;
                 }
                 /* Per-scenario damped line search. */
                 for (long long b = 0; b < B; ++b) {
@@ -926,24 +714,15 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
             }
             /* update_small & slow at pre-commit states, then commit. */
             for (long long b = 0; b < B; ++b) {
-                long long small = 1;
-                for (int i = 0; i < N; ++i) {
-                    double m = fabs(XN[b * N + i]);
-                    if (m < 1.0) m = 1.0;
-                    double d = fabs(XN[b * N + i] - XC[b * N + i]);
-                    if (!(d <= rtol * m)) small = 0;
-                }
+                long long small = small_update_(XN + b * N, XC + b * N,
+                                                rtol);
                 long long slow =
                     (tnorms[b] > contraction * norms[b]) ? 1 : 0;
                 scratch[b] = 2 * slow + small;
             }
-            for (long long b = 0; b < B; ++b) {
-                for (int i = 0; i < N; ++i) {
-                    XC[b * N + i] = XN[b * N + i];
-                    RC[b * N + i] = RN[b * N + i];
-                }
-                norms[b] = tnorms[b];
-            }
+            memcpy(XC, XN, sizeof(double) * B * N);
+            memcpy(RC, RN, sizeof(double) * B * N);
+            memcpy(norms, tnorms, sizeof(double) * B);
             for (long long b = 0; b < B; ++b) {
                 if (conv[b] == 0 && aband[b] == 0) {
                     long long small = scratch[b] % 2;
@@ -962,21 +741,12 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
                     if (scratch[b] >= 2 && conv[b] == 0 && aband[b] == 0)
                         anyslow = 1;
                 if (anyslow) {
-                    if (ens_refactor_(XC, P, B, pstride, alpha, beta, A,
-                                      piv, dqs, dfs, jac_meta)) {
-                        counters[3] += 1;
-                        fresh = 1;
-                    } else {
-                        have = 0; failed = 3; break;
-                    }
+                    if (!refactor_(XC, P, B, pstride, alpha, beta, A, piv,
+                                   dqs, dfs, jac_meta, counters))
+                        goto singular;
+                    fresh = 1;
                 }
             }
-        }
-        if (failed == 3) {
-            /* Singular stack: per-scenario iterations are discarded,
-             * like the python controller's early return. */
-            status = 3;
-            break;
         }
         for (long long b = 0; b < B; ++b) iters_b[b] += dits[b];
         int all_conv = 1;
@@ -987,37 +757,17 @@ long long sweep_ens(const double* t_grid, const double* b_grid,
             status = 1;
             break;
         }
-        if (hc == 3) {
-            for (int j = 0; j < 2; ++j) {
-                h_t[j] = h_t[j + 1];
-                for (long long b = 0; b < B; ++b)
-                    for (int i = 0; i < N; ++i) {
-                        h_x[(j * B + b) * N + i] =
-                            h_x[((j + 1) * B + b) * N + i];
-                        h_q[(j * B + b) * N + i] =
-                            h_q[((j + 1) * B + b) * N + i];
-                        h_fb[(j * B + b) * N + i] =
-                            h_fb[((j + 1) * B + b) * N + i];
-                    }
-            }
-            hc = 2;
-        }
-        h_t[hc] = t_new;
-        for (long long b = 0; b < B; ++b)
-            for (int i = 0; i < N; ++i) {
-                h_x[(hc * B + b) * N + i] = XC[b * N + i];
-                h_q[(hc * B + b) * N + i] = QV[b * N + i];
-                h_fb[(hc * B + b) * N + i] = FV[b * N + i];
-            }
-        hstate[0] = hc + 1;
-        long long row = gi - gi_start;
-        for (long long b = 0; b < B; ++b)
-            for (int i = 0; i < N; ++i)
-                out_x[(row * B + b) * N + i] = XC[b * N + i];
+        push_history_(h_t, h_x, h_q, h_fb, hstate, B, t_new, XC, QV, FV);
+        memcpy(out_x + (gi - gi_start) * B * N, XC, sizeof(double) * B * N);
         counters[0] += 1;
     }
     flags[0] = have ? 1 : 0;
     return status;
+singular:
+    /* A singular stack fails the step; its per-scenario iterations are
+     * discarded, like the python controller's early return. */
+    flags[0] = 0;
+    return 3;
 }
 '''
 
@@ -1029,6 +779,7 @@ def generate_c_source(spec):
  * Do not edit: regenerate via repro.kernels.codegen.generate_c_source.
  */
 #include <math.h>
+#include <string.h>
 
 #define N {spec.n}
 #define NN {spec.n * spec.n}

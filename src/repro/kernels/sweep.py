@@ -1,13 +1,13 @@
 """Drivers wiring built kernels into the engines.
 
-:class:`CompiledSweepRunner`
-    Owns the state arrays of one fixed-step transient march (history
-    ring, frozen dense LU, chord bookkeeping registers, counters) and
-    runs N grid steps per :meth:`run` call through the generated
-    ``sweep`` entry point.  The transient engine chunks calls at
-    checkpoint boundaries and hands any non-converged step back to the
-    python slow path, so the recovery ladder, checkpointing and failure
-    semantics are unchanged.
+:class:`CompiledSweepRunner` / :class:`EnsembleSweepRunner`
+    Own the state arrays of one compiled transient march (history ring,
+    frozen dense LU, chord bookkeeping registers, counters) and run
+    whole chunks of steps per call through the generated serial
+    ``sweep`` / ``sweep_adaptive`` or lock-step ``sweep_ens`` entry
+    points.  The engines chunk calls at checkpoint boundaries and hand
+    any non-converged step back to the python slow path, so the
+    recovery ladder, checkpointing and failure semantics are unchanged.
 :class:`KernelizedDAE`
     A DAE proxy replacing the batched evaluations (``q_batch`` /
     ``f_batch`` / ``qf_batch`` / ``dq_dx_batch`` / ``df_dx_batch``) with
@@ -33,7 +33,7 @@ from .registry import spec_for_dae
 MAX_KERNEL_UNKNOWNS = 64
 
 #: counters layout: [steps, iterations, residual_evals, factorizations,
-#: solves, reserved]
+#: solves, rejected_steps]; the last only ``sweep_adaptive`` counts.
 _N_COUNTERS = 6
 
 
@@ -47,18 +47,140 @@ def _new_info(requested):
     }
 
 
-def _build_with_fallback(spec, requested, info):
-    """Build ``spec``, leaving auto requests on python on failure."""
+def _build_eligible(info, veto, find_spec, spec_veto=None):
+    """The eligibility ladder every compiled route climbs, then the build.
+
+    In order: the resolved backend (an explicitly requested unavailable
+    one raises :class:`~repro.errors.ConfigurationError` here, whatever
+    the rest), the caller's ``veto``, the kernel spec from
+    ``find_spec()``, the caller's ``spec_veto(spec)``, the dense size
+    limit, and the build (an ``auto`` request stays on NumPy when it
+    fails).  Returns the built kernel, or ``None`` with
+    ``info["reason"]`` saying why the route stays on NumPy.
+    """
+    requested = info["requested"]
+    mode, reason = resolve_mode(requested)
+    if mode == "python":
+        info["reason"] = reason
+        return None
+    spec = None
+    if veto is None:
+        spec, veto = find_spec()
+    if veto is None and spec_veto is not None:
+        veto = spec_veto(spec)
+    if veto is None and spec.n > MAX_KERNEL_UNKNOWNS:
+        veto = (
+            f"{spec.n} unknowns exceed the dense-kernel limit "
+            f"({MAX_KERNEL_UNKNOWNS})"
+        )
+    if veto is not None:
+        info["reason"] = veto
+        return None
     try:
-        return build_kernel(spec)
+        built = build_kernel(spec)
     except KernelBuildError as exc:
         if requested != "auto":
             raise
         info["reason"] = f"kernel build failed: {exc}"
         return None
+    info["mode"] = built.mode
+    info["compile_time_s"] = round(built.compile_time_s, 6)
+    return built
 
 
-class CompiledSweepRunner:
+def _integrator_id(integrator):
+    """The ``integ`` code of the C step terms, or ``None``."""
+    from repro.transient.integrators import (
+        BackwardEuler,
+        Bdf2,
+        Trapezoidal,
+    )
+
+    return {BackwardEuler: 0, Trapezoidal: 1, Bdf2: 2}.get(type(integrator))
+
+
+def _march_veto(opts, integrator, blocked, what):
+    """Why a transient march cannot run ``what``, or ``None``."""
+    if blocked is not None:
+        return blocked
+    if not opts.stale_jacobian or opts.linear_solver is not None:
+        return f"{what} requires the chord (frozen-LU) path"
+    if _integrator_id(integrator) is None:
+        return (
+            f"no compiled sweep for integrator {type(integrator).__name__}"
+        )
+    return None
+
+
+class _SweepRunner:
+    """State shared by the compiled marches: ring, chord state, counters.
+
+    The history ring holds up to three ``(t, x, q, f - b)`` entries,
+    oldest first, each of ``rows`` stacked states: ``()`` for the serial
+    sweeps, ``(B,)`` for the lock-step ensemble (the serial ring is the
+    ``B = 1`` case of the C runtime's ``(3, B, n)`` ring).
+    """
+
+    def __init__(self, built, opts, integrator, rows, dopts=(), iopts=()):
+        n = built.spec.n
+        self.impl = built.impl
+        self.n = n
+        newton = opts.newton or NewtonOptions()
+        self.h_t = np.zeros(3)
+        self.h_x = np.zeros((3,) + rows + (n,))
+        self.h_q = np.zeros_like(self.h_x)
+        self.h_fb = np.zeros_like(self.h_x)
+        # hstate[0] = occupied ring entries.
+        self.hstate = np.zeros(1, dtype=np.int64)
+        # flags = [have_factors, rebuild_factors_from_meta_on_entry]
+        self.flags = np.zeros(2, dtype=np.int64)
+        self.A = np.zeros(rows + (n, n))
+        self.piv = np.zeros(rows + (n,), dtype=np.int64)
+        # [alpha, beta, x rows...] of the matrix the frozen LU holds.
+        self.jac_meta = np.zeros(2 + self.h_x[0].size)
+        # [params_alpha, last_alpha, live_dt]; nan = unset (the python
+        # controllers' note_parameters bookkeeping; live_dt is the
+        # adaptive sweep's).
+        self.reg = np.full(3, np.nan)
+        # [newton_atol, newton_rtol, contraction, param_rtol, *dopts]
+        self.dopts = np.array([
+            newton.atol, newton.rtol, float(opts.refresh_contraction),
+            0.25, *dopts,
+        ])
+        self.iopts = np.array([
+            newton.max_iterations, newton.max_step_halvings,
+            _integrator_id(integrator), *iopts,
+        ], dtype=np.int64)
+        self.counters = np.zeros(_N_COUNTERS, dtype=np.int64)
+        self.out_x = np.empty((0,) + rows + (n,))
+        # xc, xn, dxs, rc, rn, qv, fv, rhs, then flat dq and df scratch.
+        self.work = tuple(np.empty(rows + (n,)) for _ in range(8)) + (
+            np.empty(n * n), np.empty(n * n),
+        )
+        self.last_wall = 0.0
+
+    def _load_ring(self, history):
+        hc = min(len(history), 3)
+        self.hstate[0] = hc
+        for j, (ht, hx, hq, hfb) in enumerate(history[-hc:]):
+            self.h_t[j] = ht
+            self.h_x[j] = hx
+            self.h_q[j] = hq
+            self.h_fb[j] = hfb
+
+    def export_history(self):
+        hc = int(self.hstate[0])
+        return [
+            (float(self.h_t[j]), self.h_x[j].copy(), self.h_q[j].copy(),
+             self.h_fb[j].copy())
+            for j in range(hc)
+        ]
+
+    def reset_counters(self):
+        self.counters[:] = 0
+
+
+class CompiledSweepRunner(_SweepRunner):
     """State + dispatch for one compiled serial transient march.
 
     Drives two generated entry points over the same state arrays: the
@@ -67,72 +189,35 @@ class CompiledSweepRunner:
     controller; the live dt persists in ``reg[2]`` across calls).
     """
 
-    def __init__(self, built, opts, integrator_id, order=1):
-        spec = built.spec
-        n = spec.n
-        self.impl = built.impl
-        self.n = n
-        newton = opts.newton or NewtonOptions()
-        # History ring, oldest-first; hstate[0] = occupied rows.
-        self.h_t = np.zeros(3)
-        self.h_x = np.zeros((3, n))
-        self.h_q = np.zeros((3, n))
-        self.h_fb = np.zeros((3, n))
-        self.hstate = np.zeros(1, dtype=np.int64)
-        # flags = [have_factors, refactor_from_meta_on_entry]
-        self.flags = np.zeros(2, dtype=np.int64)
-        self.A = np.zeros((n, n))
-        self.piv = np.zeros(n, dtype=np.int64)
-        # [alpha, beta, x...] of the matrix the frozen LU was built from.
-        self.jac_meta = np.zeros(2 + n)
-        # [params_alpha, last_alpha, live_dt]; nan = unset (mirrors the
-        # python controller's note_parameters bookkeeping).
-        self.reg = np.full(3, np.nan)
-        # [newton_atol, newton_rtol, contraction, param_rtol,
-        #  err_atol, err_rtol, dt_min, dt_max, t_stop] — the serial
-        # fixed-step sweep reads only the first four.
-        self.dopts = np.array([
-            newton.atol, newton.rtol,
-            float(opts.refresh_contraction), 0.25,
-            float(getattr(opts, "atol", 1e-9)),
-            float(getattr(opts, "rtol", 1e-6)),
-            float(getattr(opts, "dt_min", 1e-18)),
-            float(getattr(opts, "dt_max", np.inf)),
-            0.0,
-        ])
-        self.iopts = np.array([
-            newton.max_iterations, newton.max_step_halvings, integrator_id,
-            int(order),
-        ], dtype=np.int64)
-        self.p = np.ascontiguousarray(spec.params_rows[0])
-        self.counters = np.zeros(_N_COUNTERS, dtype=np.int64)
-        self.out_t = np.empty(0)
-        self.out_x = np.empty((0, n))
-        self.scratch = tuple(np.empty(n) for _ in range(8)) + (
-            np.empty(n * n), np.empty(n * n),
+    def __init__(self, built, opts, integrator):
+        super().__init__(
+            built, opts, integrator, (),
+            # err_atol, err_rtol, dt_min, dt_max, t_stop: read by the
+            # adaptive sweep only.
+            dopts=(
+                float(getattr(opts, "atol", 1e-9)),
+                float(getattr(opts, "rtol", 1e-6)),
+                float(getattr(opts, "dt_min", 1e-18)),
+                float(getattr(opts, "dt_max", np.inf)),
+                0.0,
+            ),
+            iopts=(int(getattr(integrator, "order", 1)),),
         )
-        self.last_wall = 0.0
+        self.p = np.ascontiguousarray(built.spec.params_rows[0])
+        self.out_t = np.empty(0)
 
     def load(self, history, controller):
         """Seed ring + chord state from the engine's live bookkeeping."""
-        hc = min(len(history), 3)
-        self.hstate[0] = hc
-        for j, (ht, hx, hq, hfb) in enumerate(history[-hc:]):
-            self.h_t[j] = ht
-            self.h_x[j] = hx
-            self.h_q[j] = hq
-            self.h_fb[j] = hfb
+        self._load_ring(history)
         meta = controller.core.factor_metadata()
         if meta is not None:
             alpha, beta, xj = meta
             self.jac_meta[0] = alpha
             self.jac_meta[1] = beta
             self.jac_meta[2:] = xj
-            self.flags[0] = 1
-            self.flags[1] = 1  # rebuild the LU from meta on entry
+            self.flags[:] = 1  # held; rebuild the LU from meta on entry
         else:
-            self.flags[0] = 0
-            self.flags[1] = 0
+            self.flags[:] = 0
         if controller._last_alpha is not None:
             self.reg[1] = float(controller._last_alpha)
         alpha_param = controller.core._params.get("alpha")
@@ -149,7 +234,7 @@ class CompiledSweepRunner:
             self.h_t, self.h_x, self.h_q, self.h_fb, self.hstate,
             self.flags, self.A, self.piv, self.jac_meta, self.reg,
             self.dopts, self.iopts, self.p, self.out_x, self.counters,
-            *self.scratch,
+            *self.work,
         )
         self.last_wall = time.perf_counter() - start
         return int(status)
@@ -172,21 +257,10 @@ class CompiledSweepRunner:
             self.h_t, self.h_x, self.h_q, self.h_fb, self.hstate,
             self.flags, self.A, self.piv, self.jac_meta, self.reg,
             self.dopts, self.iopts, self.p, self.out_t, self.out_x,
-            self.counters, *self.scratch,
+            self.counters, *self.work,
         )
         self.last_wall = time.perf_counter() - start
         return int(status)
-
-    def reset_counters(self):
-        self.counters[:] = 0
-
-    def export_history(self):
-        hc = int(self.hstate[0])
-        return [
-            (float(self.h_t[j]), self.h_x[j].copy(), self.h_q[j].copy(),
-             self.h_fb[j].copy())
-            for j in range(hc)
-        ]
 
     def sync_controller(self, controller):
         """Push ring-side chord state back into the python controller.
@@ -209,69 +283,31 @@ class CompiledSweepRunner:
 
 
 def prepare_transient_runner(dae, opts, integrator, blocked=None):
-    """Resolve/compile the fixed-step sweep kernel for one transient run.
+    """Resolve/compile the serial sweep kernel for one transient run.
 
-    Returns ``(runner, info)``; ``runner`` is ``None`` whenever the run
-    stays on the python path, with ``info["reason"]`` saying why.  An
-    explicitly requested unavailable backend raises
+    One runner serves both serial entry points: the fixed-step
+    ``sweep`` and the adaptive ``sweep_adaptive``.  Returns
+    ``(runner, info)``; ``runner`` is ``None`` whenever the run stays on
+    the python path, with ``info["reason"]`` saying why.  An explicitly
+    requested unavailable backend raises
     :class:`~repro.errors.ConfigurationError` (from ``resolve_mode``)
     regardless of eligibility, so misconfiguration surfaces eagerly.
     """
-    from repro.transient.integrators import (
-        BackwardEuler,
-        Bdf2,
-        Trapezoidal,
-    )
-
-    requested = getattr(opts, "kernel", "auto")
-    mode, reason = resolve_mode(requested)
-    info = _new_info(requested)
-    if mode == "python":
-        info["reason"] = reason
-        return None, info
-    if blocked is not None:
-        info["reason"] = blocked
-        return None, info
-    if not opts.stale_jacobian or opts.linear_solver is not None:
-        info["reason"] = "compiled sweep requires the chord (frozen-LU) path"
-        return None, info
-    integrator_id = {BackwardEuler: 0, Trapezoidal: 1, Bdf2: 2}.get(
-        type(integrator)
-    )
-    if integrator_id is None:
-        info["reason"] = (
-            f"no compiled sweep for integrator "
-            f"{type(integrator).__name__}"
-        )
-        return None, info
-    spec, why = spec_for_dae(dae)
-    if spec is None:
-        info["reason"] = why
-        return None, info
-    if spec.stacked:
-        info["reason"] = (
+    info = _new_info(getattr(opts, "kernel", "auto"))
+    built = _build_eligible(
+        info, _march_veto(opts, integrator, blocked, "compiled sweep"),
+        lambda: spec_for_dae(dae),
+        lambda spec: (
             "per-scenario parameter stacks run through the batched "
-            "ensemble path"
-        )
-        return None, info
-    if spec.n > MAX_KERNEL_UNKNOWNS:
-        info["reason"] = (
-            f"{spec.n} unknowns exceed the dense-kernel limit "
-            f"({MAX_KERNEL_UNKNOWNS})"
-        )
-        return None, info
-    built = _build_with_fallback(spec, info["requested"], info)
+            "ensemble path" if spec.stacked else None
+        ),
+    )
     if built is None:
         return None, info
-    runner = CompiledSweepRunner(
-        built, opts, integrator_id, order=getattr(integrator, "order", 1)
-    )
-    info["mode"] = built.mode
-    info["compile_time_s"] = round(built.compile_time_s, 6)
-    return runner, info
+    return CompiledSweepRunner(built, opts, integrator), info
 
 
-class EnsembleSweepRunner:
+class EnsembleSweepRunner(_SweepRunner):
     """State + dispatch for one compiled batched lock-step ensemble march.
 
     The generated ``sweep_ens`` advances all ``B`` scenarios through
@@ -283,47 +319,15 @@ class EnsembleSweepRunner:
     path is unchanged.
     """
 
-    def __init__(self, built, opts, integrator_id, batch):
-        spec = built.spec
-        n = spec.n
-        self.impl = built.impl
-        self.n = n
+    def __init__(self, built, opts, integrator, batch):
         self.batch = int(batch)
-        B = self.batch
-        newton = opts.newton or NewtonOptions()
-        self.h_t = np.zeros(3)
-        self.h_x = np.zeros((3, B, n))
-        self.h_q = np.zeros((3, B, n))
-        self.h_fb = np.zeros((3, B, n))
-        self.hstate = np.zeros(1, dtype=np.int64)
-        # flags = [have_factors, refactor_stack_from_meta_on_entry]
-        self.flags = np.zeros(2, dtype=np.int64)
-        self.A = np.zeros((B, n, n))
-        self.piv = np.zeros((B, n), dtype=np.int64)
-        # [alpha, beta, x rows...] of the frozen factor stack.
-        self.jac_meta = np.zeros(2 + B * n)
-        # [tracked_alpha]; nan = unset (the ensemble controller's
-        # _notify_alpha bookkeeping).
-        self.reg = np.full(1, np.nan)
-        self.dopts = np.array([
-            newton.atol, newton.rtol,
-            float(opts.refresh_contraction), 0.25,
-        ])
-        self.iopts = np.array([
-            newton.max_iterations, newton.max_step_halvings, integrator_id,
-        ], dtype=np.int64)
-        P = np.ascontiguousarray(spec.params_rows)
+        super().__init__(built, opts, integrator, (self.batch,))
+        P = np.ascontiguousarray(built.spec.params_rows)
         self.P = P
         self.pstride = P.shape[1] if P.shape[0] > 1 else 0
-        self.counters = np.zeros(_N_COUNTERS, dtype=np.int64)
-        self.iters_b = np.zeros(B, dtype=np.int64)
-        self.out_x = np.empty((0, B, n))
-        self.work = tuple(np.empty((B, n)) for _ in range(8)) + (
-            np.empty(n * n), np.empty(n * n),
-        )
-        self.masks = np.zeros((6, B), dtype=np.int64)
-        self.fwork = np.zeros((3, B))
-        self.last_wall = 0.0
+        self.iters_b = np.zeros(self.batch, dtype=np.int64)
+        self.masks = np.zeros((6, self.batch), dtype=np.int64)
+        self.fwork = np.zeros((3, self.batch))
 
     def load(self, history, controller):
         """Seed the ring from the engine's live history.
@@ -332,19 +336,13 @@ class EnsembleSweepRunner:
         reloads after python-handled steps, and the python chord always
         invalidates its factor stack on the handback that caused them —
         so the kernel's first step refactorises exactly where the python
-        march would.
+        march would.  The ensemble controller tracks one alpha, so both
+        alpha registers carry it.
         """
-        hc = min(len(history), 3)
-        self.hstate[0] = hc
-        for j, (ht, hx, hq, hfb) in enumerate(history[-hc:]):
-            self.h_t[j] = ht
-            self.h_x[j] = hx
-            self.h_q[j] = hq
-            self.h_fb[j] = hfb
-        self.flags[0] = 0
-        self.flags[1] = 0
+        self._load_ring(history)
+        self.flags[:] = 0
         alpha = controller._alpha
-        self.reg[0] = np.nan if alpha is None else float(alpha)
+        self.reg[:2] = np.nan if alpha is None else float(alpha)
 
     def run(self, t_grid, b_grid, gi_start, gi_end):
         count = gi_end - gi_start
@@ -362,16 +360,8 @@ class EnsembleSweepRunner:
         return int(status)
 
     def reset_counters(self):
-        self.counters[:] = 0
+        super().reset_counters()
         self.iters_b[:] = 0
-
-    def export_history(self):
-        hc = int(self.hstate[0])
-        return [
-            (float(self.h_t[j]), self.h_x[j].copy(), self.h_q[j].copy(),
-             self.h_fb[j].copy())
-            for j in range(hc)
-        ]
 
     def sync_controller(self, controller):
         """Push the tracked integrator weight back into the controller.
@@ -396,53 +386,15 @@ def prepare_ensemble_runner(ensemble, opts, integrator, blocked=None):
     march stays on the NumPy lock-step path, with ``info["reason"]``
     recording the machine-readable cause.
     """
-    from repro.transient.integrators import (
-        BackwardEuler,
-        Bdf2,
-        Trapezoidal,
+    info = _new_info(getattr(opts, "kernel", "auto"))
+    built = _build_eligible(
+        info,
+        _march_veto(opts, integrator, blocked, "compiled ensemble sweep"),
+        ensemble.kernel_spec,
     )
-
-    requested = getattr(opts, "kernel", "auto")
-    mode, reason = resolve_mode(requested)
-    info = _new_info(requested)
-    if mode == "python":
-        info["reason"] = reason
-        return None, info
-    if blocked is not None:
-        info["reason"] = blocked
-        return None, info
-    if not opts.stale_jacobian or opts.linear_solver is not None:
-        info["reason"] = (
-            "compiled ensemble sweep requires the chord (frozen-LU) path"
-        )
-        return None, info
-    integrator_id = {BackwardEuler: 0, Trapezoidal: 1, Bdf2: 2}.get(
-        type(integrator)
-    )
-    if integrator_id is None:
-        info["reason"] = (
-            f"no compiled sweep for integrator "
-            f"{type(integrator).__name__}"
-        )
-        return None, info
-    spec, why = ensemble.kernel_spec()
-    if spec is None:
-        info["reason"] = why
-        return None, info
-    if spec.n > MAX_KERNEL_UNKNOWNS:
-        info["reason"] = (
-            f"{spec.n} unknowns exceed the dense-kernel limit "
-            f"({MAX_KERNEL_UNKNOWNS})"
-        )
-        return None, info
-    built = _build_with_fallback(spec, info["requested"], info)
     if built is None:
         return None, info
-    runner = EnsembleSweepRunner(
-        built, opts, integrator_id, ensemble.batch_size
-    )
-    info["mode"] = built.mode
-    info["compile_time_s"] = round(built.compile_time_s, 6)
+    runner = EnsembleSweepRunner(built, opts, integrator, ensemble.batch_size)
     return runner, info
 
 
@@ -513,32 +465,18 @@ def maybe_kernelize_batch(dae, kernel_option, expected_batch=None):
     ``kernel="python"`` is the escape hatch back to the NumPy batch
     path.
     """
-    requested = "auto" if kernel_option is None else str(kernel_option)
-    mode, reason = resolve_mode(requested)
-    info = _new_info(requested)
+    info = _new_info(kernel_option)
     del info["compiled_steps"], info["python_steps"]
-    if mode == "python":
-        info["reason"] = reason
-        return dae, info
-    spec, why = spec_for_dae(dae)
-    if spec is None:
-        info["reason"] = why
-        return dae, info
-    if spec.stacked and (expected_batch is None
-                         or spec.params_rows.shape[0] != expected_batch):
-        info["reason"] = (
+    built = _build_eligible(
+        info, None, lambda: spec_for_dae(dae),
+        lambda spec: (
             "per-scenario parameter stacks do not match this batch layout"
-        )
-        return dae, info
-    if spec.n > MAX_KERNEL_UNKNOWNS:
-        info["reason"] = (
-            f"{spec.n} unknowns exceed the dense-kernel limit "
-            f"({MAX_KERNEL_UNKNOWNS})"
-        )
-        return dae, info
-    built = _build_with_fallback(spec, requested, info)
+            if spec.stacked and (
+                expected_batch is None
+                or spec.params_rows.shape[0] != expected_batch
+            ) else None
+        ),
+    )
     if built is None:
         return dae, info
-    info["mode"] = built.mode
-    info["compile_time_s"] = round(built.compile_time_s, 6)
     return KernelizedDAE(dae, built), info

@@ -56,6 +56,7 @@ from repro.kernels.sweep import (
 )
 from repro.kernels.backends import resolve_mode
 from repro.linalg.lu_cache import BlockFactorization
+from repro.linalg.newton import update_is_small
 from repro.linalg.solver_core import SolverStats
 from repro.linalg.transient_assembler import TransientStepAssembler
 from repro.resilience.march import March
@@ -282,11 +283,7 @@ class _EnsembleChord:
                         if not need.any():
                             break
 
-            update_small = np.all(
-                np.abs(trial - states)
-                <= opts.rtol * np.maximum(np.abs(trial), 1.0),
-                axis=1,
-            )
+            update_small = update_is_small(trial - states, trial, opts.rtol)
             slow = trial_norms > self.contraction * norms
             states, residuals, norms = trial, trial_residuals, trial_norms
             newly = active & (

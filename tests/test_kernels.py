@@ -16,6 +16,7 @@ Covers the four contracts of the kernel layer:
   (checkpoint + partial result) is unchanged.
 """
 
+import subprocess
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,24 @@ class TestKernelParity:
         spec, why = spec_for_dae(OpaqueDAE())
         assert spec is None
         assert "OpaqueDAE" in why
+
+
+class TestGeneratedSource:
+    @needs_backend
+    @pytest.mark.parametrize("name", ["vco", "mixer"])
+    def test_compiles_without_warnings(self, name, tmp_path):
+        """A helper parameter or local the runtime no longer reads (say,
+        an ``rtol`` a sweep stopped using) fails ``-Wall -Wextra``."""
+        spec, why = spec_for_dae(_fixture_daes()[name])
+        assert spec is not None, why
+        source = tmp_path / "kernel.c"
+        source.write_text(codegen.generate_c_source(spec))
+        proc = subprocess.run(
+            [backends._find_cc(), "-O2", "-Wall", "-Wextra", "-Werror",
+             "-fPIC", "-c", "-o", str(tmp_path / "kernel.o"), str(source)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrajectoryEquivalence:

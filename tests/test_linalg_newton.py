@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.errors import ConvergenceError, SingularJacobianError
 from repro.linalg import NewtonOptions, newton_solve
+from repro.linalg.newton import update_is_small
 
 
 def quadratic_residual(x):
@@ -175,3 +176,27 @@ class TestNewtonCustomLinearSolver:
         )
         assert result.converged
         assert len(calls) >= 1
+
+
+class TestUpdateIsSmall:
+    """The one Newton update test (every driver and the C chord call it)."""
+
+    def test_one_verdict_per_row(self):
+        x = np.array([[1.0, 2.0], [1.0, 2.0], [100.0, 0.0]])
+        update = np.array([[1e-10, 1e-10], [1e-3, 0.0], [5e-8, 5e-10]])
+        np.testing.assert_array_equal(
+            update_is_small(update, x, 1e-9), [True, False, True]
+        )
+        verdict = update_is_small(update[1], x[1], 1e-9)
+        assert np.ndim(verdict) == 0 and not verdict
+        assert update_is_small(update[0], x[0], 1e-9)
+
+    def test_scale_floors_at_one(self):
+        """Today's contract, stated on purpose: an unknown far below unit
+        scale is judged against 1, not against its own size."""
+        x = np.array([3e-8])
+        assert update_is_small(np.array([5e-10]), x, 1e-9)
+        assert not update_is_small(np.array([2e-9]), x, 1e-9)
+        # Above unit scale the test is relative.
+        assert update_is_small(np.array([5e-9]), np.array([10.0]), 1e-9)
+        assert not update_is_small(np.array([2e-8]), np.array([10.0]), 1e-9)

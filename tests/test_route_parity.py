@@ -16,6 +16,13 @@ marches such a circuit has a declared contract with the NumPy engine:
   test in :mod:`repro.linalg.newton`.
 * **Checkpoint resume** (both kernels): resuming from a mid-run
   checkpoint reproduces the uninterrupted run bit for bit.
+* **Adaptive C route** (``sweep_adaptive``, which needs constant
+  forcing): under a ``DC(amplitude)`` drive the adaptive C march runs
+  compiled end to end, and a run resumed from a mid-run checkpoint
+  equals the uninterrupted one bit for bit, rejections included.  It
+  has no bound against the adaptive NumPy march: Newton's absolute
+  residual test lets the two leave each other's step grid (ROADMAP
+  item 4).
 
 The C cases request ``kernel="c"`` and skip without a C compiler, so a
 ``REPRO_KERNEL=python`` run never compares NumPy with itself.  The
@@ -42,7 +49,7 @@ from repro.circuits.devices import (
     TanhTransconductance,
 )
 from repro.circuits.netlist import Circuit
-from repro.circuits.waveforms import Sine
+from repro.circuits.waveforms import DC, Sine
 from repro.dae import EnsembleDAE
 from repro.errors import SimulationError
 from repro.kernels import probe_cc
@@ -157,15 +164,17 @@ HANDBACK_NETLIST = (
 )
 
 
-def build(netlist, resistance=None):
+def build(netlist, resistance=None, dc=False):
     """The circuit's DAE; ``resistance`` overrides the first node's
-    grounded resistor (a ``(B,)`` stack gives a stacked circuit)."""
+    grounded resistor (a ``(B,)`` stack gives a stacked circuit), and
+    ``dc`` drives it with ``DC(amplitude)`` instead of the sine."""
     _, nodes, grounded, drive, devices = netlist
     circuit = Circuit("generated")
     node, amplitude, frequency = drive
-    circuit.add(CurrentSource(
-        "I0", "0", node, Sine(amplitude=amplitude, frequency=frequency)
-    ))
+    wave = DC(amplitude) if dc else Sine(
+        amplitude=amplitude, frequency=frequency
+    )
+    circuit.add(CurrentSource("I0", "0", node, wave))
     for k, (name, (r, c)) in enumerate(zip(nodes, grounded)):
         if k == 0 and resistance is not None:
             r = resistance
@@ -197,6 +206,16 @@ def march(netlist, kernel, resume_from=None, **overrides):
     return simulate_transient(
         dae, np.zeros(dae.n), 0.0, T_STOP,
         options(netlist, kernel, **overrides), resume_from=resume_from,
+    )
+
+
+def march_adaptive(netlist, resume_from=None, **overrides):
+    """The DC-driven circuit on the adaptive C route."""
+    dae = build(netlist, dc=True)
+    return simulate_transient(
+        dae, np.zeros(dae.n), 0.0, T_STOP,
+        options(netlist, "c", adaptive=True, **overrides),
+        resume_from=resume_from,
     )
 
 
@@ -283,3 +302,24 @@ def test_c_kernel_routes(netlist):
         march_ensemble(netlist, "python"), march_ensemble(netlist, "c")
     )
     assert_resume_is_bit_identical(netlist, "c", c_run)
+
+
+@needs_cc
+@MATRIX
+@example(LU_PIVOT_NETLIST)
+@example(HANDBACK_NETLIST)
+@given(netlists())
+def test_adaptive_c_route(netlist):
+    """The adaptive C sweep marches compiled end to end, and its
+    checkpoint resume is bit-identical, rejections included."""
+    full = march_adaptive(netlist)
+    assert full.stats["kernel"]["mode"] == "c"
+    assert full.stats["kernel"]["python_steps"] == 0
+    with pytest.raises(SimulationError) as info:
+        march_adaptive(netlist, max_steps=full.stats["steps"] // 2)
+    resumed = march_adaptive(netlist, resume_from=info.value.checkpoint)
+    assert np.array_equal(resumed.t, full.t)
+    assert np.array_equal(resumed.x, full.x)
+    for key in ("steps", "newton_iterations", "jacobian_factorizations",
+                "rejected_steps"):
+        assert resumed.stats[key] == full.stats[key], key
