@@ -21,7 +21,7 @@ over one ``(3, B, n)`` history ring; the serial sweeps are its
 ``step_terms_``    ``transient.integrators.Integrator.residual_terms``
 ``note_alpha_``    ``SolverCore.note_parameters(alpha=...)`` behind the
                    engine's alpha-changed guard
-``predict_``       ``transient.engine._extrapolate``
+``predict_``       ``transient.engine.extrapolate``
 ``push_history_``  the engine's history append (oldest entry dropped)
 ``refactor_``      the chord drivers' ``_refactor``, for ``B`` blocks
 ``enter_``         ``SolverCore.refactor_at``: the LU rebuild from
@@ -252,7 +252,7 @@ static inline void note_alpha_(double* reg, double alpha,
     reg[1] = alpha;
 }
 
-/* _extrapolate: the polynomial predictor through the ring's newest
+/* extrapolate: the polynomial predictor through the ring's newest
    entries (quadratic, else linear, else the last state), per row. */
 static inline void predict_(const double* h_t, const double* h_x,
                             long long hc, long long B, double t_new,

@@ -27,6 +27,29 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrs
+
+
+def _lu_factor(a):
+    """LAPACK LU factors of a dense matrix.
+
+    A non-finite matrix raises :class:`numpy.linalg.LinAlgError`, like a
+    singular sparse one raises ``RuntimeError``: scipy's own finiteness
+    check raises ``ValueError``, which the Newton drivers would not
+    recognise as a singular Jacobian.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite entries in the matrix")
+    return sla.lu_factor(a, check_finite=False)
+
+
+def _lu_solve(lu, rhs):
+    """Solve against :func:`_lu_factor` factors; ``rhs`` 1-D or 2-D.
+
+    LAPACK ``dgetrs`` directly: bit-identical to ``scipy.linalg.lu_solve``
+    without its wrapper (at 101 unknowns 5 µs against 15 µs).
+    """
+    return dgetrs(lu[0], lu[1], rhs)[0]
 
 
 class FrozenFactorization:
@@ -88,7 +111,7 @@ class FrozenFactorization:
                 self._inv = inv
                 self._mode = "inverse"
             else:
-                lu = sla.lu_factor(a)
+                lu = _lu_factor(a)
                 self._inv = self._splu = None
                 self._lu = lu
                 self._mode = "lu"
@@ -103,7 +126,7 @@ class FrozenFactorization:
         if self._mode == "inverse":
             return self._inv @ rhs
         if self._mode == "lu":
-            return sla.lu_solve(self._lu, rhs, check_finite=False)
+            return _lu_solve(self._lu, rhs)
         if self._mode == "sparse":
             return self._splu.solve(np.asarray(rhs, dtype=float))
         raise RuntimeError("FrozenFactorization.solve called before factor")
@@ -228,7 +251,7 @@ class BlockFactorization:
             self._lu, self._perm = _batched_lu_factor(stack)
             self._mode = "batched"
         else:
-            self._lus = [sla.lu_factor(block) for block in stack]
+            self._lus = [_lu_factor(block) for block in stack]
             self._mode = "lu"
         return self
 
@@ -242,7 +265,7 @@ class BlockFactorization:
             rhs = np.asarray(rhs, dtype=float)
             out = np.empty(self._shape)
             for b, lu in enumerate(self._lus):
-                out[b] = sla.lu_solve(lu, rhs[b], check_finite=False)
+                out[b] = _lu_solve(lu, rhs[b])
             return out
         if self._mode == "sparse":
             rhs = np.asarray(rhs, dtype=float)
@@ -359,10 +382,10 @@ SolverCore`) can report uniform factorisation counts; ``stats["solves"]``
             and self._dense_a.shape == a.shape
             and np.array_equal(self._dense_a, a)
         ):
-            self._dense_lu = sla.lu_factor(a)
+            self._dense_lu = _lu_factor(a)
             self.stats["factorizations"] += 1
             self._dense_a = a.copy()
-        return sla.lu_solve(self._dense_lu, rhs)
+        return _lu_solve(self._dense_lu, rhs)
 
     def export_frozen(self):
         """Snapshot the current factors as a :class:`FrozenFactorization`.

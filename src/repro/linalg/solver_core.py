@@ -44,7 +44,7 @@ Adding a new solver in ~50 lines
 
 Implement the contract and hand it to a core::
 
-    from repro.linalg.collocation import CollocationJacobianAssembler
+    from repro.linalg.collocation import collocation_assembler
     from repro.linalg.solver_core import (
         CollocationSystem, SolverCore, SolverCoreOptions,
     )
@@ -55,7 +55,7 @@ Implement the contract and hand it to a core::
         def __init__(self, dae, num_points, coupling):
             self.dae = dae
             self.coupling = coupling          # (M, M) point coupling
-            self.assembler = CollocationJacobianAssembler(
+            self.assembler = collocation_assembler(
                 num_points, dae.n,
                 dq_mask=dae.dq_structure(), df_mask=dae.df_structure(),
             )

@@ -42,7 +42,7 @@ efficiently; this module is that route, for both problems.
     Newton step by Eisenstat–Walker forcing (an inexact Newton method).  On
     a miss the operator is assembled, which also switches its owner to
     assembled Jacobians for the rest of the solve, and the step falls to
-    sparse LU (:class:`~repro.linalg.lu_cache.ReusableLUSolver`), as does
+    direct LU (:class:`~repro.linalg.lu_cache.ReusableLUSolver`), as does
     every assembled matrix after it.  A solve therefore wastes at most one
     Krylov budget.
 
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.errors import ConvergenceError
-from repro.linalg.collocation import CollocationJacobianAssembler
+from repro.linalg.collocation import collocation_assembler
 from repro.linalg.gmres import GmresLinearSolver
 from repro.linalg.lu_cache import ReusableLUSolver
 from repro.linalg.solver_core import CollocationSystem
@@ -392,7 +392,7 @@ class PeriodicCollocationSystem(CollocationSystem):
         n = self.n
         if self.assembler is None:
             self.coupling = coupling_matrix(self.grid, self.periods)
-            self.assembler = CollocationJacobianAssembler(
+            self.assembler = collocation_assembler(
                 self.num_points, n, dq_mask=self.dae.dq_structure(),
                 df_mask=self.dae.df_structure(),
                 coupling_mask=self.coupling != 0.0,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
-from repro.linalg.collocation import CollocationJacobianAssembler
+from repro.linalg.collocation import collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -101,7 +101,7 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         self.d_big = kron_diffmat(self.diffmat, self.n, ordering="point")
         # Fixed-pattern Jacobian assembly + factorisation reuse across all
         # steps of the march (see repro.linalg.collocation).
-        self.assembler = CollocationJacobianAssembler(
+        self.assembler = collocation_assembler(
             n0,
             self.n,
             dq_mask=dae.dq_structure(),

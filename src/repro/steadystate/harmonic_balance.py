@@ -54,7 +54,7 @@ from repro.api.serialize import SerializableMixin
 from repro.dae.scaled import ScaledDAE, equilibration_scales
 from repro.errors import ConvergenceError
 from repro.grids import stack_states as _stack, unstack_states as _unstack
-from repro.linalg.collocation import CollocationJacobianAssembler
+from repro.linalg.collocation import collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -253,7 +253,7 @@ class _AutonomousHBSystem(CollocationSystem):
         self.b_const = np.tile(dae.b(forcing_time), num)
         self.diffmat = fourier_differentiation_matrix(num, period=1.0)
         self.d_big = kron_diffmat(self.diffmat, self.n, ordering="point")
-        self.assembler = CollocationJacobianAssembler(
+        self.assembler = collocation_assembler(
             num,
             self.n,
             dq_mask=dae.dq_structure(),
@@ -302,9 +302,9 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     1; the physical problem is ``nu * d/dt1 q(xhat) + f(xhat) = b`` with the
     frequency ``nu`` unknown.  One phase-condition row (see
     :mod:`repro.phase_conditions`) closes the system; the bordered Jacobian
-    (collocation core + frequency column + phase row) is assembled with the
-    pattern-reuse
-    :class:`~repro.linalg.collocation.CollocationJacobianAssembler`.
+    (collocation core + frequency column + phase row) is assembled by
+    :func:`~repro.linalg.collocation.collocation_assembler` (dense at the
+    usual sizes, sparse with pattern reuse for large circuits).
 
     Newton runs on the DAE equilibrated by
     :func:`~repro.dae.scaled.equilibration_scales` at the seed waveform and

@@ -251,21 +251,28 @@ def _forcing_grid(dae, t_start, t_stop, dt, max_points=None):
     return times, dae.b_batch(times)
 
 
-def _extrapolate(history, t_new):
+def extrapolate(history, t_new):
     """Polynomial predictor through the last accepted states.
 
-    Used as the Newton initial guess only — it changes how fast Newton
-    reaches the step's solution, never the solution itself.
+    ``history`` holds ``(t, x, ...)`` entries, oldest first: the transient
+    engines' ``(t, x, q, f - b)`` and the fixed-step WaMPDE envelope's
+    ``(t2, [samples, omega])``.  The prediction is the quadratic Lagrange
+    extrapolation through the last three entries, else the linear one
+    through two, else the last state.  Used as the Newton initial guess
+    only — it changes how fast Newton reaches the step's solution, never
+    the solution itself.
     """
     if len(history) >= 3:
-        (ta, xa, _, _), (tb, xb, _, _), (tc, xc, _, _) = history[-3:]
+        a, b, c = history[-3:]
+        ta, tb, tc = a[0], b[0], c[0]
         if ta != tb and tb != tc and ta != tc:
             la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc))
             lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc))
             lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb))
-            return la * xa + lb * xb + lc * xc
+            return la * a[1] + lb * b[1] + lc * c[1]
     if len(history) >= 2:
-        (t1, x1, _, _), (t2, x2, _, _) = history[-2:]
+        b, c = history[-2:]
+        t1, x1, t2, x2 = b[0], b[1], c[0], c[1]
         if t2 != t1:
             return x2 + (x2 - x1) * ((t_new - t2) / (t2 - t1))
     return history[-1][1]
@@ -518,7 +525,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             t_new = t + dt
             b_new = dae.b(t_new)
 
-        x_guess = _extrapolate(history, t_new)
+        x_guess = extrapolate(history, t_new)
         try:
             result, q_new, fb_new, _alpha, _beta = controller.solve_step(
                 integrator, history, t_new, b_new, x_guess
@@ -733,7 +740,7 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
     for k in range(t_grid.size):
         t_new = t_grid[k]
         b_new = b_grid[k]
-        x_guess = _extrapolate(history, t_new)
+        x_guess = extrapolate(history, t_new)
         result, q_new, fb_new, alpha, beta = controller.solve_step(
             integrator, history, t_new, b_new, x_guess
         )

@@ -64,7 +64,7 @@ from repro.transient.engine import (
     _MAX_FORCING_GRID,
     TransientOptions,
     _StepController,
-    _extrapolate,
+    extrapolate,
 )
 from repro.transient.integrators import get_integrator
 from repro.transient.results import TransientResult
@@ -664,7 +664,7 @@ def simulate_transient_ensemble(ensemble, x0, t_start, t_stop, options=None):
             t_new = t + dt
             b_new = ensemble.b_rows(t_new)
 
-        x_guess = _extrapolate(history, t_new)
+        x_guess = extrapolate(history, t_new)
         try:
             new_states, converged, q_new, fb_new = controller.solve_step(
                 integrator, history, t_new, b_new, x_guess

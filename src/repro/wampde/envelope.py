@@ -10,7 +10,12 @@ the equations are the collocated WaMPDE (paper eq. 16)
 plus one phase-condition row (paper eq. 20 / §3 eq. 9) that pins the t1
 phase and thereby *determines* omega.  The t2 derivative uses backward
 Euler or trapezoidal differencing; the per-step Newton system is a
-bordered sparse matrix (collocation core + omega column + phase row).
+bordered matrix (collocation core + omega column + phase row), assembled
+dense and factorised by LAPACK up to
+:data:`repro.linalg.collocation.DENSE_MAX_UNKNOWNS` unknowns (a 4-unknown
+VCO at 25 t1 samples has 101) and sparse with SuperLU above.  Each residual
+costs one batched ``qf_batch`` evaluation, a dense t1 derivative ``D1 @ Q``
+of the ``(N0, n)`` charge samples and a dot with the stored phase row.
 
 Because the phase condition re-anchors every step, phase error cannot
 accumulate — the property the paper contrasts with transient simulation
@@ -18,7 +23,11 @@ in Fig 12.
 
 Two drivers share the stepping kernel:
 
-* :func:`solve_wampde_envelope` — fixed, uniform t2 steps;
+* :func:`solve_wampde_envelope` — fixed, uniform t2 steps, each Newton
+  solve starting from the quadratic predictor through the last three
+  accepted ``(t2, samples, omega)`` (shared with the transient engine:
+  :func:`repro.transient.engine.extrapolate`), its fallback restarting
+  from the last accepted point;
 * :func:`solve_wampde_envelope_adaptive` — proportional step control from
   a step-doubling error estimate, for runs whose slow dynamics have
   widely varying rates (e.g. sharp settling followed by a long coast).
@@ -36,17 +45,17 @@ import numpy as np
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
 from repro.kernels.sweep import maybe_kernelize_batch
-from repro.linalg.collocation import CollocationJacobianAssembler
+from repro.linalg.collocation import collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
     SolverOptionsMixin,
     core_from_options,
 )
-from repro.linalg.sparse_tools import kron_diffmat
 from repro.resilience.march import March
 from repro.phase_conditions import as_phase_condition
 from repro.spectral.diffmat import fourier_differentiation_matrix
+from repro.transient.engine import extrapolate
 from repro.utils.validation import check_odd, check_positive
 from repro.wampde.bivariate import BivariateWaveform
 from repro.wampde.warping import WarpingFunction
@@ -252,13 +261,13 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         self.condition = as_phase_condition(
             options.phase_condition, options.phase_variable
         )
+        # The condition is linear: residual = phase_row . x - target.
         self.phase_row = self.condition.gradient(self.num_t1, self.n)
         self.diffmat = fourier_differentiation_matrix(self.num_t1, period=1.0)
-        self.d_big = kron_diffmat(self.diffmat, self.n, ordering="point")
-        # The bordered collocation Jacobian's sparsity never changes across
-        # Newton iterations or envelope steps: precompute its CSC structure
-        # once and refresh only the numeric data each iteration.
-        self.assembler = CollocationJacobianAssembler(
+        # The bordered collocation Jacobian's structure never changes across
+        # Newton iterations or envelope steps: a preallocated dense array,
+        # or (large systems) a CSC pattern, refreshed in place.
+        self.assembler = collocation_assembler(
             self.num_t1,
             self.n,
             dq_mask=dae.dq_structure(),
@@ -274,44 +283,41 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         self._q_old = None
         self._rhs_old = None
         self._h = None
-        # Memoised (iterate, q_flat, f_flat): jacobian(z) and rhs_terms()
-        # re-see the iterate residual(z) just evaluated.
+        # Memoised (iterate, (q, f, D1 q) flat): jacobian(z) and
+        # rhs_terms() re-see the iterate residual(z) just evaluated.
         self._eval_z = None
-        self._eval_q = None
-        self._eval_f = None
+        self._eval = None
 
-    def _evaluate_qf(self, states, z):
-        """Flat ``q_batch``/``f_batch`` at ``z``, memoised on the iterate."""
+    def _evaluate(self, states, z):
+        """Flat ``q``, ``f`` and ``D1 q`` at ``z`` from one ``qf_batch``
+        call, memoised on the iterate."""
         if self._eval_z is not None and np.array_equal(self._eval_z, z):
-            return self._eval_q, self._eval_f
-        q_flat = self.dae.q_batch(states).ravel()
-        f_flat = self.dae.f_batch(states).ravel()
+            return self._eval
+        q, f = self.dae.qf_batch(states)
         self._eval_z = np.array(z, dtype=float, copy=True)
-        self._eval_q = q_flat
-        self._eval_f = f_flat
-        return q_flat, f_flat
+        self._eval = (q.ravel(), f.ravel(), (self.diffmat @ q).ravel())
+        return self._eval
 
     def rhs_terms(self, states, omega_value, t2_value):
         """``omega*D1 q + f - b`` at a configuration, plus the flat q."""
         states = np.asarray(states, dtype=float)
         z = np.concatenate([states.ravel(), [omega_value]])
-        q_flat, f_flat = self._evaluate_qf(states, z)
+        q_flat, f_flat, d1q = self._evaluate(states, z)
         b_tile = np.tile(self.dae.b(t2_value), self.num_t1)
-        fast = omega_value * (self.d_big @ q_flat) + f_flat - b_tile
+        fast = omega_value * d1q + f_flat - b_tile
         return fast, q_flat
 
     def residual(self, z):
         states = z[:-1].reshape(self.num_t1, self.n)
-        w = z[-1]
-        q_flat, f_flat = self._evaluate_qf(states, z)
-        fast = w * (self.d_big @ q_flat) + f_flat - self._b_new_tile
+        q_flat, f_flat, d1q = self._evaluate(states, z)
+        fast = z[-1] * d1q + f_flat - self._b_new_tile
         core = (
             (q_flat - self._q_old) / self._h
             + self.theta * fast
             + (1.0 - self.theta) * self._rhs_old
         )
         return np.concatenate(
-            [core, [self.condition.residual(states)]]
+            [core, [self.phase_row @ z[:-1] - self.condition.target]]
         )
 
     def jacobian(self, z):
@@ -319,18 +325,17 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         # (unpicklable) factors the chord policy will hold of it.
         self.core.jacobian_meta = (np.array(z, dtype=float), self._h)
         states = z[:-1].reshape(self.num_t1, self.n)
-        w = z[-1]
         dq = self.dae.dq_dx_batch(states)
         df = self.dae.df_dx_batch(states)
-        q_flat, _f_flat = self._evaluate_qf(states, z)
-        omega_col = self.theta * (self.d_big @ q_flat)
+        _q_flat, _f_flat, d1q = self._evaluate(states, z)
+        omega_col = self.theta * d1q
         # core = dq/h + theta * (w * D1 @ dq + df), bordered by the omega
-        # column and the phase row — data-only refresh, fixed pattern.
+        # column and the phase row — data-only refresh, fixed structure.
         return self.assembler.refresh(
             self.diffmat,
             dq,
             diag_inner=df,
-            coupling_scale=w,
+            coupling_scale=z[-1],
             outer_coeff=self.theta,
             # scipy's sparse "/ h" is "* (1/h)"; match it bit for bit.
             diag_outer=dq * (1.0 / self._h),
@@ -352,8 +357,12 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         self._h = float(h)
         return self.jacobian(np.asarray(z, dtype=float))
 
-    def step(self, x_samples, omega, q_old, rhs_old, t2_new, h):
+    def step(self, x_samples, omega, q_old, rhs_old, t2_new, h, guess=None):
         """One implicit t2 step; returns ``(x_new, omega_new, iterations)``.
+
+        Newton starts from the accepted ``(x_samples, omega)``, or from
+        ``guess`` (a flat ``[samples, omega]`` prediction) when given; the
+        fallback then restarts from the accepted point.
 
         Raises
         ------
@@ -370,7 +379,10 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         # factorisation then (smooth drifts keep it).
         self.core.note_parameters(h=h, omega=omega)
         z0 = np.concatenate([x_samples.ravel(), [omega]])
-        result = self.core.solve(self, z0)
+        if guess is None:
+            result = self.core.solve(self, z0)
+        else:
+            result = self.core.solve(self, guess, fallback_z0=z0)
         x_new = result.x[:-1].reshape(num_t1, n)
         omega_new = float(result.x[-1])
         if omega_new <= 0:
@@ -482,18 +494,22 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
     )
     stepper = _EnvelopeStepper(dae, initial_samples.shape[0], opts)
     h = (t2_stop - t2_start) / num_steps
+    # The predictor's history: the last three accepted (t2, [x, omega]).
     march = _envelope_march(
         "wampde_envelope", dae, stepper, opts, resume_from,
-        lambda: {"x_samples": x_samples.copy(), "omega": omega}, warm=True,
+        lambda: {"history": [(t, z.copy()) for t, z in history]}, warm=True,
     )
     if march.state is None:
         x_samples = initial_samples.copy()
         omega = float(omega0)
         march.start(float(t2_start), h, omega, x_samples,
                     warm_start=warm_start)
+        history = [(float(t2_start), np.append(x_samples.ravel(), omega))]
     else:
-        x_samples = np.array(march.state["x_samples"], dtype=float)
-        omega = float(march.state["omega"])
+        history = [(t, np.array(z, dtype=float))
+                   for t, z in march.state["history"]]
+        x_samples = history[-1][1][:-1].reshape(initial_samples.shape)
+        omega = float(history[-1][1][-1])
     march.stats["kernel"] = kernel_info
     t2 = float(march.t)
     rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
@@ -502,7 +518,8 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
         t2_new = t2_start + (step_index + 1) * h
         try:
             x_samples, omega, iterations = stepper.step(
-                x_samples, omega, q_old, rhs_old, t2_new, h
+                x_samples, omega, q_old, rhs_old, t2_new, h,
+                guess=extrapolate(history, t2_new),
             )
         except ConvergenceError as exc:
             raise march.fail(
@@ -514,6 +531,7 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
             raise march.fail(exc, h)
         march.stats["newton_iterations"] += iterations
         t2 = t2_new
+        history = history[-2:] + [(t2, np.append(x_samples.ravel(), omega))]
         rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
         march.accept(t2, h, omega, x_samples,
                      final=step_index == num_steps - 1)

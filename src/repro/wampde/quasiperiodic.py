@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import SimulationError
-from repro.linalg.collocation import CollocationJacobianAssembler
+from repro.linalg.collocation import collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -224,7 +224,7 @@ class _QuasiperiodicSystem(CollocationSystem):
         # repro.linalg.collocation).
         self.w1 = np.kron(np.eye(n1), diffmat1)
         self.w2 = np.kron(diffmat2, np.eye(n0))
-        self.assembler = CollocationJacobianAssembler(
+        self.assembler = collocation_assembler(
             n1 * n0,
             self.n,
             dq_mask=dae.dq_structure(),

@@ -18,6 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.circuits.library import MemsVcoDae
 from repro.constants import TWO_PI
 from repro.dae import LinearRCDae, VanDerPolDae
 from repro.errors import SimulationError
@@ -163,6 +164,44 @@ class TestWampdeEnvelopeResume:
             resumed.stats["newton_iterations"]
             == reference.stats["newton_iterations"]
         )
+
+    def test_fixed_vco_march_resume_is_bit_identical(
+        self, vco_initial_condition, tmp_path
+    ):
+        """The vacuum VCO over one control period, resumed mid-swing.
+
+        The van der Pol limit cycle above converges at every step without
+        a Newton iteration; here the chord factorises dozens of times and
+        each step starts from the predictor, so a resume that dropped the
+        chord factors or the predictor history would leave the
+        uninterrupted trajectory.
+        """
+        params, samples, f0 = vco_initial_condition
+        dae = MemsVcoDae(params)
+        span = params.control_period
+        reference = solve_wampde_envelope(dae, samples, f0, 0.0, span, 50)
+        path = tmp_path / "vco.ckpt"
+        solve_wampde_envelope(
+            dae, samples, f0, 0.0, span, 50,
+            WampdeEnvelopeOptions(checkpoint_every=30, checkpoint_path=path),
+        )
+        checkpoint = Checkpoint.load(path)
+        assert checkpoint.step == 30
+        resumed = solve_wampde_envelope(
+            dae, samples, f0, 0.0, span, 50, resume_from=checkpoint
+        )
+        solver = reference.stats["solver"]
+        assert solver["factorizations"] > 10
+        assert reference.omega.max() - reference.omega.min() > 1e6
+        assert np.array_equal(resumed.t2, reference.t2)
+        assert np.array_equal(resumed.omega, reference.omega)
+        assert np.array_equal(resumed.samples, reference.samples)
+        assert (
+            resumed.stats["newton_iterations"]
+            == reference.stats["newton_iterations"]
+        )
+        for key in ("iterations", "residual_evaluations", "factorizations"):
+            assert resumed.stats["solver"][key] == solver[key], key
 
     def test_step_failure_carries_checkpoint_and_partial(
         self, vdp_limit_cycle

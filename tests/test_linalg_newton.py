@@ -6,7 +6,9 @@ import scipy.sparse as sp
 
 from repro.errors import ConvergenceError, SingularJacobianError
 from repro.linalg import NewtonOptions, newton_solve
-from repro.linalg.newton import update_is_small
+from repro.linalg.lu_cache import BlockFactorization, ReusableLUSolver
+from repro.linalg.newton import StaleJacobianNewton, update_is_small
+from repro.transient.ensemble import _EnsembleChord
 
 
 def quadratic_residual(x):
@@ -200,3 +202,56 @@ class TestUpdateIsSmall:
         # Above unit scale the test is relative.
         assert update_is_small(np.array([5e-9]), np.array([10.0]), 1e-9)
         assert not update_is_small(np.array([2e-8]), np.array([10.0]), 1e-9)
+
+
+class TestNonFiniteJacobian:
+    """A NaN Jacobian fails as a singular one on every Newton driver.
+
+    The sizes cross each dense LAPACK threshold: ``FrozenFactorization``
+    factorises with LU from 17 unknowns, ``ReusableLUSolver`` from 33 and
+    ``BlockFactorization`` per block from 65.  Below them the inverse, the
+    direct solve and the batched LU already failed as singular; above them
+    scipy's finiteness check used to raise ``ValueError``, which skipped
+    the recovery ladder and the march's failure context.
+    """
+
+    SIZES = (20, 40, 70)
+
+    @staticmethod
+    def residual(x):
+        return x - 1.0
+
+    @staticmethod
+    def jacobian(x):
+        return np.full((x.shape[-1],) * 2, np.nan)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_newton_solve_default_solver(self, n):
+        with pytest.raises(SingularJacobianError):
+            newton_solve(self.residual, self.jacobian, np.zeros(n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_newton_solve_reusable_lu(self, n):
+        with pytest.raises(SingularJacobianError):
+            newton_solve(
+                self.residual, self.jacobian, np.zeros(n),
+                linear_solver=ReusableLUSolver(),
+            )
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_chord_newton(self, n):
+        chord = StaleJacobianNewton()
+        with pytest.raises(SingularJacobianError):
+            chord.solve(self.residual, self.jacobian, np.zeros(n))
+        assert not chord._have
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ensemble_chord(self, n):
+        def stacked(states):
+            return np.full((states.shape[0], n, n), np.nan)
+
+        with pytest.raises(np.linalg.LinAlgError):
+            BlockFactorization().factor(stacked(np.zeros((2, n))))
+        chord = _EnsembleChord(NewtonOptions(), contraction=0.1)
+        with pytest.raises(SingularJacobianError):
+            chord.solve(self.residual, stacked, np.zeros((2, n)))

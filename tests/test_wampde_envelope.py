@@ -195,3 +195,53 @@ class TestEvaluationMemoisation:
         assert calls["q"] <= 1 + iters + steps
         # ... and the run still reproduces the limit cycle.
         assert np.allclose(env.omega, hb.frequency, rtol=1e-5)
+
+
+class TestLeanResidual:
+    """The step residual takes q and f from one ``qf_batch`` call, the t1
+    derivative as ``D1 @ Q`` on the ``(N0, n)`` samples and the phase
+    residual from the stored phase row.  Only the summation order differs
+    from the reference formula (separate q/f batches, a sparse
+    ``kron(D1, I)`` matvec, the condition's own residual), so the two agree
+    to rounding, relative to the size of the terms."""
+
+    def test_matches_reference_formula(self, vco_initial_condition):
+        from repro.circuits.library import MemsVcoDae
+        from repro.linalg.sparse_tools import kron_diffmat
+        from repro.wampde.envelope import _EnvelopeStepper
+
+        params, samples, f0 = vco_initial_condition
+        dae = MemsVcoDae(params)
+        num_t1 = samples.shape[0]
+        stepper = _EnvelopeStepper(dae, num_t1, WampdeEnvelopeOptions())
+        h = 2e-7
+        rhs_old, q_old = stepper.rhs_terms(samples, f0, 0.0)
+        x_new, omega_new, _ = stepper.step(samples, f0, q_old, rhs_old, h, h)
+        rng = np.random.default_rng(11)
+        states = x_new * (1.0 + 1e-3 * rng.normal(size=x_new.shape))
+        omega = omega_new * 1.01
+        z = np.append(states.ravel(), omega)
+
+        d_big = kron_diffmat(stepper.diffmat, dae.n, ordering="point")
+        q = dae.q_batch(states).ravel()
+        f = dae.f_batch(states).ravel()
+        b = np.tile(dae.b(h), num_t1)
+        theta = stepper.theta
+        expected = np.append(
+            (q - q_old) / h
+            + theta * (omega * (d_big @ q) + f - b)
+            + (1.0 - theta) * rhs_old,
+            stepper.condition.residual(states),
+        )
+        derivative_terms = np.abs(stepper.diffmat) @ np.abs(q).reshape(
+            num_t1, dae.n
+        )
+        scale = np.append(
+            np.abs(q - q_old) / h
+            + theta * (omega * derivative_terms.ravel() + np.abs(f)
+                       + np.abs(b))
+            + (1.0 - theta) * np.abs(rhs_old),
+            np.abs(stepper.phase_row) @ np.abs(z[:-1]),
+        )
+        error = np.abs(stepper.residual(z) - expected)
+        assert np.all(error <= 1e-12 * scale)
