@@ -114,6 +114,16 @@ class ScaledDAE(SemiExplicitDAE):
             states * self.variable_scale
         )
 
+    def qf_batch(self, states):
+        # One inner fused evaluation; the scalings are q_batch's and
+        # f_batch's, so the values are bit-equal to theirs.
+        states = np.asarray(states, dtype=float)
+        q, f = self.inner.qf_batch(states * self.variable_scale)
+        return (
+            self.equation_scale * q / self.time_scale,
+            self.equation_scale * f,
+        )
+
     def b_batch(self, times):
         times = np.asarray(times, dtype=float).ravel()
         return self.equation_scale * self.inner.b_batch(self.time_scale * times)

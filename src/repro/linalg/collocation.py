@@ -105,6 +105,47 @@ def union_block_mask(dae):
     return dq | df
 
 
+class IterateEvaluation:
+    """``q``, ``f`` and the point derivative ``D q`` at the last samples.
+
+    A collocation residual needs ``q`` and ``f`` at every point and the
+    derivative of ``q`` along the points; the bordered Jacobian at the
+    same iterate needs that derivative again for its frequency columns.
+    One ``dae.qf_batch`` call serves both: the values are kept until
+    different samples come (they depend on the samples alone, not on a
+    frequency or other border unknown).  The derivative is the dense
+    ``D @ Q`` on the ``(points, n)`` samples, applied to each run of
+    ``len(D)`` consecutive points (each t2 slice of a tensor grid).
+    ``D`` is dense, so this does exactly the flops of the ``kron(D, I)``
+    matvec without building that sparse matrix.  The returned arrays are
+    shared between calls, so callers must not modify them.
+
+    Parameters
+    ----------
+    dae:
+        System providing ``qf_batch``.
+    diffmat:
+        The ``(m, m)`` differentiation matrix ``D``.
+    """
+
+    def __init__(self, dae, diffmat):
+        self.dae = dae
+        self.diffmat = diffmat
+        self._states = None
+        self._value = None
+
+    def __call__(self, states):
+        """Flat ``(q, f, D q)`` at the ``(points, n)`` samples ``states``."""
+        if self._states is not None and np.array_equal(self._states, states):
+            return self._value
+        q, f = self.dae.qf_batch(states)
+        m = self.diffmat.shape[0]
+        derivative = self.diffmat @ q.reshape(-1, m, q.shape[1])
+        self._states = np.array(states, dtype=float, copy=True)
+        self._value = (q.ravel(), f.ravel(), derivative.ravel())
+        return self._value
+
+
 class CollocationJacobianAssembler:
     """Reusable structure for a (possibly bordered) collocation Jacobian.
 

@@ -62,9 +62,8 @@ Implement the contract and hand it to a core::
 
         def residual(self, z):
             states = z.reshape(-1, self.dae.n)
-            q = self.dae.q_batch(states).ravel()
-            f = self.dae.f_batch(states).ravel()
-            return self.d_big @ q + f - self.rhs   # your discretisation
+            q, f = self.dae.qf_batch(states)      # one fused evaluation
+            return (self.coupling @ q + f).ravel() - self.rhs
 
         def jacobian(self, z):
             states = z.reshape(-1, self.dae.n)

@@ -368,11 +368,11 @@ class PeriodicCollocationSystem(CollocationSystem):
 
     def residual(self, z):
         states = z.reshape(self.num_points, self.n)
-        q = self.dae.q_batch(states).reshape(self.grid + (self.n,))
-        derivative = grid_derivative(q, self.periods)
-        return (
-            derivative.reshape(states.shape) + self.dae.f_batch(states)
-        ).ravel() - self.b_flat
+        q, f = self.dae.qf_batch(states)
+        derivative = grid_derivative(
+            q.reshape(self.grid + (self.n,)), self.periods
+        )
+        return (derivative.reshape(states.shape) + f).ravel() - self.b_flat
 
     def jacobian(self, z):
         states = z.reshape(self.num_points, self.n)

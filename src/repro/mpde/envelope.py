@@ -4,6 +4,12 @@ Identical in structure to the WaMPDE envelope but without warping — the
 t1 axis has the *fixed* period of the fast forcing, there is no frequency
 unknown and no phase condition.  Useful for envelope-modulated
 (AM-transient) responses of driven circuits.
+
+As in the WaMPDE envelope, each step residual costs one batched
+``qf_batch`` evaluation and a dense t1 derivative ``D @ Q`` of the
+``(N0, n)`` charge samples, memoised on the samples
+(:class:`~repro.linalg.collocation.IterateEvaluation`): the next step's
+old-time terms reuse the converged iterate's evaluation.
 """
 
 from __future__ import annotations
@@ -14,14 +20,13 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
-from repro.linalg.collocation import collocation_assembler
+from repro.linalg.collocation import IterateEvaluation, collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
     SolverOptionsMixin,
     core_from_options,
 )
-from repro.linalg.sparse_tools import kron_diffmat
 from repro.resilience.march import March
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
@@ -98,7 +103,9 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         self.n = dae.n
         self.beta = beta
         self.diffmat = fourier_differentiation_matrix(n0, forcing.period1)
-        self.d_big = kron_diffmat(self.diffmat, self.n, ordering="point")
+        # Flat q, f and D q, memoised on the samples: rhs_terms() after a
+        # step re-sees the converged iterate residual(z) just evaluated.
+        self._evaluate = IterateEvaluation(dae, self.diffmat)
         # Fixed-pattern Jacobian assembly + factorisation reuse across all
         # steps of the march (see repro.linalg.collocation).
         self.assembler = collocation_assembler(
@@ -114,11 +121,15 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         self._rhs_old = None
         self._h = None
 
+    def rhs_terms(self, states, b):
+        """``D q + f - b`` at ``(n0, n)`` samples, plus the flat q."""
+        q_flat, f_flat, dq = self._evaluate(states)
+        return dq + f_flat - b, q_flat
+
     def residual(self, z):
         states = z.reshape(self.n0, self.n)
-        q_flat = self.dae.q_batch(states).ravel()
-        f_flat = self.dae.f_batch(states).ravel()
-        fast = self.d_big @ q_flat + f_flat - self._b_new
+        q_flat, f_flat, dq = self._evaluate(states)
+        fast = dq + f_flat - self._b_new
         if self.beta != 1.0:
             return (
                 (q_flat - self._q_old) / self._h
@@ -133,7 +144,7 @@ class _MpdeEnvelopeStepper(CollocationSystem):
         states = z.reshape(self.n0, self.n)
         dq = self.dae.dq_dx_batch(states)
         df = self.dae.df_dx_batch(states)
-        # dq/h + beta * (d_big @ dq + df), via data-only refresh;
+        # dq/h + beta * ((D ⊗ I) blockdiag(dq) + df), via data-only refresh;
         # scipy's sparse "/ h" is "* (1/h)" — matched bit for bit.
         return self.assembler.refresh(
             self.diffmat,
@@ -213,11 +224,6 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
     def b_at(t2_value):
         return np.stack([forcing(t1, t2_value) for t1 in t1_points]).ravel()
 
-    def fast_terms(states, t2_value):
-        q_flat = dae.q_batch(states).ravel()
-        f_flat = dae.f_batch(states).ravel()
-        return stepper.d_big @ q_flat + f_flat - b_at(t2_value), q_flat
-
     march = March(
         "mpde_envelope", opts, resume_from,
         result=lambda t2, samples, stats: MpdeEnvelopeResult(
@@ -235,13 +241,14 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
     else:
         x_samples = np.array(march.state["x_samples"], dtype=float)
     t2 = float(march.t)
-    rhs_old, q_old = fast_terms(x_samples, t2)
+    rhs_old, q_old = stepper.rhs_terms(x_samples, b_at(t2))
 
     for step in range(march.stats["steps"], num_steps):
         t2_new = t2_start + (step + 1) * h
+        b_new = b_at(t2_new)
         try:
             x_samples, iterations = stepper.step(
-                x_samples, q_old, rhs_old, b_at(t2_new), h
+                x_samples, q_old, rhs_old, b_new, h
             )
         except ConvergenceError as exc:
             raise march.fail(
@@ -253,6 +260,6 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
             raise march.fail(exc, h)
         march.stats["newton_iterations"] += iterations
         t2 = t2_new
-        rhs_old, q_old = fast_terms(x_samples, t2)
+        rhs_old, q_old = stepper.rhs_terms(x_samples, b_new)
         march.accept(t2, h, x_samples, final=step == num_steps - 1)
     return march.finish()

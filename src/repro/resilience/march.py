@@ -15,6 +15,14 @@ The checkpoint payload is this module's format and nobody else's::
      "solver": SolverCore.snapshot(), "partial": partial result}
 
 Readers of a streamed checkpoint go through :func:`partial_result`.
+
+Stored points are kept as array blocks, one list per column.  A compiled
+chunk is one block: its stored rows, copied out of the runner's buffers.
+Single steps wait in a list, one value per point as they arrive, and a
+run of them becomes one block when a chunk follows or the columns are
+read.  :meth:`March.partial` and :meth:`March.finish` concatenate the
+blocks into fresh arrays, so a compiled march of ``m`` rows holds ``m``
+rows of data rather than ``m`` array objects.
 """
 
 from __future__ import annotations
@@ -116,7 +124,8 @@ class March:
         )
         self.state = None
         self.t = self.dt = None
-        self.columns = None
+        # Per column: stored blocks, then single points not yet in one.
+        self.columns = self.points = None
         self.since_store = 0
         self.stats = dict.fromkeys(("steps",) + tuple(counters), 0)
         if resume_from is None:
@@ -135,7 +144,8 @@ class March:
         self.since_store = payload["since_store"]
         self.stats = dict(payload["stats"])
         partial = payload["partial"]
-        self.columns = [list(getattr(partial, name)) for name in fields]
+        self.columns = [[np.array(getattr(partial, name))] for name in fields]
+        self.points = [[] for _ in fields]
         core.restore(payload["solver"], matrix_at)
 
     def start(self, t, dt, *values, warm_start=None):
@@ -148,7 +158,8 @@ class March:
         parameter jump, so a badly matched seed degrades to a cold start.
         """
         self.t, self.dt = t, dt
-        self.columns = [[t]] + [[_copy(value)] for value in values]
+        self.columns = [[] for _ in (t,) + values]
+        self.points = [[_copy(value)] for value in (t,) + values]
         if warm_start is not None:
             self.core.adopt_warm_state(
                 getattr(warm_start, "solver_state", None) or {}
@@ -177,18 +188,24 @@ class March:
         The store cadence runs over the chunk exactly as over single
         steps, a point at or past ``t_stop`` being the final one.
         """
-        times = times.tolist()
+        times = np.asarray(times, dtype=float)
         if self.store_every == 1:
-            self.columns[0].extend(times)
-            self.columns[1].extend(rows.copy())
+            stored = np.arange(times.size)
             self.since_store = 0
         else:
-            for tj, row in zip(times, rows):
+            stored = []
+            for j, tj in enumerate(times.tolist()):
                 self.since_store += 1
                 if self.since_store >= self.store_every or tj >= t_stop:
-                    self._store(tj, (row,))
-        self.t, self.dt = times[-1], dt
-        self.stats["steps"] += len(times)
+                    stored.append(j)
+                    self.since_store = 0
+        if len(stored):
+            self._block_points()
+            # Fancy indexing copies the stored rows: one block per column.
+            self.columns[0].append(times[stored])
+            self.columns[1].append(rows[stored])
+        self.t, self.dt = float(times[-1]), dt
+        self.stats["steps"] += times.size
         self._accepted()
 
     def chunk_budget(self, limit):
@@ -242,7 +259,7 @@ class March:
 
     def partial(self):
         """The result of the stored prefix (never the in-flight step)."""
-        return self.result(*map(np.asarray, self.columns), self._report())
+        return self.result(*self._stacked(), self._report())
 
     def finish(self):
         """The final result, with ``solver``/``recovery``/``warm`` stats."""
@@ -252,12 +269,24 @@ class March:
                 "factor_meta": self.core.factor_metadata(),
                 "solver_state": self.core.export_warm_state(),
             }
-        return self.result(*map(np.asarray, self.columns), stats)
+        return self.result(*self._stacked(), stats)
+
+    def _stacked(self):
+        """Each column as one fresh array."""
+        self._block_points()
+        return [np.concatenate(blocks) for blocks in self.columns]
+
+    def _block_points(self):
+        """Stack the single points stored since the last block into one
+        block per column."""
+        if self.points[0]:
+            for blocks, points in zip(self.columns, self.points):
+                blocks.append(np.asarray(points))
+                points.clear()
 
     def _store(self, t, values):
-        self.columns[0].append(t)
-        for column, value in zip(self.columns[1:], values):
-            column.append(_copy(value))
+        for points, value in zip(self.points, (t,) + tuple(values)):
+            points.append(_copy(value))
         self.since_store = 0
 
     def _accepted(self):

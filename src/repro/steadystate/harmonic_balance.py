@@ -40,7 +40,11 @@ The autonomous solver works on a diagonally equilibrated view of the DAE
 :func:`~repro.dae.scaled.equilibration_scales` taken once from the seed),
 so its inf-norm convergence tests and line search weigh, say, a MEMS force
 balance and an inductor voltage equally; the solution it returns is in the
-caller's units.
+caller's units.  Each of its residuals costs one batched ``qf_batch``
+evaluation, a dense derivative ``D1 @ Q`` of the ``(N, n)`` charge samples
+and a dot with the stored phase row; the Jacobian at the same iterate takes
+its frequency column from that memoised ``D1 q``
+(:class:`~repro.linalg.collocation.IterateEvaluation`).
 """
 
 from __future__ import annotations
@@ -54,14 +58,13 @@ from repro.api.serialize import SerializableMixin
 from repro.dae.scaled import ScaledDAE, equilibration_scales
 from repro.errors import ConvergenceError
 from repro.grids import stack_states as _stack, unstack_states as _unstack
-from repro.linalg.collocation import collocation_assembler
+from repro.linalg.collocation import IterateEvaluation, collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
     SolverCore,
     SolverCoreOptions,
 )
-from repro.linalg.sparse_tools import kron_diffmat
 from repro.linalg.spectral import (
     PeriodicCollocationSystem,
     SpectralNewtonSolver,
@@ -248,11 +251,14 @@ class _AutonomousHBSystem(CollocationSystem):
         self.dae = dae
         self.num = num
         self.n = dae.n
-        self.condition = condition
+        # The condition is linear: residual = phase_row . x - target.
         self.phase_row = condition.gradient(num, self.n)
+        self.target = condition.target
         self.b_const = np.tile(dae.b(forcing_time), num)
         self.diffmat = fourier_differentiation_matrix(num, period=1.0)
-        self.d_big = kron_diffmat(self.diffmat, self.n, ordering="point")
+        # Flat q, f and D1 q, memoised on the samples: jacobian(z) takes
+        # its frequency column from the residual just evaluated.
+        self._evaluate = IterateEvaluation(dae, self.diffmat)
         self.assembler = collocation_assembler(
             num,
             self.n,
@@ -264,25 +270,26 @@ class _AutonomousHBSystem(CollocationSystem):
     def residual(self, vec):
         states = _unstack(vec[:-1], self.num, self.n)
         nu = vec[-1]
-        q_flat = _stack(self.dae.q_batch(states))
-        f_flat = _stack(self.dae.f_batch(states))
-        core = nu * (self.d_big @ q_flat) + f_flat - self.b_const
-        return np.concatenate([core, [self.condition.residual(states)]])
+        _q_flat, f_flat, d1q = self._evaluate(states)
+        core = nu * d1q + f_flat - self.b_const
+        return np.concatenate(
+            [core, [self.phase_row @ vec[:-1] - self.target]]
+        )
 
     def jacobian(self, vec):
         states = _unstack(vec[:-1], self.num, self.n)
         nu = vec[-1]
         dq = self.dae.dq_dx_batch(states)
         df = self.dae.df_dx_batch(states)
-        q_flat = _stack(self.dae.q_batch(states))
-        freq_column = self.d_big @ q_flat
-        # nu * (d_big @ dq) + df, bordered by frequency column + phase row.
+        _q_flat, _f_flat, d1q = self._evaluate(states)
+        # nu * (D1 ⊗ I) blockdiag(dq) + blockdiag(df), bordered by the
+        # frequency column D1 q and the phase row.
         return self.assembler.refresh(
             self.diffmat,
             dq,
             diag_inner=df,
             coupling_scale=nu,
-            border_columns=freq_column[:, None],
+            border_columns=d1q[:, None],
             border_rows=self.phase_row[None, :],
         )
 

@@ -45,7 +45,7 @@ import numpy as np
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
 from repro.kernels.sweep import maybe_kernelize_batch
-from repro.linalg.collocation import collocation_assembler
+from repro.linalg.collocation import IterateEvaluation, collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
@@ -283,33 +283,20 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         self._q_old = None
         self._rhs_old = None
         self._h = None
-        # Memoised (iterate, (q, f, D1 q) flat): jacobian(z) and
+        # Flat q, f and D1 q, memoised on the samples: jacobian(z) and
         # rhs_terms() re-see the iterate residual(z) just evaluated.
-        self._eval_z = None
-        self._eval = None
-
-    def _evaluate(self, states, z):
-        """Flat ``q``, ``f`` and ``D1 q`` at ``z`` from one ``qf_batch``
-        call, memoised on the iterate."""
-        if self._eval_z is not None and np.array_equal(self._eval_z, z):
-            return self._eval
-        q, f = self.dae.qf_batch(states)
-        self._eval_z = np.array(z, dtype=float, copy=True)
-        self._eval = (q.ravel(), f.ravel(), (self.diffmat @ q).ravel())
-        return self._eval
+        self._evaluate = IterateEvaluation(dae, self.diffmat)
 
     def rhs_terms(self, states, omega_value, t2_value):
         """``omega*D1 q + f - b`` at a configuration, plus the flat q."""
-        states = np.asarray(states, dtype=float)
-        z = np.concatenate([states.ravel(), [omega_value]])
-        q_flat, f_flat, d1q = self._evaluate(states, z)
+        q_flat, f_flat, d1q = self._evaluate(states)
         b_tile = np.tile(self.dae.b(t2_value), self.num_t1)
         fast = omega_value * d1q + f_flat - b_tile
         return fast, q_flat
 
     def residual(self, z):
         states = z[:-1].reshape(self.num_t1, self.n)
-        q_flat, f_flat, d1q = self._evaluate(states, z)
+        q_flat, f_flat, d1q = self._evaluate(states)
         fast = z[-1] * d1q + f_flat - self._b_new_tile
         core = (
             (q_flat - self._q_old) / self._h
@@ -327,7 +314,7 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         states = z[:-1].reshape(self.num_t1, self.n)
         dq = self.dae.dq_dx_batch(states)
         df = self.dae.df_dx_batch(states)
-        _q_flat, _f_flat, d1q = self._evaluate(states, z)
+        _q_flat, _f_flat, d1q = self._evaluate(states)
         omega_col = self.theta * d1q
         # core = dq/h + theta * (w * D1 @ dq + df), bordered by the omega
         # column and the phase row — data-only refresh, fixed structure.

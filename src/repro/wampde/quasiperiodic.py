@@ -8,7 +8,11 @@ submultiple) as special cases, per the paper's §4.1 discussion.
 
 Discretisation: spectral collocation on an odd ``N0 x N1`` tensor grid
 (both axes periodic), one phase-condition row per t2 point, Newton on the
-full coupled system.
+full coupled system.  A residual costs one batched ``qf_batch`` evaluation,
+the dense products ``D1 @ Q`` within each t2 slice and ``D2 @ Q`` across
+slices, and one product with the phase row for all slices; the Jacobian's
+frequency columns reuse the memoised ``D1 q``
+(:class:`~repro.linalg.collocation.IterateEvaluation`).
 """
 
 from __future__ import annotations
@@ -16,18 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import SimulationError
-from repro.linalg.collocation import collocation_assembler
+from repro.linalg.collocation import IterateEvaluation, collocation_assembler
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import (
     CollocationSystem,
     SolverOptionsMixin,
     core_from_options,
 )
-from repro.linalg.sparse_tools import kron_diffmat
 from repro.phase_conditions import as_phase_condition
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
@@ -200,30 +202,32 @@ class _QuasiperiodicSystem(CollocationSystem):
         self.n0 = n0
         self.n1 = n1
         self.n = dae.n
-        self.condition = condition
+        # The condition is linear: residual = phase_row . x - target.
         self.phase_row_block = condition.gradient(n0, self.n)
+        self.target = condition.target
         self.block = n0 * self.n  # unknowns per t2 point
         self.total = n1 * self.block
 
         t2_grid = collocation_grid(n1, period2)
-        diffmat1 = fourier_differentiation_matrix(n0, period=1.0)
-        diffmat2 = fourier_differentiation_matrix(n1, period=period2)
-        d1_big = kron_diffmat(diffmat1, self.n, ordering="point")
-        self.d1_all = sp.kron(
-            sp.identity(n1, format="csr"), d1_big, format="csr"
-        )
-        self.d2_all = kron_diffmat(diffmat2, self.block, ordering="point")
+        self.diffmat1 = fourier_differentiation_matrix(n0, period=1.0)
+        self.diffmat2 = fourier_differentiation_matrix(n1, period=period2)
         self.b_flat = np.stack(
             [np.tile(dae.b(t), n0) for t in t2_grid]
         ).ravel()
+        # Flat q, f and D1 q (within each t2 slice), memoised on the
+        # samples: jacobian(z) takes its frequency columns from the
+        # residual just evaluated.
+        self._evaluate = IterateEvaluation(dae, self.diffmat1)
+        # One phase row per t2 slice, on that slice's unknowns.
+        self.phase_rows = np.kron(np.eye(n1), self.phase_row_block)
 
         # Point-coupling matrices over the flattened (t2, t1) grid: the
         # fast axis couples points within one t2 slice, the slow axis
         # couples equal t1 indices across slices.  Their combination
         # drives the pattern-reuse Jacobian assembly (see
         # repro.linalg.collocation).
-        self.w1 = np.kron(np.eye(n1), diffmat1)
-        self.w2 = np.kron(diffmat2, np.eye(n0))
+        self.w1 = np.kron(np.eye(n1), self.diffmat1)
+        self.w2 = np.kron(self.diffmat2, np.eye(n0))
         self.assembler = collocation_assembler(
             n1 * n0,
             self.n,
@@ -241,17 +245,14 @@ class _QuasiperiodicSystem(CollocationSystem):
     def residual(self, z):
         states, omegas = self.split(z)
         flat_states = states.reshape(self.n1 * self.n0, self.n)
-        q_flat = self.dae.q_batch(flat_states).ravel()
-        f_flat = self.dae.f_batch(flat_states).ravel()
-        omega_expand = np.repeat(omegas, self.block)
+        q_flat, f_flat, d1q = self._evaluate(flat_states)
+        d2q = (self.diffmat2 @ q_flat.reshape(self.n1, self.block)).ravel()
         core = (
-            omega_expand * (self.d1_all @ q_flat)
-            + self.d2_all @ q_flat
-            + f_flat
-            - self.b_flat
+            np.repeat(omegas, self.block) * d1q + d2q + f_flat - self.b_flat
         )
-        phase = np.array(
-            [self.condition.residual(states[i2]) for i2 in range(self.n1)]
+        phase = (
+            z[:self.total].reshape(self.n1, self.block) @ self.phase_row_block
+            - self.target
         )
         return np.concatenate([core, phase])
 
@@ -264,23 +265,18 @@ class _QuasiperiodicSystem(CollocationSystem):
         # omega(t2) row-scales the fast-axis coupling only.
         coupling = np.repeat(omegas, self.n0)[:, None] * self.w1 + self.w2
 
-        q_flat = self.dae.q_batch(flat_states).ravel()
-        d1q = self.d1_all @ q_flat
+        _q_flat, _f_flat, d1q = self._evaluate(flat_states)
         columns = np.zeros((total, n1))
         for i2 in range(n1):
             sl = slice(i2 * block, (i2 + 1) * block)
             columns[sl, i2] = d1q[sl]
-
-        rows = np.zeros((n1, total))
-        for i2 in range(n1):
-            rows[i2, i2 * block:(i2 + 1) * block] = self.phase_row_block
 
         return self.assembler.refresh(
             coupling,
             dq,
             diag_inner=df,
             border_columns=columns,
-            border_rows=rows,
+            border_rows=self.phase_rows,
         )
 
     def structure(self):

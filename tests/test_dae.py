@@ -219,6 +219,30 @@ class TestScaledDAE:
         numeric_q = finite_difference_jacobian(scaled.q, y)
         assert jacobian_error(scaled.dq_dx(y), numeric_q) < 1e-6
 
+    def test_fused_batch_is_bit_equal_to_separate_batches(self, rng):
+        """``qf_batch`` makes one inner fused call and scales it exactly
+        as ``q_batch``/``f_batch`` do."""
+        from repro.circuits.library import MemsVcoDae, VcoParams
+
+        calls = []
+
+        class FusedVco(MemsVcoDae):
+            def qf_batch(self, states):
+                calls.append("qf_batch")
+                return super().qf_batch(states)
+
+        inner = FusedVco(VcoParams.vacuum())
+        scaled = ScaledDAE(
+            inner, variable_scale=[2.0, 1e-3, 1e-7, 0.5], time_scale=3.0,
+            equation_scale=[1.0, 4.0, 2e6, 7.0],
+        )
+        # Inner states near the oscillation: ~1 V, ~1 mA, ~0.3 um, ~1 cm/s.
+        states = rng.normal(size=(25, 4)) * [0.5, 1.0, 3.0, 0.02]
+        q, f = scaled.qf_batch(states)
+        assert calls == ["qf_batch"]
+        assert np.array_equal(q, scaled.q_batch(states))
+        assert np.array_equal(f, scaled.f_batch(states))
+
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             ScaledDAE(VanDerPolDae(), variable_scale=[1.0, -1.0])

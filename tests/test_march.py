@@ -13,6 +13,8 @@ adaptive) and MPDE marches all run their bookkeeping through
 """
 
 import queue
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import SolverCore
 from repro.mpde import additive_two_tone_forcing, solve_mpde_envelope
 from repro.mpde.envelope import MpdeEnvelopeOptions
+from repro.resilience.march import March, partial_result
 from repro.service.streaming import StreamSink, decode_stream_item
 from repro.transient import TransientOptions, simulate_transient
 from repro.wampde import (
@@ -250,3 +253,142 @@ def test_streamed_mpde_partial_reconstructs_like_the_final_result():
         assert np.array_equal(
             partial.reconstruct(0, times), final.reconstruct(0, times)
         )
+
+
+# -- storage: compiled chunks against single steps ---------------------------
+
+
+class Series:
+    """A two-column result for driving :class:`March` directly."""
+
+    def __init__(self, t, x, stats):
+        self.t, self.x, self.stats = t, x, stats
+
+
+#: Accepted steps in groups: ``None`` is one ``accept()``, ``k`` a
+#: compiled chunk of ``k`` rows (21 steps after the initial point).
+PLAN = (None, 4, None, None, 7, 1, None, 5)
+STEPS = 21
+DT = 0.25
+_rng = np.random.default_rng(17)
+TIMES = np.cumsum(np.r_[0.0, _rng.uniform(0.5, 1.5, STEPS)])
+ROWS = _rng.normal(size=(STEPS + 1, 3))
+T_STOP = TIMES[-1]
+
+
+def new_march(store_every, sink=None, resume_from=None):
+    options = SimpleNamespace(
+        store_every=store_every, checkpoint_every=5 if sink else 0,
+        checkpoint_path=sink,
+    )
+    march = March(
+        "transient", options, resume_from, result=Series, fields=("t", "x"),
+        snapshot=dict, core=SolverCore(), matrix_at=None,
+    )
+    if resume_from is None:
+        march.start(TIMES[0], DT, ROWS[0])
+    return march
+
+
+def drive(march, chunked):
+    """Feed the steps after the march's last accepted one in PLAN's
+    groups, each chunk through reused buffers (as the compiled runners
+    hand them over) or, with ``chunked`` off, row by row."""
+    buffer_t, buffer_x = np.empty(8), np.empty((8, 3))
+    start = 0
+    for size in PLAN:
+        stop = start + (size or 1)
+        step = max(start, march.stats["steps"])
+        while step < stop:
+            if size is None or not chunked:
+                step += 1
+                march.accept(TIMES[step], DT, ROWS[step],
+                             final=TIMES[step] >= T_STOP)
+                continue
+            k = march.chunk_budget(stop - step)
+            buffer_t[:k] = TIMES[step + 1:step + k + 1]
+            buffer_x[:k] = ROWS[step + 1:step + k + 1]
+            march.accept_chunk(buffer_t[:k], buffer_x[:k], DT, T_STOP)
+            buffer_t.fill(np.nan)
+            buffer_x.fill(np.nan)
+            step += k
+        start = stop
+    return march.finish()
+
+
+def stored_rows(store_every):
+    return sorted({0, STEPS} | set(range(store_every, STEPS, store_every)))
+
+
+def poisoning(received):
+    """A checkpoint sink that keeps each partial's arrays, then overwrites
+    the ones it was handed: the march must not share them."""
+    def sink(checkpoint):
+        partial = partial_result(checkpoint)
+        received.append((checkpoint.step, partial.t.copy(), partial.x.copy()))
+        partial.t.fill(np.nan)
+        partial.x.fill(np.nan)
+
+    return sink
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_chunks_store_bit_equal_to_single_steps(store_every):
+    partials = {}
+    results = {}
+    for chunked in (False, True):
+        partials[chunked] = []
+        results[chunked] = drive(
+            new_march(store_every, poisoning(partials[chunked])), chunked
+        )
+    rows = stored_rows(store_every)
+    for result in results.values():
+        assert np.array_equal(result.t, TIMES[rows])
+        assert np.array_equal(result.x, ROWS[rows])
+        assert result.stats["steps"] == STEPS
+    # Checkpoints (with their partial results) at the same cadence points,
+    # each a bit-equal prefix of the final result.
+    assert [p[0] for p in partials[True]] == [5, 10, 15, 20]
+    assert [p[0] for p in partials[False]] == [5, 10, 15, 20]
+    for (_, t_c, x_c), (_, t_r, x_r) in zip(partials[True], partials[False]):
+        assert np.array_equal(t_c, t_r) and np.array_equal(x_c, x_r)
+        assert np.array_equal(t_c, results[True].t[:t_c.size])
+        assert np.array_equal(x_c, results[True].x[:t_c.size])
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_resume_from_a_checkpoint_after_a_chunk(store_every):
+    checkpoints = []
+    final = drive(new_march(store_every, checkpoints.append), chunked=True)
+    # Step 5 ends a chunk; step 10 splits one at the checkpoint cadence.
+    for checkpoint in checkpoints[:2]:
+        resumed = drive(
+            new_march(store_every, resume_from=checkpoint), chunked=True
+        )
+        assert np.array_equal(resumed.t, final.t)
+        assert np.array_equal(resumed.x, final.x)
+        assert resumed.stats["steps"] == final.stats["steps"]
+
+
+def test_storing_chunks_keeps_peak_memory_near_the_rows():
+    """100,000 rows of 4 unknowns in 10 chunks, then finished: the peak
+    stays within 3x the stored rows' bytes (one block per chunk plus one
+    concatenation, not an object per row)."""
+    chunk, chunks, n = 10_000, 10, 4
+    buffer_t = np.empty(chunk)
+    buffer_x = np.empty((chunk, n))
+    march = March(None, SimpleNamespace(), result=Series, fields=("t", "x"))
+    tracemalloc.start()
+    try:
+        march.start(0.0, 1.0, np.zeros(n))
+        for c in range(chunks):
+            buffer_t[:] = np.arange(c * chunk + 1, (c + 1) * chunk + 1)
+            buffer_x[:] = c
+            march.accept_chunk(buffer_t, buffer_x, 1.0, np.inf)
+        result = march.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.x.shape == (chunk * chunks + 1, n)
+    assert np.array_equal(result.t, np.arange(chunk * chunks + 1))
+    assert peak <= 3 * result.x.nbytes
