@@ -27,6 +27,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -119,8 +120,10 @@ class _CKernel:
             + [ctypes.c_longlong] * 4 + [ctypes.c_void_p] * 28
         lib.eval_qf.restype = None
         lib.eval_jac.restype = None
-        lib.eval_qf_batch.restype = None
-        lib.eval_jac_batch.restype = None
+        for entry in (lib.eval_qf_batch, lib.eval_jac_batch):
+            entry.restype = None
+            entry.argtypes = [ctypes.c_void_p] * 2 \
+                + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 2
 
     @staticmethod
     def _ptr(arr):
@@ -134,17 +137,24 @@ class _CKernel:
         self._lib.eval_jac(self._ptr(x), self._ptr(p), self._ptr(dq),
                            self._ptr(df))
 
-    def eval_qf_batch(self, X, P, Q, F):
-        pstride = P.shape[1] if P.shape[0] > 1 else 0
-        self._lib.eval_qf_batch(
-            self._ptr(X), self._ptr(P), ctypes.c_longlong(X.shape[0]),
-            ctypes.c_longlong(pstride), self._ptr(Q), self._ptr(F))
+    def bind_batch(self, X, P, Q, F, DQ, DF):
+        """The batched entry points with their arguments converted once.
 
-    def eval_jac_batch(self, X, P, DQ, DF):
+        Returns ``(qf, jac)``: ``qf()`` evaluates ``q`` and ``f`` at the
+        rows of ``X`` into ``Q`` and ``F``, ``jac()`` the Jacobians into
+        ``DQ`` and ``DF`` (``P`` holds one parameter row, or one per
+        row of ``X``).  The calls hold raw pointers: the caller keeps
+        the arrays alive, C-contiguous and in place.
+        """
         pstride = P.shape[1] if P.shape[0] > 1 else 0
-        self._lib.eval_jac_batch(
-            self._ptr(X), self._ptr(P), ctypes.c_longlong(X.shape[0]),
-            ctypes.c_longlong(pstride), self._ptr(DQ), self._ptr(DF))
+        head = (self._ptr(X), self._ptr(P), ctypes.c_longlong(X.shape[0]),
+                ctypes.c_longlong(pstride))
+        return (
+            partial(self._lib.eval_qf_batch, *head, self._ptr(Q),
+                    self._ptr(F)),
+            partial(self._lib.eval_jac_batch, *head, self._ptr(DQ),
+                    self._ptr(DF)),
+        )
 
     def sweep(self, t_grid, b_grid, gi_start, gi_end, *arrays):
         args = [self._ptr(t_grid), self._ptr(b_grid),

@@ -398,12 +398,36 @@ def prepare_ensemble_runner(ensemble, opts, integrator, blocked=None):
     return runner, info
 
 
+class _BatchWork:
+    """One batch size's arrays for a :class:`KernelizedDAE`, with the
+    compiled calls bound to them."""
+
+    __slots__ = ("X", "Q", "F", "DQ", "DF", "qf", "jac")
+
+    def __init__(self, impl, params, batch, n):
+        self.X = np.empty((batch, n))
+        self.Q = np.empty((batch, n))
+        self.F = np.empty((batch, n))
+        self.DQ = np.empty((batch, n, n))
+        self.DF = np.empty((batch, n, n))
+        self.qf, self.jac = impl.bind_batch(
+            self.X, params, self.Q, self.F, self.DQ, self.DF
+        )
+
+
 class KernelizedDAE:
     """DAE proxy with compiled batched evaluations.
 
     Scalar evaluations, forcing terms, structures and names delegate to
     the wrapped DAE, so engines see an interchangeable object; only the
     hot batched loops change implementation.
+
+    Each batch size gets one workspace — input states, the four outputs
+    and the compiled calls bound to them — built on its first call, so
+    a call copies the states in, runs the bound call and returns copies
+    of the outputs (callers keep results across calls).  The workspace
+    makes a proxy unsafe to share across threads (ctypes releases the
+    GIL during the call); the engines build one per run.
     """
 
     def __init__(self, dae, built):
@@ -411,28 +435,40 @@ class KernelizedDAE:
         self._impl = built.impl
         self._spec = built.spec
         self._params = np.ascontiguousarray(built.spec.params_rows)
+        self._work = {}
         self.n = dae.n
         self.variable_names = dae.variable_names
 
     def __getattr__(self, name):
         return getattr(self._dae, name)
 
-    def _states(self, states):
-        X = np.ascontiguousarray(np.asarray(states, dtype=float))
-        if self._params.shape[0] > 1 and X.shape[0] != self._params.shape[0]:
+    def _bound(self, states):
+        """The workspace of this batch size, holding ``states``."""
+        X = np.asarray(states, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
             raise ValidationError(
-                f"stacked-parameter kernel expects batches of "
-                f"{self._params.shape[0]} states, got {X.shape[0]}"
+                f"batched states must have shape (batch, {self.n}), got "
+                f"{X.shape}"
             )
-        return X
+        batch = X.shape[0]
+        rows = self._params.shape[0]
+        if rows > 1 and batch != rows:
+            raise ValidationError(
+                f"stacked-parameter kernel expects batches of {rows} "
+                f"states, got {batch}"
+            )
+        work = self._work.get(batch)
+        if work is None:
+            work = self._work[batch] = _BatchWork(
+                self._impl, self._params, batch, self.n
+            )
+        work.X[...] = X
+        return work
 
     def qf_batch(self, states):
-        X = self._states(states)
-        batch = X.shape[0]
-        Q = np.empty((batch, self.n))
-        F = np.empty((batch, self.n))
-        self._impl.eval_qf_batch(X, self._params, Q, F)
-        return Q, F
+        work = self._bound(states)
+        work.qf()
+        return work.Q.copy(), work.F.copy()
 
     def q_batch(self, states):
         return self.qf_batch(states)[0]
@@ -441,19 +477,14 @@ class KernelizedDAE:
         return self.qf_batch(states)[1]
 
     def dq_dx_batch(self, states):
-        return self._jac_batch(states)[0]
+        work = self._bound(states)
+        work.jac()
+        return work.DQ.copy()
 
     def df_dx_batch(self, states):
-        return self._jac_batch(states)[1]
-
-    def _jac_batch(self, states):
-        X = self._states(states)
-        batch = X.shape[0]
-        DQ = np.empty((batch, self.n * self.n))
-        DF = np.empty((batch, self.n * self.n))
-        self._impl.eval_jac_batch(X, self._params, DQ, DF)
-        return (DQ.reshape(batch, self.n, self.n),
-                DF.reshape(batch, self.n, self.n))
+        work = self._bound(states)
+        work.jac()
+        return work.DF.copy()
 
 
 def maybe_kernelize_batch(dae, kernel_option, expected_batch=None):

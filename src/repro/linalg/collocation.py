@@ -113,9 +113,12 @@ class IterateEvaluation:
     same iterate needs that derivative again for its frequency columns.
     One ``dae.qf_batch`` call serves both: the values are kept until
     different samples come (they depend on the samples alone, not on a
-    frequency or other border unknown).  The derivative is the dense
-    ``D @ Q`` on the ``(points, n)`` samples, applied to each run of
-    ``len(D)`` consecutive points (each t2 slice of a tensor grid).
+    frequency or other border unknown).  The memo is keyed on the bytes
+    of the samples: equal bits give equal values, and comparing two
+    short byte strings costs a fraction of an array comparison.  The
+    derivative is the dense ``D @ Q`` on the ``(points, n)`` samples,
+    applied to each run of ``len(D)`` consecutive points (each t2 slice
+    of a tensor grid).
     ``D`` is dense, so this does exactly the flops of the ``kron(D, I)``
     matvec without building that sparse matrix.  The returned arrays are
     shared between calls, so callers must not modify them.
@@ -131,18 +134,19 @@ class IterateEvaluation:
     def __init__(self, dae, diffmat):
         self.dae = dae
         self.diffmat = diffmat
-        self._states = None
+        self._key = None
         self._value = None
 
     def __call__(self, states):
         """Flat ``(q, f, D q)`` at the ``(points, n)`` samples ``states``."""
-        if self._states is not None and np.array_equal(self._states, states):
-            return self._value
-        q, f = self.dae.qf_batch(states)
-        m = self.diffmat.shape[0]
-        derivative = self.diffmat @ q.reshape(-1, m, q.shape[1])
-        self._states = np.array(states, dtype=float, copy=True)
-        self._value = (q.ravel(), f.ravel(), derivative.ravel())
+        states = np.asarray(states, dtype=float)
+        key = states.tobytes()
+        if key != self._key:
+            q, f = self.dae.qf_batch(states)
+            m = self.diffmat.shape[0]
+            derivative = self.diffmat @ q.reshape(-1, m, q.shape[1])
+            self._key = key
+            self._value = (q.ravel(), f.ravel(), derivative.ravel())
         return self._value
 
 
@@ -483,7 +487,12 @@ class DenseCollocationAssembler:
     floating-point grouping, so its matrix equals the sparse assembler's
     ``refresh(...).toarray()``: ``block(i, j) = W[i, j] * dq_j`` for every
     pair in one broadcast, scaled, with the diagonal-block terms added in
-    the sparse order.  There are no masks: a structural zero of the
+    the sparse order.  The broadcast writes whole matrix rows: row ``r``
+    of point ``i`` is ``W[i, j] * dq_j[r, c]`` over every column
+    ``j * n + c``, the product of row ``i`` of ``W`` with each entry
+    repeated ``n`` times and row ``r`` of the ``dq`` blocks laid side by
+    side, so its innermost axis runs over all ``M * n`` columns instead
+    of one block's ``n``.  There are no masks: a structural zero of the
     Jacobians is a zero entry here.  Built by :func:`collocation_assembler`
     for small systems.
 
@@ -507,10 +516,9 @@ class DenseCollocationAssembler:
         self.core_size = m * n
         self.size = m * n + k
         self._matrix = np.zeros((self.size, self.size))
-        # (i, r, j, c) view of the core: entry (r, c) of block (i, j).
-        self._blocks = self._matrix[: self.core_size, : self.core_size].reshape(
-            m, n, m, n
-        )
+        self._core = self._matrix[: self.core_size, : self.core_size]
+        # (i, r, J) view of the core: row r of point i, all M*n columns.
+        self._rows = self._core.reshape(m, n, self.core_size)
         # Flat positions of the diagonal blocks' entries, laid out (i, r, c).
         first = np.arange(m)[:, None, None] * n
         self._diag = (
@@ -535,19 +543,18 @@ class DenseCollocationAssembler:
             raise ValueError(
                 f"dq_blocks must be ({m}, {n}, {n}), got {dq_blocks.shape}"
             )
-        blocks = self._blocks
         np.multiply(
-            coupling[:, None, :, None],
-            dq_blocks.transpose(1, 0, 2)[None],
-            out=blocks,
+            np.repeat(coupling, n, axis=1)[:, None, :],
+            dq_blocks.transpose(1, 0, 2).reshape(n, m * n),
+            out=self._rows,
         )
         if coupling_scale != 1.0:
-            blocks *= coupling_scale
+            self._core *= coupling_scale
         flat = self._flat
         if diag_inner is not None:
             flat[self._diag] += np.asarray(diag_inner, dtype=float)
         if outer_coeff != 1.0:
-            blocks *= outer_coeff
+            self._core *= outer_coeff
         if diag_outer is not None:
             flat[self._diag] += np.asarray(diag_outer, dtype=float)
 

@@ -278,8 +278,10 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         # selection and factorisation reuse (carried across envelope steps
         # in chord mode), plus uniform stats for the run.
         self.core = core_from_options(options)
-        # Per-step configuration consumed by residual()/jacobian().
-        self._b_new_tile = None
+        # Per-step configuration consumed by residual()/jacobian(); the
+        # tiled forcing is kept with its t2 for rhs_terms() at that t2.
+        self._b_t2 = None
+        self._b_tile = None
         self._q_old = None
         self._rhs_old = None
         self._h = None
@@ -290,14 +292,21 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
     def rhs_terms(self, states, omega_value, t2_value):
         """``omega*D1 q + f - b`` at a configuration, plus the flat q."""
         q_flat, f_flat, d1q = self._evaluate(states)
-        b_tile = np.tile(self.dae.b(t2_value), self.num_t1)
-        fast = omega_value * d1q + f_flat - b_tile
+        fast = omega_value * d1q + f_flat - self._forcing(t2_value)
         return fast, q_flat
+
+    def _forcing(self, t2_value):
+        """The tiled ``b(t2)``, sampled once for consecutive uses at one
+        t2 (a step, then ``rhs_terms`` at its accepted point)."""
+        if t2_value != self._b_t2:
+            self._b_tile = np.tile(self.dae.b(t2_value), self.num_t1)
+            self._b_t2 = t2_value
+        return self._b_tile
 
     def residual(self, z):
         states = z[:-1].reshape(self.num_t1, self.n)
         q_flat, f_flat, d1q = self._evaluate(states)
-        fast = z[-1] * d1q + f_flat - self._b_new_tile
+        fast = z[-1] * d1q + f_flat - self._b_tile
         core = (
             (q_flat - self._q_old) / self._h
             + self.theta * fast
@@ -357,7 +366,7 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
             If the per-step Newton iteration fails.
         """
         num_t1, n = self.num_t1, self.n
-        self._b_new_tile = np.tile(self.dae.b(t2_new), num_t1)
+        self._forcing(t2_new)
         self._q_old = q_old
         self._rhs_old = rhs_old
         self._h = h

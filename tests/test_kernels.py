@@ -33,7 +33,7 @@ from repro.circuits.library import (
 )
 from repro.dae import VanDerPolDae
 from repro.dae.ensemble import EnsembleDAE, ensemble_from_factory
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, ValidationError
 from repro.kernels import (
     KernelBuildError,
     backends,
@@ -427,6 +427,88 @@ class TestBatchedKernels:
         )
         assert wrapped is dae
         assert info["mode"] == "python"
+
+    @staticmethod
+    def _check_batch_parity(proxy, dae, states, rtol=1e-9):
+        q, f = proxy.qf_batch(states)
+        pairs = (
+            (q, dae.q_batch(states)),
+            (f, dae.f_batch(states)),
+            (proxy.q_batch(states), dae.q_batch(states)),
+            (proxy.f_batch(states), dae.f_batch(states)),
+            (proxy.dq_dx_batch(states), dae.dq_dx_batch(states)),
+            (proxy.df_dx_batch(states), dae.df_dx_batch(states)),
+        )
+        for got, want in pairs:
+            assert got.shape == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-300)
+
+    @needs_backend
+    @pytest.mark.parametrize("name", list(_fixture_daes()))
+    def test_bound_batch_calls_match_numpy(self, name, rng):
+        """One proxy serves two batch sizes, each from its own bound
+        workspace, alternating between them."""
+        dae = _fixture_daes()[name]
+        proxy, info = maybe_kernelize_batch(dae, "auto")
+        assert info["mode"] == "c", info.get("reason")
+        for batch in (3, 7, 3, 7):
+            states = rng.uniform(-1.5, 1.5, (batch, dae.n))
+            self._check_batch_parity(proxy, dae, states)
+
+    @needs_backend
+    @pytest.mark.parametrize("rows", [1, 6], ids=["control", "damping"])
+    def test_bound_batch_calls_stacked_parameters(self, rows, rng):
+        """Stacked scenarios: a control-offset stack changes only the
+        forcing (one shared parameter row), a damping stack gives the
+        kernel one parameter row per scenario."""
+        batch = 6
+        if rows == 1:
+            stacked = _vco_control_ensemble(batch)._stacked
+        else:
+            stacked = MemsVcoDae(replace(
+                VcoParams.air(), damping=np.linspace(5e-5, 2e-4, batch)
+            ))
+        proxy, info = maybe_kernelize_batch(
+            stacked, "auto", expected_batch=batch
+        )
+        assert info["mode"] == "c", info.get("reason")
+        assert proxy._params.shape[0] == rows
+        for _ in range(2):
+            states = rng.uniform(-1.5, 1.5, (batch, stacked.n))
+            self._check_batch_parity(proxy, stacked, states)
+        if rows > 1:
+            with pytest.raises(ValidationError, match="batches of 6"):
+                proxy.qf_batch(states[:4])
+
+    @needs_backend
+    def test_returned_arrays_survive_later_calls(self, rng):
+        dae = MemsVcoDae(VcoParams.air())
+        proxy, _info = maybe_kernelize_batch(dae, "auto")
+        first = rng.uniform(-1.0, 1.0, (5, dae.n))
+        kept = (*proxy.qf_batch(first), proxy.q_batch(first),
+                proxy.dq_dx_batch(first), proxy.df_dx_batch(first))
+        saved = [a.copy() for a in kept]
+        proxy.qf_batch(first + 0.5)
+        proxy.f_batch(first - 0.5)
+        proxy.dq_dx_batch(first + 0.25)
+        proxy.df_dx_batch(first - 0.25)
+        for array, copy in zip(kept, saved):
+            np.testing.assert_array_equal(array, copy)
+
+    @needs_backend
+    @pytest.mark.parametrize("method", ["qf_batch", "q_batch", "dq_dx_batch"])
+    @pytest.mark.parametrize("states", [
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.ones((3, 2)),
+    ], ids=["one-state-1d", "too-few-columns"])
+    def test_rejects_misshapen_batches(self, method, states):
+        """Only ``(batch, n)`` states reach the compiled loop: a 1-D state
+        is not read as n rows of one value, and narrow rows are not read
+        past the end of the buffer."""
+        proxy, _info = maybe_kernelize_batch(MemsVcoDae(VcoParams.air()),
+                                             "auto")
+        with pytest.raises(ValidationError, match=r"\(batch, 4\)"):
+            getattr(proxy, method)(states)
 
 
 def _vco_control_ensemble(batch):

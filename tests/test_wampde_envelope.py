@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.wampde import (
     WampdeEnvelopeOptions,
     solve_wampde_envelope,
+    solve_wampde_envelope_adaptive,
 )
 
 
@@ -195,6 +196,55 @@ class TestEvaluationMemoisation:
         assert calls["q"] <= 1 + iters + steps
         # ... and the run still reproduces the limit cycle.
         assert np.allclose(env.omega, hb.frequency, rtol=1e-5)
+
+
+class TestForcingSamples:
+    """Each envelope step samples the forcing once: ``rhs_terms`` at the
+    step's t2 (the accepted point, or the adaptive driver's midpoint)
+    reuses the tile the step's residuals use."""
+
+    @staticmethod
+    def _counted_b_batch(monkeypatch):
+        from repro.circuits.library import MemsVcoDae
+
+        calls = []
+        original = MemsVcoDae.b_batch
+
+        def b_batch(self, times):
+            calls.append(np.size(times))
+            return original(self, times)
+
+        monkeypatch.setattr(MemsVcoDae, "b_batch", b_batch)
+        return calls
+
+    def test_fixed_run_samples_once_per_step(self, vco_initial_condition,
+                                             monkeypatch):
+        from repro.circuits.library import MemsVcoDae
+
+        params, samples, f0 = vco_initial_condition
+        dae = MemsVcoDae(params)
+        calls = self._counted_b_batch(monkeypatch)
+        steps = 5
+        env = solve_wampde_envelope(dae, samples, f0, 0.0, 1e-6, steps)
+        assert env.stats["steps"] == steps
+        # The initial rhs_terms, then one sample per step.
+        assert len(calls) == steps + 1
+
+    def test_adaptive_run_samples_three_times_per_step(
+            self, vco_initial_condition, monkeypatch):
+        from repro.circuits.library import MemsVcoDae
+
+        params, samples, f0 = vco_initial_condition
+        dae = MemsVcoDae(params)
+        calls = self._counted_b_batch(monkeypatch)
+        env = solve_wampde_envelope_adaptive(dae, samples, f0, 0.0, 2e-6)
+        steps = env.stats["steps"]
+        assert steps > 10
+        assert env.stats["rejected_steps"] == 0
+        assert env.stats["newton_failures"] == 0
+        # The initial rhs_terms, then the full step and the two half
+        # steps; the midpoint and accepted-point rhs_terms reuse them.
+        assert len(calls) == 1 + 3 * steps
 
 
 class TestLeanResidual:
