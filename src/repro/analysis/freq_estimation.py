@@ -7,7 +7,6 @@ model-free estimates extracted from brute-force transient waveforms.
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
 
 from repro.transient.events import zero_crossings
 from repro.utils.validation import as_1d_array
@@ -52,6 +51,10 @@ def instantaneous_frequency_hilbert(t, y, smooth_window=0):
     tuple
         ``(t_mid, freq)`` at the midpoints of the sample grid.
     """
+    # Imported here: scipy.signal pulls in scipy.stats, and importing
+    # repro.analysis should not pay for either.
+    import scipy.signal
+
     t = as_1d_array(t, "t")
     y = as_1d_array(y, "y")
     if t.size < 4:

@@ -175,12 +175,6 @@ class EnsembleDAE:
 
     def _check_rows(self, states):
         shape = (self.batch_size, self.n)
-        # Backend arrays (CuPy, the strict wrapper) pass through untouched
-        # when already shaped — coercing through np.asarray would force a
-        # host round-trip on every evaluation.
-        if not isinstance(states, np.ndarray) \
-                and getattr(states, "shape", None) == shape:
-            return states
         states = np.asarray(states, dtype=float)
         if states.shape != shape:
             raise ValidationError(

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.linalg.newton import NewtonOptions
+from repro.linalg.solver_core import INVALIDATE_RTOL
 
 from .backends import KernelBuildError, build_kernel, resolve_mode
 from .registry import spec_for_dae
@@ -145,7 +146,7 @@ class _SweepRunner:
         # [newton_atol, newton_rtol, contraction, param_rtol, *dopts]
         self.dopts = np.array([
             newton.atol, newton.rtol, float(opts.refresh_contraction),
-            0.25, *dopts,
+            INVALIDATE_RTOL, *dopts,
         ])
         self.iopts = np.array([
             newton.max_iterations, newton.max_step_halvings,

@@ -22,15 +22,11 @@ from repro.linalg.solver_core import (
     core_from_options,
 )
 from repro.linalg.bordered import BorderedSystem
-from repro.linalg.sparse_tools import (
-    block_diagonal_expand,
-    kron_diffmat,
-    as_csr,
-)
+from repro.linalg.sparse_tools import block_diagonal_expand, kron_diffmat
 from repro.linalg.collocation import CollocationJacobianAssembler, union_block_mask
 from repro.linalg.transient_assembler import TransientStepAssembler
 from repro.linalg.lu_cache import FrozenFactorization, ReusableLUSolver
-from repro.linalg.gmres import GmresLinearSolver, DirectLinearSolver
+from repro.linalg.gmres import GmresLinearSolver
 from repro.linalg.jacobian_check import finite_difference_jacobian, jacobian_error
 
 __all__ = [
@@ -47,14 +43,12 @@ __all__ = [
     "BorderedSystem",
     "block_diagonal_expand",
     "kron_diffmat",
-    "as_csr",
     "CollocationJacobianAssembler",
     "union_block_mask",
     "TransientStepAssembler",
     "FrozenFactorization",
     "ReusableLUSolver",
     "GmresLinearSolver",
-    "DirectLinearSolver",
     "finite_difference_jacobian",
     "jacobian_error",
 ]

@@ -14,15 +14,15 @@ one restarted-GMRES call site, used two ways:
   budget, and each Newton step is solved inexactly: the route's
   :class:`~repro.linalg.spectral.SpectralNewtonSolver` sets :attr:`rtol`
   per step by Eisenstat–Walker forcing.
-* **Assembled.**  Handed a matrix, it preconditions with an ILU or, for
-  Newton sequences whose matrix drifts slowly, a *frozen complete LU*
-  (``linear_solver="gmres"`` and the ``"gmres"`` recovery rung, which keep
-  exact solves at the default ``rtol``).  Smaller collocation systems solve
-  fastest by direct sparse LU
+* **Assembled.**  Handed a matrix, it preconditions with a complete sparse
+  LU, rebuilt per call or, for Newton sequences whose matrix drifts
+  slowly, *frozen* across calls (``linear_solver="gmres"`` and the
+  ``"gmres"`` recovery rung, which keep exact solves at the default
+  ``rtol``).  Smaller collocation systems solve fastest by direct LU
   (:class:`repro.linalg.lu_cache.ReusableLUSolver`, the default).
 
-Both classes implement the ``(matrix, rhs) -> solution`` callable protocol
-expected by :func:`repro.linalg.newton.newton_solve`.
+:class:`GmresLinearSolver` implements the ``(matrix, rhs) -> solution``
+callable protocol expected by :func:`repro.linalg.newton.newton_solve`.
 """
 
 from __future__ import annotations
@@ -34,40 +34,26 @@ import scipy.sparse.linalg as spla
 from repro.errors import ConvergenceError
 
 
-class DirectLinearSolver:
-    """Sparse (or dense) LU solve; the library default, stated explicitly."""
-
-    def __call__(self, matrix, rhs):
-        if sp.issparse(matrix):
-            return spla.spsolve(sp.csc_matrix(matrix), rhs)
-        return np.linalg.solve(np.asarray(matrix, dtype=float), rhs)
-
-
 class GmresLinearSolver:
-    """Restarted GMRES with ILU or frozen-LU preconditioning.
+    """Restarted GMRES with complete-LU preconditioning.
 
     A :class:`~scipy.sparse.linalg.LinearOperator` is solved matrix-free
     with its own ``preconditioner`` attribute (none if it has no such
     attribute); ``preconditioner`` and ``freeze`` below apply to assembled
     matrices.  ``stats["krylov_iterations"]`` counts GMRES inner
-    iterations and ``stats["factorizations"]`` the LU/ILU preconditioners
-    built.  Two preconditioning regimes for assembled matrices:
+    iterations and ``stats["factorizations"]`` the LU preconditioners
+    built.
 
-    * ``preconditioner="ilu"`` (the historical default) builds an
-      incomplete LU from *each* matrix handed in — robust, but pays a
-      factorisation per call.
-    * ``preconditioner="lu"`` with ``freeze=True`` builds one *complete*
-      sparse LU from the first matrix and keeps it across calls: on the
-      matrix it was built from GMRES converges in one iteration (the
-      preconditioned operator is the identity), and as the Newton sequence
-      drifts the frozen factors stay an excellent preconditioner while the
-      system is still solved *exactly* for the current matrix.  This is the
-      large-circuit path of the stale-Jacobian transient engine: full
-      Newton accuracy at roughly one factorisation per many iterations.
-      Call :meth:`invalidate` when the matrix changes abruptly (the
-      transient engine does so on step-size changes); a convergence failure
-      automatically refreshes the frozen factors and retries once before
-      raising.
+    With ``freeze=True`` the complete sparse LU of the first matrix is kept
+    across calls: on the matrix it was built from GMRES converges in one
+    iteration (the preconditioned operator is the identity), and as the
+    Newton sequence drifts the frozen factors stay an excellent
+    preconditioner while the system is still solved *exactly* for the
+    current matrix — full Newton accuracy at roughly one factorisation per
+    many iterations.  Call :meth:`invalidate` when the matrix changes
+    abruptly (the transient engine does so on step-size changes); a
+    convergence failure automatically refreshes the frozen factors and
+    retries once before raising.
 
     Parameters
     ----------
@@ -78,26 +64,22 @@ class GmresLinearSolver:
         Krylov subspace size between restarts.
     maxiter:
         Maximum number of outer iterations.
-    fill_factor:
-        ILU fill factor; larger is closer to a direct factorisation.
     preconditioner:
-        ``"ilu"`` (default), ``"lu"`` or ``None`` (unpreconditioned).
+        ``"lu"`` (default) or ``None`` (unpreconditioned).
     freeze:
-        Keep the preconditioner factors across calls (recommended with
-        ``"lu"``); the factors are rebuilt on shape change, on
-        :meth:`invalidate`, or after a convergence failure.
+        Keep the preconditioner factors across calls; the factors are
+        rebuilt on shape change, on :meth:`invalidate`, or after a
+        convergence failure.
     """
 
-    def __init__(self, rtol=1e-10, restart=60, maxiter=200, fill_factor=10.0,
-                 preconditioner="ilu", freeze=False):
+    def __init__(self, rtol=1e-10, restart=60, maxiter=200,
+                 preconditioner="lu", freeze=False):
         self.rtol = float(rtol)
         self.restart = int(restart)
         self.maxiter = int(maxiter)
-        self.fill_factor = float(fill_factor)
-        if preconditioner not in (None, "ilu", "lu"):
+        if preconditioner not in (None, "lu"):
             raise ValueError(
-                f"preconditioner must be None, 'ilu' or 'lu', "
-                f"got {preconditioner!r}"
+                f"preconditioner must be None or 'lu', got {preconditioner!r}"
             )
         self.preconditioner = preconditioner
         self.freeze = bool(freeze)
@@ -115,10 +97,7 @@ class GmresLinearSolver:
         if self.preconditioner is None:
             return None
         try:
-            if self.preconditioner == "lu":
-                factors = spla.splu(matrix)
-            else:
-                factors = spla.spilu(matrix, fill_factor=self.fill_factor)
+            factors = spla.splu(matrix)
         except RuntimeError:
             # Structurally singular factorisation: fall back to
             # unpreconditioned GMRES rather than failing the whole Newton

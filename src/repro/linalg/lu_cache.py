@@ -1,24 +1,17 @@
-"""Factorisation-reuse linear solver for fixed-pattern Newton systems.
-
-The collocation engines hand :func:`repro.linalg.newton.newton_solve` a
-Jacobian whose sparsity pattern never changes — only the numeric values do
-(see :mod:`repro.linalg.collocation`).  The stock path
-(``spsolve(csc_matrix(J), rhs)``) rebuilds a CSC matrix and runs a fresh
-SuperLU factorisation on every iteration, and even when two consecutive
-solves see the *same* matrix (predictor/corrector re-solves, memoised
-Jacobians) nothing is reused.
+"""Direct LU solvers for the Newton drivers.
 
 :class:`ReusableLUSolver` implements the ``(matrix, rhs) -> x`` protocol of
-``newton_solve``'s ``linear_solver`` hook and keeps, across calls:
+:func:`repro.linalg.newton.newton_solve`'s ``linear_solver`` hook and
+factorises every matrix it is given: ``np.linalg.solve`` for dense
+matrices up to :attr:`ReusableLUSolver.DENSE_CACHE_THRESHOLD` unknowns,
+LAPACK LU factors above that, SuperLU (``splu``) for sparse input.  It
+keeps the last factors so a chord policy can adopt them
+(:meth:`ReusableLUSolver.export_frozen`); Newton matrices change between
+calls, so nothing is compared or reused across calls.
 
-* the CSR→CSC conversion (the structural permutation is computed once per
-  pattern and replayed as a single fancy-index on the data array);
-* the LU factorisation itself, reused whenever the matrix values are
-  unchanged since the previous call (refactorising only on value changes);
-* for dense matrices, the LAPACK LU factors under the same reuse rule.
-
-One instance should live for the duration of one nonlinear solve — or a
-whole envelope run, since the pattern is shared across steps.
+:class:`FrozenFactorization` is the factor-once, solve-many object behind
+chord Newton, and :class:`BlockFactorization` its batched counterpart for
+the lock-step ensemble.
 """
 
 from __future__ import annotations
@@ -55,10 +48,9 @@ def _lu_solve(lu, rhs):
 class FrozenFactorization:
     """Factor once, solve many — the kernel behind stale-Jacobian Newton.
 
-    Unlike :class:`ReusableLUSolver` (which re-checks the matrix values on
-    every call), this object factorises only when :meth:`factor` is invoked
-    and then answers :meth:`solve` from the stored factors with no
-    comparisons at all — the caller (e.g.
+    Unlike :class:`ReusableLUSolver` (which factorises on every call), this
+    object factorises only when :meth:`factor` is invoked and then answers
+    :meth:`solve` from the stored factors — the caller (e.g.
     :class:`repro.linalg.newton.StaleJacobianNewton`) owns the staleness
     policy.  Three regimes:
 
@@ -83,16 +75,11 @@ class FrozenFactorization:
         self._lu = None
         self._splu = None
 
-    @property
-    def ready(self):
-        """Whether :meth:`factor` has been called."""
-        return self._mode is not None
-
     def factor(self, matrix):
         """Factorise ``matrix``; snapshots everything it needs.
 
         Failure is atomic: a singular/unfactorisable matrix leaves the
-        object *unready* (previous factors dropped) rather than silently
+        object unfactored (previous factors dropped) rather than silently
         answering subsequent solves with the factors of an older, entirely
         different matrix.
         """
@@ -229,11 +216,6 @@ class BlockFactorization:
         self._splu = None
         self._shape = None
 
-    @property
-    def ready(self):
-        """Whether :meth:`factor` has been called."""
-        return self._mode is not None
-
     def factor(self, blocks):
         """Factorise a ``(B, n, n)`` stack or sparse block-diagonal matrix."""
         if sp.issparse(blocks):
@@ -274,118 +256,25 @@ class BlockFactorization:
 
 
 class ReusableLUSolver:
-    """LU solver with pattern-aware CSC conversion and factorisation reuse.
+    """Direct LU solver that keeps its last factors.
 
-    ``stats["factorizations"]`` counts actual (re)factorisations — SuperLU
-    ``splu``, LAPACK ``lu_factor``, or a small-dense direct ``solve`` (which
-    factors internally) — so callers (:class:`repro.linalg.solver_core.\
-SolverCore`) can report uniform factorisation counts; ``stats["solves"]``
-    counts calls.
+    Every call factorises the matrix it is given.
+    ``stats["factorizations"]`` counts the factorisations — SuperLU
+    ``splu``, LAPACK ``lu_factor``, or a small-dense direct ``solve``
+    (which factors internally) — so callers (:class:`repro.linalg.\
+solver_core.SolverCore`) can report uniform factorisation counts;
+    ``stats["solves"]`` counts calls.
     """
+
+    #: Below this size the LAPACK-wrapper overhead of ``lu_factor`` plus a
+    #: separate triangular solve exceeds the factorisation itself; plain
+    #: ``solve`` wins.
+    DENSE_CACHE_THRESHOLD = 32
 
     def __init__(self):
         self.stats = {"factorizations": 0, "solves": 0}
-        # Sparse state.
         self._lu = None
-        self._lu_data = None
-        self._struct_indices = None
-        self._struct_indptr = None
-        self._struct_shape = None
-        # CSR -> CSC conversion cache.
-        self._csr_indices = None
-        self._csr_indptr = None
-        self._csr_perm = None
-        self._csc_template = None
-        # Dense state.
-        self._dense_a = None
         self._dense_lu = None
-
-    # -- sparse helpers ------------------------------------------------------
-
-    def _csc_from_csr(self, matrix):
-        """CSC view of a CSR matrix, caching the structural permutation."""
-        if not (
-            self._csr_indices is matrix.indices
-            and self._csr_indptr is matrix.indptr
-            and self._csc_template is not None
-            and self._csc_template.shape == matrix.shape
-        ):
-            coo = sp.coo_matrix(
-                (
-                    np.arange(1, matrix.nnz + 1, dtype=float),
-                    (
-                        np.repeat(
-                            np.arange(matrix.shape[0]),
-                            np.diff(matrix.indptr),
-                        ),
-                        matrix.indices,
-                    ),
-                ),
-                shape=matrix.shape,
-            )
-            csc = coo.tocsc()
-            self._csr_perm = csc.data.astype(np.intp) - 1
-            csc.data = np.empty(matrix.nnz)
-            self._csc_template = csc
-            self._csr_indices = matrix.indices
-            self._csr_indptr = matrix.indptr
-        np.take(matrix.data, self._csr_perm, out=self._csc_template.data)
-        return self._csc_template
-
-    def _same_structure(self, csc):
-        return (
-            self._struct_shape == csc.shape
-            and self._struct_indices is not None
-            and (
-                self._struct_indices is csc.indices
-                or (
-                    self._struct_indices.size == csc.indices.size
-                    and np.array_equal(self._struct_indices, csc.indices)
-                    and np.array_equal(self._struct_indptr, csc.indptr)
-                )
-            )
-        )
-
-    def _solve_sparse(self, matrix, rhs):
-        if sp.isspmatrix_csc(matrix):
-            csc = matrix
-        elif sp.isspmatrix_csr(matrix):
-            csc = self._csc_from_csr(matrix)
-        else:
-            csc = matrix.tocsc()
-        if not (
-            self._lu is not None
-            and self._same_structure(csc)
-            and np.array_equal(self._lu_data, csc.data)
-        ):
-            self._lu = spla.splu(csc)
-            self.stats["factorizations"] += 1
-            self._lu_data = csc.data.copy()
-            self._struct_indices = csc.indices
-            self._struct_indptr = csc.indptr
-            self._struct_shape = csc.shape
-        return self._lu.solve(rhs)
-
-    # -- dense helper --------------------------------------------------------
-
-    #: Below this size the LAPACK-wrapper overhead of a cached ``lu_factor``
-    #: exceeds the factorisation itself; plain ``solve`` wins.
-    DENSE_CACHE_THRESHOLD = 32
-
-    def _solve_dense(self, matrix, rhs):
-        a = np.asarray(matrix, dtype=float)
-        if a.shape[0] <= self.DENSE_CACHE_THRESHOLD:
-            self.stats["factorizations"] += 1
-            return np.linalg.solve(a, rhs)
-        if not (
-            self._dense_lu is not None
-            and self._dense_a.shape == a.shape
-            and np.array_equal(self._dense_a, a)
-        ):
-            self._dense_lu = _lu_factor(a)
-            self.stats["factorizations"] += 1
-            self._dense_a = a.copy()
-        return _lu_solve(self._dense_lu, rhs)
 
     def export_frozen(self):
         """Snapshot the current factors as a :class:`FrozenFactorization`.
@@ -394,9 +283,9 @@ SolverCore`) can report uniform factorisation counts; ``stats["solves"]``
         fallback just paid for instead of discarding it (see the
         ``"full_newton"`` recovery rung of
         :class:`repro.linalg.solver_core.SolverCore`).  Returns
-        ``None`` when no reusable factors are held — before the first
-        solve, or in the small-dense regime where :meth:`_solve_dense`
-        factors inside LAPACK ``solve`` without keeping anything.
+        ``None`` when no factors are held — before the first solve, or in
+        the small-dense regime, where LAPACK ``solve`` factors without
+        keeping anything.
         """
         frozen = FrozenFactorization()
         if self._lu is not None:
@@ -410,8 +299,18 @@ SolverCore`) can report uniform factorisation counts; ``stats["solves"]``
         return None
 
     def __call__(self, matrix, rhs):
-        self.stats["solves"] += 1
+        stats = self.stats
+        stats["solves"] += 1
         rhs = np.asarray(rhs, dtype=float).ravel()
         if sp.issparse(matrix):
-            return self._solve_sparse(matrix, rhs)
-        return self._solve_dense(matrix, rhs)
+            csc = matrix if sp.isspmatrix_csc(matrix) else matrix.tocsc()
+            self._lu = spla.splu(csc)
+            stats["factorizations"] += 1
+            return self._lu.solve(rhs)
+        a = np.asarray(matrix, dtype=float)
+        if a.shape[0] <= self.DENSE_CACHE_THRESHOLD:
+            stats["factorizations"] += 1
+            return np.linalg.solve(a, rhs)
+        self._dense_lu = _lu_factor(a)
+        stats["factorizations"] += 1
+        return _lu_solve(self._dense_lu, rhs)

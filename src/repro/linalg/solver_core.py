@@ -100,7 +100,6 @@ from repro.resilience.recovery import (
     LADDER_RUNGS,
     RecoveryAttempt,
     RecoveryLog,
-    RecoveryPolicy,
     default_ladder,
     extended_ladder,
 )
@@ -110,6 +109,20 @@ SOLVER_MODES = ("full", "chord")
 
 #: Accepted named linear solvers (besides an explicit callable).
 LINEAR_SOLVERS = ("lu", "gmres")
+
+#: Relative change in a step parameter (the envelope step ``h``, the local
+#: frequency ``omega``, the transient integrator weight ``alpha ~ 1/dt``)
+#: that drops the frozen chord factorisation.  Read alike by
+#: :meth:`SolverCore.note_parameters`, the lock-step ensemble chord and
+#: the compiled sweeps of :mod:`repro.kernels.sweep`.
+INVALIDATE_RTOL = 0.25
+
+#: Pseudo-transient stages marched by the ``"continuation"`` recovery rung.
+CONTINUATION_STAGES = 5
+
+#: Initial pseudo-time step of the ``"continuation"`` rung, grown
+#: geometrically per stage.
+CONTINUATION_DTAU = 1e-2
 
 
 @dataclass
@@ -236,7 +249,7 @@ class SolverCoreOptions:
         instance lets engines substitute their own defaults only when
         the field was genuinely left unset.
     linear_solver:
-        ``None``/"lu" — direct sparse/dense LU with factorisation reuse
+        ``None``/"lu" — direct sparse/dense LU
         (:class:`repro.linalg.lu_cache.ReusableLUSolver`); ``"gmres"`` —
         frozen-complete-LU-preconditioned GMRES
         (:class:`repro.linalg.gmres.GmresLinearSolver`) for large systems;
@@ -246,11 +259,6 @@ class SolverCoreOptions:
     contraction:
         Chord policy knob: refactorise when the residual contracts slower
         than this factor per iteration.
-    invalidate_rtol:
-        Relative change in any parameter registered through
-        :meth:`SolverCore.note_parameters` (e.g. the envelope step ``h``
-        or the local frequency ``omega``) that drops the chord
-        factorisation.
     ladder:
         Recovery-ladder escalation policy walked when a solve fails:
         ``None``/``"default"`` — the mode's historical policy (chord with
@@ -260,26 +268,20 @@ class SolverCoreOptions:
         refresh, GMRES retry and pseudo-transient continuation appended);
         or an explicit tuple of rung names.  Rungs that do not apply
         (chord rungs on a full-mode core, a fallback restart with no
-        restart point) are skipped at run time.  Every escalation is
-        recorded in :attr:`SolverCore.recovery`.
-    rung_budgets:
-        Optional ``{rung: attempts}`` retry budgets (default 1 each);
-        a chord retry beyond the first drops the frozen factors.
-    continuation_stages:
-        Pseudo-transient stages marched by the ``"continuation"`` rung.
-    continuation_dtau:
-        Initial pseudo-time step of the ``"continuation"`` rung.
+        restart point) are skipped at run time.  Each rung runs once per
+        solve (the ``"refresh"`` rung is the chord retry).  Every
+        escalation is recorded in :attr:`SolverCore.recovery`.
+
+    The parameter-jump threshold and the continuation rung's schedule are
+    the module constants :data:`INVALIDATE_RTOL`,
+    :data:`CONTINUATION_STAGES` and :data:`CONTINUATION_DTAU`.
     """
 
     mode: str = "full"
     newton: NewtonOptions = None
     linear_solver: object = None
     contraction: float = 0.1
-    invalidate_rtol: float = 0.25
     ladder: object = None
-    rung_budgets: dict | None = None
-    continuation_stages: int = 5
-    continuation_dtau: float = 1e-2
 
 
 class CollocationSystem:
@@ -324,29 +326,17 @@ class FunctionSystem(CollocationSystem):
 def core_from_options(options):
     """Build a :class:`SolverCore` from an engine options dataclass.
 
-    Every engine options class (envelope, quasiperiodic, DC, ...) exposes
-    some subset of ``newton``, ``newton_mode``, ``linear_solver``,
-    ``ladder``, ``contraction`` and ``invalidate_rtol``; missing fields
-    fall back to the :class:`SolverCoreOptions` defaults.  This is the one
-    place engine knobs map onto core knobs — an options class that later
-    grows ``contraction``/``invalidate_rtol`` fields gets them honoured
-    with no further plumbing.
+    Every engine options class that builds its core here (both envelopes,
+    both quasiperiodic solvers, DC) declares ``newton_mode`` and inherits
+    ``newton``, ``linear_solver`` and ``ladder`` from
+    :class:`SolverOptionsMixin`; this is the one place those knobs map
+    onto core knobs.
     """
-    defaults = SolverCoreOptions()
     return SolverCore(SolverCoreOptions(
-        mode=getattr(options, "newton_mode", defaults.mode),
-        newton=getattr(options, "newton", defaults.newton),
-        linear_solver=getattr(options, "linear_solver",
-                              defaults.linear_solver),
-        contraction=getattr(options, "contraction", defaults.contraction),
-        invalidate_rtol=getattr(options, "invalidate_rtol",
-                                defaults.invalidate_rtol),
-        ladder=getattr(options, "ladder", defaults.ladder),
-        rung_budgets=getattr(options, "rung_budgets", defaults.rung_budgets),
-        continuation_stages=getattr(options, "continuation_stages",
-                                    defaults.continuation_stages),
-        continuation_dtau=getattr(options, "continuation_dtau",
-                                  defaults.continuation_dtau),
+        mode=options.newton_mode,
+        newton=options.newton,
+        linear_solver=options.linear_solver,
+        ladder=options.ladder,
     ))
 
 
@@ -445,12 +435,6 @@ class SolverCore:
         self._krylov_sources = tuple(
             d for d in dicts if "krylov_iterations" in d
         )
-        self._policy = RecoveryPolicy(
-            rungs=self._ladder,
-            budgets=dict(opts.rung_budgets or {}),
-            continuation_stages=opts.continuation_stages,
-            continuation_dtau=opts.continuation_dtau,
-        )
         self.recovery = RecoveryLog()
         self.stats.recovery = self.recovery
 
@@ -500,14 +484,15 @@ class SolverCore:
         Call before each step's :meth:`solve` with whatever scalars shape
         the Newton matrix discontinuously (the envelope step ``h``, the
         local frequency ``omega``).  A relative change beyond
-        ``options.invalidate_rtol`` in any of them drops the chord
+        :data:`INVALIDATE_RTOL` in any of them drops the chord
         factorisation, mirroring the transient engine's dt policy.
         """
-        rtol = self.options.invalidate_rtol
         for key, value in params.items():
             value = float(value)
             old = self._params.get(key)
-            if old is not None and abs(value - old) > rtol * abs(old):
+            if old is not None and (
+                abs(value - old) > INVALIDATE_RTOL * abs(old)
+            ):
                 self.invalidate()
             self._params[key] = value
 
@@ -711,7 +696,6 @@ class SolverCore:
         on escalation, keeping the hot path allocation-free.
         """
         chord = self._chord
-        policy = self._policy
         attempts = []
         solve_index = self.stats.solves
         result = None
@@ -756,34 +740,31 @@ class SolverCore:
                 continue
             if rung == "full_newton" and restart is None:
                 continue
-            for retry in range(policy.budget(rung)):
-                result, last_exc, detail = self._attempt_rung(
-                    rung, retry, residual, jacobian, counting, z0,
-                    restart if restart is not None else z0,
-                )
-                converged = result is not None and result.converged
-                if attempts or not converged:
-                    # A solve that succeeds on its very first attempt is
-                    # not an escalation: record nothing (hot path).
-                    if last_exc is not None:
-                        iterations = last_exc.iterations or 0
-                        residual_norm = (
-                            float("nan") if last_exc.residual_norm is None
-                            else last_exc.residual_norm
-                        )
-                    else:
-                        iterations = result.iterations
-                        residual_norm = result.residual_norm
-                    attempts.append(RecoveryAttempt(
-                        solve=solve_index,
-                        rung=rung,
-                        converged=converged,
-                        iterations=iterations,
-                        residual_norm=residual_norm,
-                        detail=detail,
-                    ))
-                if converged:
-                    break
+            result, last_exc, detail = self._attempt_rung(
+                rung, residual, jacobian, counting, z0,
+                restart if restart is not None else z0,
+            )
+            converged = result is not None and result.converged
+            if attempts or not converged:
+                # A solve that succeeds on its very first attempt is not
+                # an escalation: record nothing (hot path).
+                if last_exc is not None:
+                    iterations = last_exc.iterations or 0
+                    residual_norm = (
+                        float("nan") if last_exc.residual_norm is None
+                        else last_exc.residual_norm
+                    )
+                else:
+                    iterations = result.iterations
+                    residual_norm = result.residual_norm
+                attempts.append(RecoveryAttempt(
+                    solve=solve_index,
+                    rung=rung,
+                    converged=converged,
+                    iterations=iterations,
+                    residual_norm=residual_norm,
+                    detail=detail,
+                ))
             if converged:
                 break
 
@@ -802,15 +783,10 @@ class SolverCore:
             recovery=self.recovery,
         )
 
-    def _attempt_rung(self, rung, retry, residual, jacobian, counting, z0,
-                      restart):
+    def _attempt_rung(self, rung, residual, jacobian, counting, z0, restart):
         """Run one rung attempt; returns ``(result, exception, detail)``."""
         try:
             if rung == "chord":
-                if retry:
-                    # A retry of the chord rung implies the factors were
-                    # part of the problem: drop them first.
-                    self.invalidate()
                 return self._chord.solve(residual, jacobian, z0), None, ""
             if rung == "refresh":
                 self.invalidate()
@@ -909,20 +885,19 @@ class SolverCore:
                 linear_solver=solver,
             )
 
-        policy = self._policy
         result, trail = pseudo_transient_march(
             stage_solve,
             FunctionSystem(residual, jacobian),
             z0,
-            stages=policy.continuation_stages,
-            dtau=policy.continuation_dtau,
+            stages=CONTINUATION_STAGES,
+            dtau=CONTINUATION_DTAU,
         )
         self._maybe_adopt(solver, result)
         stage_iterations = sum(r.iterations for _, r in trail)
         return result, None, (
             f"pseudo-transient continuation: {len(trail)} stage(s), "
             f"{stage_iterations} stage iteration(s), "
-            f"dtau0={policy.continuation_dtau:g}"
+            f"dtau0={CONTINUATION_DTAU:g}"
         )
 
     def _maybe_adopt(self, solver, result):

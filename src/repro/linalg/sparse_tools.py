@@ -6,13 +6,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def as_csr(matrix):
-    """Return ``matrix`` as CSR, accepting dense arrays and sparse types."""
-    if sp.issparse(matrix):
-        return matrix.tocsr()
-    return sp.csr_matrix(np.asarray(matrix, dtype=float))
-
-
 def block_diagonal_expand(blocks):
     """Stack a sequence of equally-sized dense blocks into a block-diagonal CSR.
 

@@ -3,9 +3,9 @@
 Five pieces, each usable on its own:
 
 * :mod:`repro.resilience.recovery` — the recovery-ladder vocabulary
-  (rung names, per-rung budgets, the structured :class:`RecoveryLog`
-  that :class:`repro.linalg.solver_core.SolverCore` attaches to its
-  stats);
+  (rung names, the default and extended ladders, the structured
+  :class:`RecoveryLog` that :class:`repro.linalg.solver_core.SolverCore`
+  attaches to its stats);
 * :mod:`repro.resilience.continuation` — gmin/source/pseudo-transient
   continuation embeddings as ``CollocationSystem`` wrappers;
 * :mod:`repro.resilience.checkpoint` — RNG-free snapshots and the
@@ -38,7 +38,6 @@ from repro.resilience.recovery import (
     LADDER_RUNGS,
     RecoveryAttempt,
     RecoveryLog,
-    RecoveryPolicy,
     default_ladder,
     extended_ladder,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "PseudoTransientSystem",
     "RecoveryAttempt",
     "RecoveryLog",
-    "RecoveryPolicy",
     "SourceScaledSystem",
     "default_ladder",
     "diagnose_nonfinite",

@@ -1,13 +1,13 @@
 """One driver for the bookkeeping every time march shares.
 
-The transient engine (fixed and adaptive), the lock-step ensemble, both
-WaMPDE envelopes and the MPDE envelope supply only their numerics: the
-predictor, the step solve, step-size control, a snapshot of their own
-state and their result type.  :class:`March` does the rest, once: resume
-(with the frozen chord LU refactorised at its saved metadata), the store
-cadence over single steps and compiled chunks, checkpoints that carry the
-partial result, failure context, and the final ``solver``/``recovery``/
-``warm`` stats.
+The transient engine (fixed and adaptive), its sensitivity sweep, the
+lock-step ensemble, both WaMPDE envelopes and the MPDE envelope supply
+only their numerics: the predictor, the step solve, step-size control, a
+snapshot of their own state and their result type.  :class:`March` does
+the rest, once: resume (with the frozen chord LU refactorised at its saved
+metadata), the store cadence over single steps and compiled chunks,
+checkpoints that carry the partial result, failure context, and the final
+``solver``/``recovery``/``warm`` stats.
 
 The checkpoint payload is this module's format and nobody else's::
 

@@ -27,20 +27,23 @@ Rungs
     fresh direct factorisations; a converged run's last factorisation is
     adopted by the chord policy.
 ``"gmres"``
-    Full Newton with a fresh frozen-LU-preconditioned GMRES linear solver
-    — a different linear-algebra route around a badly conditioned direct
-    factorisation.
+    Full Newton through GMRES preconditioned by a complete LU of each
+    iteration's matrix — a different linear-algebra route around a badly
+    conditioned direct factorisation.
 ``"continuation"``
     Pseudo-transient continuation (see
     :mod:`repro.resilience.continuation`): embed the root-finding problem
     in an artificial time march whose steps grow until the plain system
     is recovered.  The last, most expensive rung.
+
+Each rung of a ladder runs at most once per solve; ``"refresh"`` is the
+chord retry.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Every rung name a ladder may contain, in canonical escalation order.
 LADDER_RUNGS = (
@@ -193,33 +196,3 @@ class RecoveryLog:
             f"{self.escalated_solves} escalated solve(s), "
             f"{self.total_attempts} ladder attempt(s): {rungs}"
         )
-
-
-@dataclass
-class RecoveryPolicy:
-    """A ladder plus per-rung retry budgets.
-
-    Attributes
-    ----------
-    rungs:
-        Ordered rung names; ``None`` means the mode's default ladder.
-    budgets:
-        ``{rung: attempts}`` — how many times each rung may be retried
-        before escalating (default 1 per rung).  Chord retries beyond the
-        first drop the frozen factors, so a budget of 2 on ``"chord"``
-        subsumes an explicit ``"refresh"`` rung.
-    continuation_stages:
-        Pseudo-transient stages the ``"continuation"`` rung marches.
-    continuation_dtau:
-        Initial pseudo-time step of the ``"continuation"`` rung, grown
-        geometrically per stage.
-    """
-
-    rungs: tuple = None
-    budgets: dict = field(default_factory=dict)
-    continuation_stages: int = 5
-    continuation_dtau: float = 1e-2
-
-    def budget(self, rung):
-        """Attempt budget for ``rung`` (default 1)."""
-        return max(int(self.budgets.get(rung, 1)), 1)

@@ -166,10 +166,7 @@ class _StepController:
             newton=opts.newton,
             linear_solver=opts.linear_solver,
             contraction=opts.refresh_contraction,
-            # The engine's historical dt policy: drop frozen factors when
-            # the integrator weight alpha ~ 1/dt jumps by more than 25%.
-            invalidate_rtol=0.25,
-            ladder=getattr(opts, "ladder", None),
+            ladder=opts.ladder,
         ))
         self._last_alpha = None
 
@@ -651,6 +648,10 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         As for :func:`simulate_transient`.
     options:
         :class:`TransientOptions`; must describe a fixed-step run.
+        ``max_steps`` and ``store_every`` apply as in
+        :func:`simulate_transient`; the sweep takes no checkpoints, and a
+        :class:`~repro.errors.SimulationError` carries the stored prefix
+        as ``exc.partial_result``.
     s0:
         Optional ``(n, k)`` initial sensitivity (default: identity).
     period_sensitivity:
@@ -724,17 +725,27 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         bp0,
     )]
 
-    stored_t = [t]
-    stored_x = [x.copy()]
-    stats = {
-        "steps": 0,
-        "rejected_steps": 0,
-        "newton_iterations": 0,
-        "newton_failures": 0,
-        "newton_fallbacks": 0,
-        "jacobian_factorizations": 0,
-    }
-    accepted_since_store = 0
+    def summarize(stats):
+        # The sweep's own per-step factorisations, plus the core's.
+        stats["newton_fallbacks"] = controller.core.stats.fallbacks
+        stats["jacobian_factorizations"] += controller.core.stats.factorizations
+
+    # No checkpoints and no resume: a failure carries the partial result
+    # only.
+    march = March(
+        None, opts,
+        result=lambda t, x, stats: TransientResult(
+            t, x, dae.variable_names, stats
+        ),
+        fields=("t", "x"),
+        counters=("rejected_steps", "newton_iterations", "newton_failures",
+                  "newton_fallbacks", "jacobian_factorizations"),
+        core=controller.core,
+        summarize=summarize,
+        max_steps=opts.max_steps,
+    )
+    march.start(t, dt, x)
+    stats = march.stats
     history_cap = max(integrator.steps, 2) + 1
 
     for k in range(t_grid.size):
@@ -747,16 +758,13 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         stats["newton_iterations"] += result.iterations
         if not result.converged:
             stats["newton_failures"] += 1
-            raise SimulationError(
+            raise march.fail(
                 f"sensitivity sweep cannot adapt its step: Newton diverged "
                 f"at step {stats['steps']}, t={t:.6e}, dt={dt:.3e} "
                 f"(residual norm {result.residual_norm:.3e}); increase the "
                 f"number of steps",
-                step=stats["steps"],
-                time=t,
-                dt=dt,
-                residual_norm=result.residual_norm,
-                iterations=result.iterations,
+                dt,
+                result,
             )
         x_new = result.x
 
@@ -807,28 +815,10 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
             history.pop(0)
             sens_history.pop(0)
         S = s_new
+        march.accept(t, dt, x, final=t >= t_stop)
 
-        stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(x.copy())
-            accepted_since_store = 0
-
-    stats["newton_fallbacks"] = controller.core.stats.fallbacks
-    stats["jacobian_factorizations"] += controller.core.stats.factorizations
-    stats["solver"] = controller.core.stats.as_dict()
-    if controller.core.recovery:
-        stats["recovery"] = controller.core.recovery.as_dict()
-
-    result = TransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        dae.variable_names,
-        stats,
-    )
     return TransientSensitivityResult(
-        result, S, sens_history[-1][3] if period_sensitivity else None
+        march.finish(), S, sens_history[-1][3] if period_sensitivity else None
     )
 
 

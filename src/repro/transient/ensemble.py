@@ -57,7 +57,7 @@ from repro.kernels.sweep import (
 from repro.kernels.backends import resolve_mode
 from repro.linalg.lu_cache import BlockFactorization
 from repro.linalg.newton import update_is_small
-from repro.linalg.solver_core import SolverStats
+from repro.linalg.solver_core import INVALIDATE_RTOL, SolverStats
 from repro.linalg.transient_assembler import TransientStepAssembler
 from repro.resilience.march import March
 from repro.transient.engine import (
@@ -350,7 +350,7 @@ class _EnsembleStepController:
     def _notify_alpha(self, alpha):
         """Drop frozen factors when the integrator weight jumps (dt change)."""
         old, self._alpha = self._alpha, alpha
-        if old is not None and abs(alpha - old) > 0.25 * abs(old):
+        if old is not None and abs(alpha - old) > INVALIDATE_RTOL * abs(old):
             self.invalidate()
 
     def _member_controller(self, index):

@@ -1,8 +1,13 @@
 """Tests for frequency estimation, phase error, spectra, comparisons."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import (
     amplitude_spectrum,
     cycles_to_radians,
@@ -68,6 +73,27 @@ class TestHilbertEstimator:
             instantaneous_frequency_hilbert(
                 [0.0, 0.1, 0.3, 0.7], [0.0, 1.0, 0.0, -1.0]
             )
+
+    def test_library_import_leaves_scipy_signal_unloaded(self):
+        """Only the Hilbert estimator needs ``scipy.signal`` (which pulls
+        in ``scipy.stats``); importing the library's packages loads
+        neither."""
+        code = (
+            "import importlib, sys\n"
+            "for name in ('repro.api', 'repro.service', 'repro.wampde',\n"
+            "             'repro.steadystate', 'repro.mpde',\n"
+            "             'repro.transient', 'repro.analysis'):\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(name for name in ('scipy.signal', 'scipy.stats')\n"
+            "             if name in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestPhaseError:

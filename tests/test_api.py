@@ -5,8 +5,11 @@ bit-identically), the content-key scheme (construction-order
 independence for circuits), the ``run()`` dispatcher, warm-start
 adoption, CLI-vs-API parity (the ``vco`` subcommand and a
 programmatic :class:`EnvelopeRequest` must produce bit-identical
-trajectories), and ensemble sharding: shard sizes and the merge.
+trajectories), and ensemble and sweep sharding: shard sizes and the
+merge.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ import pytest
 from repro import api
 from repro.api.serialize import SerializationError, to_jsonable
 from repro.circuits.devices import Capacitor, CurrentSource, Resistor
+from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
 from repro.circuits.netlist import Circuit
-from repro.dae import VanDerPolDae
+from repro.dae import EnsembleDAE, VanDerPolDae
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels.backends import probe_cc
 from repro.service.keys import content_key
@@ -236,6 +240,14 @@ def _vdp_ensemble_request(batch, t_stop=0.1, **options):
     )
 
 
+def _vacuum_vco(control_offset):
+    """Vacuum VCO at a fixed control voltage (or a ``(B,)`` stack)."""
+    return MemsVcoDae(
+        replace(VcoParams.vacuum(), control_offset=control_offset),
+        constant_control=True,
+    )
+
+
 class TestEnsembleShards:
     """Shard sizes follow the kernel mode the run resolves to: 8 scenarios
     for the NumPy lock-step march, 64 for the compiled one."""
@@ -287,3 +299,53 @@ class TestEnsembleShards:
         fine = api.run(_vdp_ensemble_request(2, kernel="python", dt=0.01))
         with pytest.raises(SimulationError, match="shared lock-step grid"):
             merge_ensemble_results([coarse, fine])
+
+    @pytest.mark.skipif(not probe_cc(), reason="no C compiler on PATH")
+    def test_stacked_vco_shards_merge_within_the_lockstep_contract(self):
+        """A stacked-parameter VCO sliced by ``MemsVcoDae.
+        subset_scenarios``: the merged 64 + 6 shards stay within the
+        lock-step ensemble's ``1e-6 * max(max|x|, 1)`` per variable of
+        the unsharded run (batch composition moves the shared Newton
+        iterations, not the solution)."""
+        vcs = np.linspace(0.8, 2.4, 70)
+        request = api.EnsembleRequest(
+            dae=EnsembleDAE.from_stacked(_vacuum_vco(vcs), vcs.size),
+            x0=np.tile([1.0, 0.0, 0.0, 0.0], (vcs.size, 1)),
+            t_start=0.0, t_stop=5 * T_NOMINAL,
+            options=TransientOptions(dt=T_NOMINAL / 100, kernel="c"),
+        )
+        shards = request.shards()
+        assert [s.dae.batch_size for s in shards] == [64, 6]
+        reference = api.run(request)
+        merged = request.merge([api.run(s) for s in shards])
+        assert np.array_equal(merged.t, reference.t)
+        scale = np.maximum(np.abs(reference.x).max(axis=(0, 1)), 1.0)
+        err = np.abs(merged.x - reference.x).max(axis=(0, 1))
+        assert np.all(err <= 1e-6 * scale), err / scale
+
+
+class TestSweepShards:
+    def test_continuation_sweeps_do_not_shard(self):
+        request = api.SweepRequest(
+            dae_factory=_vacuum_vco, values=np.linspace(1.0, 2.0, 12),
+            period_guess=T_NOMINAL,
+        )
+        assert request.shards() is None
+
+    def test_ensemble_sweep_merge_equals_the_whole_run(self):
+        request = api.SweepRequest(
+            dae_factory=_vacuum_vco, values=np.linspace(1.0, 2.0, 12),
+            period_guess=T_NOMINAL, method="ensemble",
+            stacked_factory=lambda values: _vacuum_vco(np.asarray(values)),
+        )
+        shards = request.shards()
+        assert [s.values.size for s in shards] == [8, 4]
+        reference = api.run(request)
+        merged = request.merge([api.run(s) for s in shards])
+        assert np.array_equal(merged.values, reference.values)
+        # Each shard settles its own lock-step batch; HB then converges
+        # every point to the same orbit.
+        np.testing.assert_allclose(
+            merged.frequencies, reference.frequencies, rtol=1e-12, atol=0
+        )
+        assert len(merged.solver_stats) == 12

@@ -7,7 +7,15 @@ import pytest
 import scipy.sparse as sp
 from dataclasses import replace
 
-from repro.circuits.devices import Capacitor, Resistor, VoltageSource
+from repro.circuits.devices import (
+    Capacitor,
+    CurrentSource,
+    CubicConductance,
+    Inductor,
+    MemsVaractor,
+    Resistor,
+    VoltageSource,
+)
 from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
 from repro.circuits.netlist import Circuit
 from repro.circuits.waveforms import Sine
@@ -90,6 +98,20 @@ class TestEnsembleDAE:
         with pytest.raises(ValidationError):
             EnsembleDAE.from_members([VanDerPolDae(), vco_factory(1.5)])
 
+    @pytest.mark.parametrize("method", ["q_rows", "qf_rows", "dq_rows"])
+    def test_rows_check_the_array_not_its_shape_attribute(self, method):
+        """An array-like whose ``shape`` claims ``(B, n)`` is converted
+        and checked like any other input."""
+
+        class Misshaped:
+            shape = (VCS.size, 4)
+
+            def __array__(self, dtype=None, copy=None):
+                return np.zeros((VCS.size, 5), dtype=dtype)
+
+        with pytest.raises(ValidationError, match="must have shape"):
+            getattr(vco_ensemble(), method)(Misshaped())
+
     def test_stacked_without_members_refuses_member_access(self):
         ensemble = EnsembleDAE.from_stacked(vco_stacked_factory(VCS), 4)
         assert not ensemble.has_members
@@ -130,6 +152,61 @@ class TestEnsembleDAE:
         q, f = dae.qf_batch(states)
         np.testing.assert_allclose(q, dae.q_batch(states), rtol=0, atol=0)
         np.testing.assert_allclose(f, dae.f_batch(states), rtol=0, atol=0)
+
+
+class TestScenarioSubset:
+    """``EnsembleDAE.subset`` of a stacked DAE (the slicing behind
+    ensemble service shards): the subset's rows are the whole ensemble's
+    rows ``IDX``, bit for bit."""
+
+    IDX = np.array([4, 0, 2])
+
+    def assert_rows_sliced(self, ensemble, states):
+        part = ensemble.subset(self.IDX)
+        assert part.batch_size == self.IDX.size
+        for name in ("q_rows", "f_rows", "dq_rows", "df_rows"):
+            whole = getattr(ensemble, name)(states)
+            assert np.array_equal(
+                getattr(part, name)(states[self.IDX]), whole[self.IDX]
+            ), name
+        for t in (0.0, 3.7e-7):
+            assert np.array_equal(
+                part.b_rows(t), ensemble.b_rows(t)[self.IDX]
+            )
+
+    def test_stacked_mems_vco(self, rng):
+        vcs = np.linspace(0.8, 2.4, 5)
+        ensemble = EnsembleDAE.from_stacked(vco_stacked_factory(vcs), 5)
+        states = rng.standard_normal((5, 4)) * [1.0, 1e-3, 1e-8, 1e-2]
+        self.assert_rows_sliced(ensemble, states)
+
+    def test_stacked_circuit(self, rng):
+        """One per-scenario parameter on every device type that slices:
+        resistor, capacitor, inductor, both sources and the varactor."""
+        p = VcoParams.vacuum()
+        spread = np.linspace(0.8, 1.2, 5)
+        circuit = Circuit("stacked VCO with a driven port")
+        circuit.add(CubicConductance("Rneg", "tank", "0", p.g1, p.g3))
+        circuit.add(Inductor("L1", "tank", "0", p.inductance * spread))
+        circuit.add(MemsVaractor(
+            "Cmems", "tank", "0", 1.5, c0=p.c0, z_scale=p.z_scale,
+            mass=p.mass, damping=p.damping * spread,
+            stiffness=p.stiffness, force_gain=p.force_gain,
+        ))
+        circuit.add(Resistor("Rs", "tank", "port", 50.0 * spread))
+        circuit.add(Capacitor("Cp", "port", "0", 1e-12 * spread))
+        circuit.add(CurrentSource(
+            "Iin", "0", "port", Sine(amplitude=1e-3, frequency=7.5e5),
+            scale=spread,
+        ))
+        circuit.add(VoltageSource(
+            "Vdrv", "drv", "0", Sine(amplitude=0.1, frequency=7.5e5),
+            scale=spread,
+        ))
+        circuit.add(Resistor("Rd", "drv", "port", 1e3))
+        dae = circuit.to_dae()
+        states = rng.standard_normal((5, dae.n))
+        self.assert_rows_sliced(EnsembleDAE.from_stacked(dae, 5), states)
 
 
 class TestBatchedAssembler:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import ConvergenceError
 from repro.linalg import (
     BorderedSystem,
-    DirectLinearSolver,
     GmresLinearSolver,
     block_diagonal_expand,
     finite_difference_jacobian,
@@ -105,17 +104,6 @@ class TestSparseTools:
 
 
 class TestLinearSolvers:
-    def test_direct_solver_dense_and_sparse(self, rng):
-        a = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        rhs = rng.normal(size=5)
-        solver = DirectLinearSolver()
-        np.testing.assert_allclose(
-            solver(a, rhs), np.linalg.solve(a, rhs), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            solver(sp.csr_matrix(a), rhs), np.linalg.solve(a, rhs), atol=1e-10
-        )
-
     def test_gmres_matches_direct(self, rng):
         a = rng.normal(size=(30, 30)) + 10 * np.eye(30)
         rhs = rng.normal(size=30)

@@ -200,13 +200,6 @@ class TestRecoveryLadder:
         assert core.stats.factorizations == 7
         assert core.stats.krylov_iterations >= 5
 
-    def test_rung_budgets_retry_before_escalating(self):
-        core = make_core(rung_budgets={"chord": 2})
-        system = FaultySystem(mild_system(), singular_jacobian_calls={0, 1})
-        result = core.solve(system, np.zeros(3))
-        assert_solves_mild(result)
-        assert core.recovery.rungs() == ["chord", "chord", "refresh"]
-
     def test_full_mode_failure_carries_structured_context(self):
         """Satellite: ConvergenceError must carry iterations and
         residual_norm on the no-root failure path, plus the log."""

@@ -19,6 +19,7 @@ from repro.steadystate import (
     shooting_periodic,
 )
 from repro.steadystate.shooting import _flow, _sensitivity_sweep
+from repro.testing.faults import FaultyDAE
 from repro.transient import (
     TransientOptions,
     simulate_transient,
@@ -136,6 +137,36 @@ class TestSensitivityPropagation:
                 vdp, [2.0, 0.0], 0.0, 1.0,
                 TransientOptions(adaptive=True, dt=0.01),
             )
+
+    def test_max_steps_stops_the_sweep_like_the_march(self):
+        dae = VanDerPolDae(0.2)
+        options = TransientOptions(dt=0.01, max_steps=5)
+        with pytest.raises(SimulationError, match="max_steps=5"):
+            simulate_transient(dae, [2.0, 0.0], 0.0, 1.0, options)
+        with pytest.raises(SimulationError, match="max_steps=5") as info:
+            simulate_transient_with_sensitivity(
+                dae, [2.0, 0.0], 0.0, 1.0, options
+            )
+        exc = info.value
+        assert exc.step == 5
+        partial = exc.partial_result
+        assert partial.t.shape == (6,) and partial.x.shape == (6, 2)
+        np.testing.assert_allclose(partial.t, 0.01 * np.arange(6))
+        assert partial.stats["steps"] == 5
+
+    def test_newton_failure_carries_the_stored_prefix(self):
+        """Steps into a NaN forcing window cannot converge; the sweep
+        cannot shrink its step, so it fails with the accepted prefix."""
+        dae = FaultyDAE(VanDerPolDae(0.2), nan_b_window=(0.5, np.inf))
+        with pytest.raises(SimulationError, match="Newton diverged") as info:
+            simulate_transient_with_sensitivity(
+                dae, [2.0, 0.0], 0.0, 1.0, TransientOptions(dt=0.01)
+            )
+        exc = info.value
+        assert exc.step == 49
+        assert exc.partial_result.t.shape == (50,)
+        assert exc.partial_result.t[-1] == pytest.approx(0.49)
+        assert np.isfinite(exc.partial_result.x).all()
 
 
 class TestShootingSweepEconomy:

@@ -211,9 +211,10 @@ class TestReusableLUStats:
         solver = ReusableLUSolver()
         matrix = sp.csc_matrix(np.diag([2.0, 3.0, 4.0]))
         rhs = np.ones(3)
-        solver(matrix, rhs)
-        solver(matrix, rhs)  # identical values: no refactorisation
-        assert solver.stats["factorizations"] == 1
+        first = solver(matrix, rhs)
+        second = solver(matrix, rhs)  # identical values: factorised again
+        assert np.array_equal(first, second)
+        assert solver.stats["factorizations"] == 2
         assert solver.stats["solves"] == 2
 
 
