@@ -1,10 +1,13 @@
 """Numerical linear algebra and nonlinear solvers.
 
 This package hosts the Newton–Raphson kernel shared by every engine in the
-library (DC, transient, shooting, harmonic balance, MPDE, WaMPDE), helpers
-for bordered sparse systems (a square core plus extra rows/columns, used by
-the WaMPDE's frequency unknown + phase condition), and Jacobian verification
-utilities used throughout the test suite.
+library (DC, transient, shooting, harmonic balance, MPDE, WaMPDE), the
+collocation systems and Jacobian assemblers those engines solve (one
+:class:`~repro.linalg.collocation.WarpedCollocationSystem` serves
+autonomous harmonic balance, the bi-periodic WaMPDE and both envelopes), a
+reference solver for bordered sparse systems (:class:`BorderedSystem`, a
+square core plus extra rows/columns; no engine uses it), and Jacobian
+verification utilities used throughout the test suite.
 """
 
 from repro.linalg.newton import (
@@ -23,7 +26,7 @@ from repro.linalg.solver_core import (
 )
 from repro.linalg.bordered import BorderedSystem
 from repro.linalg.sparse_tools import block_diagonal_expand, kron_diffmat
-from repro.linalg.collocation import CollocationJacobianAssembler, union_block_mask
+from repro.linalg.collocation import CollocationJacobianAssembler
 from repro.linalg.transient_assembler import TransientStepAssembler
 from repro.linalg.lu_cache import FrozenFactorization, ReusableLUSolver
 from repro.linalg.gmres import GmresLinearSolver
@@ -44,7 +47,6 @@ __all__ = [
     "block_diagonal_expand",
     "kron_diffmat",
     "CollocationJacobianAssembler",
-    "union_block_mask",
     "TransientStepAssembler",
     "FrozenFactorization",
     "ReusableLUSolver",

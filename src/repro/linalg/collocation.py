@@ -1,10 +1,14 @@
-"""Pattern-reuse assembly of spectral-collocation Jacobians.
+"""The warped collocation system and its pattern-reuse Jacobian assembly.
 
-Every multi-time engine in this library (harmonic balance, MPDE and WaMPDE
-collocation) solves Newton systems whose matrix has the same shape (large
-forced harmonic balance and bi-periodic MPDE problems apply it matrix-free
-instead, see :mod:`repro.linalg.spectral`, and assemble it here only when
-GMRES misses its budget)::
+Autonomous harmonic balance, the bi-periodic WaMPDE and the WaMPDE and MPDE
+envelope steps solve one system, :class:`WarpedCollocationSystem` (the
+collocated WaMPDE, paper eq. 16, with its phase conditions); forced
+harmonic balance and the bi-periodic MPDE solve
+:class:`~repro.linalg.spectral.PeriodicCollocationSystem`, whose residual
+is an FFT.  Every one of these solves Newton systems whose matrix has the
+same shape (large forced harmonic balance and bi-periodic MPDE problems
+apply it matrix-free instead, see :mod:`repro.linalg.spectral`, and
+assemble it here only when GMRES misses its budget)::
 
     J  =  outer * ( scale * (W ⊗-blockwise) @ blockdiag(dq_i)
                     + blockdiag(df_i) )
@@ -55,6 +59,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.linalg.solver_core import CollocationSystem
+from repro.spectral.diffmat import fourier_differentiation_matrix
+
 #: Largest collocation Newton matrix (``num_points * n_vars + num_border``
 #: unknowns) that :func:`collocation_assembler` assembles dense.  Measured
 #: on a 2-core x86-64 host with single-thread BLAS: the bordered WaMPDE
@@ -91,18 +98,6 @@ def collocation_assembler(num_points, n_vars, dq_mask=None, df_mask=None,
         num_points, n_vars, dq_mask=dq_mask, df_mask=df_mask,
         coupling_mask=coupling_mask, num_border=num_border,
     )
-
-
-def union_block_mask(dae):
-    """Structural ``(n, n)`` mask ``dq_structure | df_structure`` of a DAE.
-
-    This is the per-collocation-point *diagonal* block pattern of a
-    collocation Jacobian; see
-    :meth:`repro.dae.base.SemiExplicitDAE.dq_structure`.
-    """
-    dq = np.asarray(dae.dq_structure(), dtype=bool)
-    df = np.asarray(dae.df_structure(), dtype=bool)
-    return dq | df
 
 
 class IterateEvaluation:
@@ -148,6 +143,203 @@ class IterateEvaluation:
             self._key = key
             self._value = (q.ravel(), f.ravel(), derivative.ravel())
         return self._value
+
+
+class WarpedCollocationSystem(CollocationSystem):
+    """The collocated WaMPDE (paper eq. 16) and its phase conditions (eq. 20).
+
+    The unknowns are ``N1`` slices of ``N0`` t1 samples of the ``n``
+    system variables (slice-major, point-major within a slice), followed,
+    when there is a phase condition, by one local frequency ``omega_s``
+    per slice.  The collocation equations are
+
+        fast  =  omega_s * D1 q + D2 q + f(x) - b
+
+    or, for a theta-method step in t2 of size ``h``,
+
+        (q - q_old) / h  +  theta * fast  +  (1 - theta) * rhs_old,
+
+    followed by one phase row ``phase_row . x_s - target`` per slice.  Each
+    term is present only when its data is:
+
+    * ``diffmat2`` (the t2 differentiation matrix) for the bi-periodic
+      WaMPDE; without it there is one slice;
+    * ``h`` (with ``theta``, ``q_old``, ``rhs_old``) for the envelope
+      steps; ``None`` solves the system itself;
+    * ``condition`` for the frequency unknowns and phase rows; without
+      one, t1 has the fixed period ``period1`` and ``fast = D1 q + f - b``
+      (the unwarped MPDE envelope).
+
+    So autonomous harmonic balance is one slice with a phase condition,
+    the WaMPDE envelope adds the step, the MPDE envelope is a step without
+    a phase condition and the bi-periodic WaMPDE has ``diffmat2``.  One
+    ``qf_batch`` call per residual serves the residual and the Jacobian's
+    frequency columns at the same iterate (:class:`IterateEvaluation`).
+
+    The floating-point grouping is part of the contract: the engines'
+    outputs are pinned bit for bit (``tests/test_collocation_residuals.py``
+    writes each configuration out).  One slice computes
+    ``omega * D1 q + f - b`` and the phase residual as a dot product, N1
+    slices the pre-scaled coupling ``repeat(omega) * W1 + W2`` and the
+    phase residuals as one matrix-vector product; a Jacobian without a
+    step keeps the frequency column ``D1 q`` unscaled.
+
+    Parameters
+    ----------
+    dae:
+        System providing ``qf_batch``, ``dq_dx_batch``, ``df_dx_batch``
+        and the structure masks.
+    num_t1:
+        Samples ``N0`` per t1 period.
+    period1:
+        The t1 period: 1 in warped time, the fast forcing period for the
+        MPDE.
+    condition:
+        A linear :mod:`repro.phase_conditions` condition, or ``None``.
+    diffmat2:
+        The ``(N1, N1)`` t2 differentiation matrix of a bi-periodic
+        problem, or ``None``.
+    core:
+        The :class:`~repro.linalg.solver_core.SolverCore` of a march, or
+        ``None``: each Jacobian then records ``(z, h)`` as its
+        ``jacobian_meta``, the checkpoint stand-in for the factors the
+        chord policy holds (see :meth:`matrix_at`).
+
+    Attributes
+    ----------
+    b:
+        The flat forcing samples, one per equation of the core.
+    h, theta, q_old, rhs_old:
+        The t2 step: its size (``None``, the default: no step), the
+        implicitness weight, and the flat charges and ``fast`` terms at
+        the accepted point (:meth:`fast_terms`).
+    """
+
+    def __init__(self, dae, num_t1, period1=1.0, condition=None,
+                 diffmat2=None, core=None):
+        n = dae.n
+        self.dae = dae
+        self.n = n
+        self.num_t1 = num_t1
+        self.num_t2 = 1 if diffmat2 is None else diffmat2.shape[0]
+        self.block = num_t1 * n
+        self.total = self.num_t2 * self.block
+        self.diffmat = fourier_differentiation_matrix(num_t1, period=period1)
+        self.diffmat2 = diffmat2
+        self.core = core
+        self.b = None
+        self.h = None
+        self.theta = 1.0
+        self.q_old = None
+        self.rhs_old = None
+        self._evaluate = IterateEvaluation(dae, self.diffmat)
+        # The condition is linear: residual = phase_row . x_s - target.
+        self.phase_row = None
+        num_border = 0
+        if condition is not None:
+            self.phase_row = condition.gradient(num_t1, n)
+            self.target = condition.target
+            num_border = self.num_t2
+            # One phase row per slice, on that slice's unknowns: the
+            # values of kron(eye(N1), phase_row), without kron's cost.
+            self._phase_rows = (
+                np.eye(self.num_t2)[:, :, None] * self.phase_row
+            ).reshape(self.num_t2, -1)
+        coupling_mask = None
+        if diffmat2 is not None:
+            # Point couplings over the flattened (t2, t1) grid: within one
+            # slice, and across slices at equal t1 index.
+            self._w1 = np.kron(np.eye(self.num_t2), self.diffmat)
+            self._w2 = np.kron(diffmat2, np.eye(num_t1))
+            coupling_mask = (self._w1 != 0.0) | (self._w2 != 0.0)
+        self.assembler = collocation_assembler(
+            self.num_t2 * num_t1, n,
+            dq_mask=dae.dq_structure(), df_mask=dae.df_structure(),
+            coupling_mask=coupling_mask, num_border=num_border,
+        )
+
+    def fast_terms(self, states, b, omega=None):
+        """``fast`` of one slice at ``(N0, n)`` samples, and its flat ``q``:
+        the ``(rhs_old, q_old)`` of a step from there."""
+        q, f, d1q = self._evaluate(states)
+        if omega is None:
+            return d1q + f - b, q
+        return omega * d1q + f - b, q
+
+    def residual(self, z):
+        total = self.total
+        x = z[:total]
+        q, f, d1q = self._evaluate(x.reshape(-1, self.n))
+        if self.diffmat2 is not None:
+            fast = (
+                np.repeat(z[total:], self.block) * d1q
+                + (self.diffmat2 @ q.reshape(self.num_t2, self.block)).ravel()
+                + f - self.b
+            )
+        elif self.phase_row is None:
+            fast = d1q + f - self.b
+        else:
+            fast = z[total] * d1q + f - self.b
+        if self.h is not None:
+            fast = (
+                (q - self.q_old) / self.h
+                + self.theta * fast
+                + (1.0 - self.theta) * self.rhs_old
+            )
+        if self.phase_row is None:
+            return fast
+        if self.diffmat2 is None:
+            return np.concatenate([fast, [self.phase_row @ x - self.target]])
+        return np.concatenate([
+            fast,
+            x.reshape(self.num_t2, self.block) @ self.phase_row - self.target,
+        ])
+
+    def jacobian(self, z):
+        if self.core is not None:
+            self.core.jacobian_meta = (np.array(z, dtype=float), self.h)
+        total = self.total
+        states = z[:total].reshape(-1, self.n)
+        dq = self.dae.dq_dx_batch(states)
+        df = self.dae.df_dx_batch(states)
+        coupling, scale, columns, rows = self.diffmat, 1.0, None, None
+        if self.phase_row is not None:
+            d1q = self._evaluate(states)[2]
+            rows = self._phase_rows
+            if self.diffmat2 is None:
+                scale = z[total]
+                columns = d1q[:, None]
+            else:
+                # omega(t2) row-scales the within-slice coupling only.
+                coupling = (
+                    np.repeat(z[total:], self.num_t1)[:, None] * self._w1
+                    + self._w2
+                )
+                columns = np.zeros((total, self.num_t2))
+                index = np.arange(total)
+                columns[index, index // self.block] = d1q
+        outer, diag_outer = 1.0, None
+        if self.h is not None:
+            # scipy's sparse "/ h" was "* (1/h)"; kept bit for bit.
+            outer, diag_outer = self.theta, dq * (1.0 / self.h)
+            if columns is not None:
+                columns = self.theta * columns
+        return self.assembler.refresh(
+            coupling, dq, diag_inner=df, coupling_scale=scale,
+            outer_coeff=outer, diag_outer=diag_outer,
+            border_columns=columns, border_rows=rows,
+        )
+
+    def structure(self):
+        num_border = 0 if self.phase_row is None else self.num_t2
+        return {"num_points": self.num_t2 * self.num_t1, "n_vars": self.n,
+                "num_border": num_border, "size": self.total + num_border}
+
+    def matrix_at(self, meta):
+        """The step matrix at frozen-factor metadata ``(z, h)``."""
+        z, h = meta
+        self.h = float(h)
+        return self.jacobian(np.asarray(z, dtype=float))
 
 
 class CollocationJacobianAssembler:

@@ -17,7 +17,10 @@ The pieces
 :class:`CollocationSystem`
     The problem contract: ``residual(z)``, ``jacobian(z)`` (expected to
     refresh assembler data in place and return the matrix), and an optional
-    ``structure()`` report.  Engine steppers implement it directly;
+    ``structure()`` report.  The collocation engines solve two
+    implementations of it,
+    :class:`~repro.linalg.collocation.WarpedCollocationSystem` and
+    :class:`~repro.linalg.spectral.PeriodicCollocationSystem`;
     closure-based call sites use :class:`FunctionSystem`.
 
 :class:`SolverCore`

@@ -5,11 +5,14 @@ t1 axis has the *fixed* period of the fast forcing, there is no frequency
 unknown and no phase condition.  Useful for envelope-modulated
 (AM-transient) responses of driven circuits.
 
-As in the WaMPDE envelope, each step residual costs one batched
-``qf_batch`` evaluation and a dense t1 derivative ``D @ Q`` of the
-``(N0, n)`` charge samples, memoised on the samples
-(:class:`~repro.linalg.collocation.IterateEvaluation`): the next step's
-old-time terms reuse the converged iterate's evaluation.
+Each step solves the WaMPDE envelope's system,
+:class:`~repro.linalg.collocation.WarpedCollocationSystem` with a
+theta-method step (``theta`` 0.5 for ``"trap"``, 1 for ``"be"``), built
+with the forcing's t1 period and no phase condition.  As in the WaMPDE
+envelope, each step residual costs one batched ``qf_batch`` evaluation and
+a dense t1 derivative ``D @ Q`` of the ``(N0, n)`` charge samples, memoised
+on the samples (:class:`~repro.linalg.collocation.IterateEvaluation`): the
+next step's old-time terms reuse the converged iterate's evaluation.
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
-from repro.linalg.collocation import IterateEvaluation, collocation_assembler
+from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import (
-    CollocationSystem,
-    SolverOptionsMixin,
-    core_from_options,
-)
+from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
 from repro.resilience.march import March
-from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
 from repro.utils.validation import check_odd
 from repro.wampde.bivariate import BivariateWaveform
@@ -94,87 +92,6 @@ class MpdeEnvelopeResult(SerializableMixin):
         return waveform(np.mod(times, self.period1), times)
 
 
-class _MpdeEnvelopeStepper(CollocationSystem):
-    """Per-step collocation system handed to the shared solver core."""
-
-    def __init__(self, dae, n0, forcing, beta, options):
-        self.dae = dae
-        self.n0 = n0
-        self.n = dae.n
-        self.beta = beta
-        self.diffmat = fourier_differentiation_matrix(n0, forcing.period1)
-        # Flat q, f and D q, memoised on the samples: rhs_terms() after a
-        # step re-sees the converged iterate residual(z) just evaluated.
-        self._evaluate = IterateEvaluation(dae, self.diffmat)
-        # Fixed-pattern Jacobian assembly + factorisation reuse across all
-        # steps of the march (see repro.linalg.collocation).
-        self.assembler = collocation_assembler(
-            n0,
-            self.n,
-            dq_mask=dae.dq_structure(),
-            df_mask=dae.df_structure(),
-        )
-        self.core = core_from_options(options)
-        # Per-step configuration consumed by residual()/jacobian().
-        self._b_new = None
-        self._q_old = None
-        self._rhs_old = None
-        self._h = None
-
-    def rhs_terms(self, states, b):
-        """``D q + f - b`` at ``(n0, n)`` samples, plus the flat q."""
-        q_flat, f_flat, dq = self._evaluate(states)
-        return dq + f_flat - b, q_flat
-
-    def residual(self, z):
-        states = z.reshape(self.n0, self.n)
-        q_flat, f_flat, dq = self._evaluate(states)
-        fast = dq + f_flat - self._b_new
-        if self.beta != 1.0:
-            return (
-                (q_flat - self._q_old) / self._h
-                + 0.5 * (fast + self._rhs_old)
-            )
-        return (q_flat - self._q_old) / self._h + fast
-
-    def jacobian(self, z):
-        # (z, h) of the assembly: the checkpoint stand-in for the
-        # (unpicklable) factors the chord policy will hold of it.
-        self.core.jacobian_meta = (np.array(z, dtype=float), self._h)
-        states = z.reshape(self.n0, self.n)
-        dq = self.dae.dq_dx_batch(states)
-        df = self.dae.df_dx_batch(states)
-        # dq/h + beta * ((D ⊗ I) blockdiag(dq) + df), via data-only refresh;
-        # scipy's sparse "/ h" is "* (1/h)" — matched bit for bit.
-        return self.assembler.refresh(
-            self.diffmat,
-            dq,
-            diag_inner=df,
-            outer_coeff=self.beta,
-            diag_outer=dq * (1.0 / self._h),
-        )
-
-    def structure(self):
-        return {"num_points": self.n0, "n_vars": self.n,
-                "num_border": 0, "size": self.n0 * self.n}
-
-    def step(self, x_samples, q_old, rhs_old, b_new, h):
-        """One implicit t2 step; returns ``(x_new, iterations)``."""
-        self._b_new = b_new
-        self._q_old = q_old
-        self._rhs_old = rhs_old
-        self._h = h
-        self.core.note_parameters(h=h)
-        result = self.core.solve(self, x_samples.ravel())
-        return result.x.reshape(self.n0, self.n), result.iterations
-
-    def matrix_at(self, meta):
-        """The step matrix at frozen-factor metadata ``(z, h)``."""
-        z, h = meta
-        self._h = float(h)
-        return self.jacobian(np.asarray(z, dtype=float))
-
-
 def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
                         num_steps, options=None, resume_from=None):
     """March the MPDE in t2 from initial t1-cycle data.
@@ -189,7 +106,8 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
     initial_samples:
         ``(N0, n)`` t1-cycle at ``t2_start``.
     t2_start, t2_stop, num_steps:
-        Uniform slow-time stepping window.
+        Uniform slow-time stepping window: ``t2_stop > t2_start`` and
+        ``num_steps >= 1``, else :class:`~repro.errors.SimulationError`.
     resume_from:
         A :class:`~repro.resilience.checkpoint.Checkpoint` (or a path to
         one) from an earlier, interrupted run with identical arguments;
@@ -215,11 +133,20 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         raise SimulationError(
             f"integrator must be 'trap' or 'be', got {opts.integrator!r}"
         )
-    beta = 0.5 if opts.integrator == "trap" else 1.0
+    if not t2_stop > t2_start:
+        raise SimulationError(
+            f"t2_stop must exceed t2_start, got [{t2_start}, {t2_stop}]"
+        )
+    if num_steps < 1:
+        raise SimulationError(f"num_steps must be >= 1, got {num_steps}")
 
     t1_points = collocation_grid(n0, forcing.period1)
     h = (t2_stop - t2_start) / num_steps
-    stepper = _MpdeEnvelopeStepper(dae, n0, forcing, beta, opts)
+    core = core_from_options(opts)
+    system = WarpedCollocationSystem(
+        dae, n0, period1=forcing.period1, core=core
+    )
+    system.theta = 0.5 if opts.integrator == "trap" else 1.0
 
     def b_at(t2_value):
         return np.stack([forcing(t1, t2_value) for t1 in t1_points]).ravel()
@@ -232,8 +159,8 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         fields=("t2", "samples"),
         snapshot=lambda: {"x_samples": x_samples.copy()},
         counters=("newton_iterations",),
-        core=stepper.core,
-        matrix_at=stepper.matrix_at,
+        core=core,
+        matrix_at=system.matrix_at,
     )
     if march.state is None:
         x_samples = initial_samples.copy()
@@ -241,15 +168,15 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
     else:
         x_samples = np.array(march.state["x_samples"], dtype=float)
     t2 = float(march.t)
-    rhs_old, q_old = stepper.rhs_terms(x_samples, b_at(t2))
+    rhs_old, q_old = system.fast_terms(x_samples, b_at(t2))
 
     for step in range(march.stats["steps"], num_steps):
         t2_new = t2_start + (step + 1) * h
-        b_new = b_at(t2_new)
+        system.b = b_at(t2_new)
+        system.q_old, system.rhs_old, system.h = q_old, rhs_old, h
+        core.note_parameters(h=h)
         try:
-            x_samples, iterations = stepper.step(
-                x_samples, q_old, rhs_old, b_new, h
-            )
+            result = core.solve(system, x_samples.ravel())
         except ConvergenceError as exc:
             raise march.fail(
                 f"MPDE envelope step {step + 1} failed to converge at "
@@ -258,8 +185,9 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
             ) from exc
         except SimulationError as exc:
             raise march.fail(exc, h)
-        march.stats["newton_iterations"] += iterations
+        x_samples = result.x.reshape(n0, n)
+        march.stats["newton_iterations"] += result.iterations
         t2 = t2_new
-        rhs_old, q_old = stepper.rhs_terms(x_samples, b_new)
+        rhs_old, q_old = system.fast_terms(x_samples, system.b)
         march.accept(t2, h, x_samples, final=step == num_steps - 1)
     return march.finish()

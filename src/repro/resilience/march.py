@@ -173,20 +173,22 @@ class March:
 
         The point is stored at the ``store_every`` cadence and always
         when ``final``; a checkpoint is offered, and ``max_steps`` is
-        enforced.
+        enforced: reaching it fails the march unless this step is the
+        final one.
         """
         self.t, self.dt = t, dt
         self.stats["steps"] += 1
         self.since_store += 1
         if self.since_store >= self.store_every or final:
             self._store(t, values)
-        self._accepted()
+        self._accepted(final)
 
     def accept_chunk(self, times, rows, dt, t_stop):
         """Count a compiled chunk: ``rows[j]`` accepted at ``times[j]``.
 
-        The store cadence runs over the chunk exactly as over single
-        steps, a point at or past ``t_stop`` being the final one.
+        The store cadence and the ``max_steps`` check run over the chunk
+        exactly as over single steps, a point at or past ``t_stop`` being
+        the final one.
         """
         times = np.asarray(times, dtype=float)
         if self.store_every == 1:
@@ -206,7 +208,7 @@ class March:
             self.columns[1].append(rows[stored])
         self.t, self.dt = float(times[-1]), dt
         self.stats["steps"] += times.size
-        self._accepted()
+        self._accepted(self.t >= t_stop)
 
     def chunk_budget(self, limit):
         """Steps the next compiled chunk may take.
@@ -289,11 +291,11 @@ class March:
             points.append(_copy(value))
         self.since_store = 0
 
-    def _accepted(self):
+    def _accepted(self, final):
         steps = self.stats["steps"]
         if self.manager is not None:
             self.manager.offer(steps, self._checkpoint)
-        if steps >= self.max_steps:
+        if steps >= self.max_steps and not final:
             raise self.fail(self._exceeded())
 
     def _exceeded(self):

@@ -11,9 +11,12 @@ trick the paper alludes to in §4.1.
 * :func:`harmonic_balance_forced` — period known (driven circuits).
 * :func:`harmonic_balance_autonomous` — period unknown; adds the frequency
   unknown and a :mod:`repro.phase_conditions` anchor, i.e. exactly the
-  ``N1 = 1`` special case of the WaMPDE quasiperiodic system.
+  ``N1 = 1`` special case of the WaMPDE quasiperiodic system, and it solves
+  that system: one slice of
+  :class:`~repro.linalg.collocation.WarpedCollocationSystem` with neither a
+  t2 derivative nor a t2 step.
 
-Both solvers are thin :class:`~repro.linalg.solver_core.CollocationSystem`
+Both solvers are :class:`~repro.linalg.solver_core.CollocationSystem`
 implementations driven by the shared
 :class:`~repro.linalg.solver_core.SolverCore` (pass ``solver_options`` to
 pick the chord policy, a GMRES linear solver or the recovery ladder); the
@@ -58,20 +61,15 @@ from repro.api.serialize import SerializableMixin
 from repro.dae.scaled import ScaledDAE, equilibration_scales
 from repro.errors import ConvergenceError
 from repro.grids import stack_states as _stack, unstack_states as _unstack
-from repro.linalg.collocation import IterateEvaluation, collocation_assembler
+from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import (
-    CollocationSystem,
-    SolverCore,
-    SolverCoreOptions,
-)
+from repro.linalg.solver_core import SolverCore, SolverCoreOptions
 from repro.linalg.spectral import (
     PeriodicCollocationSystem,
     SpectralNewtonSolver,
     takes_matrix_free_route,
 )
 from repro.phase_conditions import as_phase_condition
-from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
 from repro.spectral.interpolation import TrigInterpolant
 from repro.utils.validation import check_odd, check_positive
@@ -244,60 +242,6 @@ def harmonic_balance_forced(dae, period, num_samples=31, initial=None,
     )
 
 
-class _AutonomousHBSystem(CollocationSystem):
-    """Bordered system: ``nu * D1 q + f - b = 0`` plus a phase anchor."""
-
-    def __init__(self, dae, num, condition, forcing_time):
-        self.dae = dae
-        self.num = num
-        self.n = dae.n
-        # The condition is linear: residual = phase_row . x - target.
-        self.phase_row = condition.gradient(num, self.n)
-        self.target = condition.target
-        self.b_const = np.tile(dae.b(forcing_time), num)
-        self.diffmat = fourier_differentiation_matrix(num, period=1.0)
-        # Flat q, f and D1 q, memoised on the samples: jacobian(z) takes
-        # its frequency column from the residual just evaluated.
-        self._evaluate = IterateEvaluation(dae, self.diffmat)
-        self.assembler = collocation_assembler(
-            num,
-            self.n,
-            dq_mask=dae.dq_structure(),
-            df_mask=dae.df_structure(),
-            num_border=1,
-        )
-
-    def residual(self, vec):
-        states = _unstack(vec[:-1], self.num, self.n)
-        nu = vec[-1]
-        _q_flat, f_flat, d1q = self._evaluate(states)
-        core = nu * d1q + f_flat - self.b_const
-        return np.concatenate(
-            [core, [self.phase_row @ vec[:-1] - self.target]]
-        )
-
-    def jacobian(self, vec):
-        states = _unstack(vec[:-1], self.num, self.n)
-        nu = vec[-1]
-        dq = self.dae.dq_dx_batch(states)
-        df = self.dae.df_dx_batch(states)
-        _q_flat, _f_flat, d1q = self._evaluate(states)
-        # nu * (D1 ⊗ I) blockdiag(dq) + blockdiag(df), bordered by the
-        # frequency column D1 q and the phase row.
-        return self.assembler.refresh(
-            self.diffmat,
-            dq,
-            diag_inner=df,
-            coupling_scale=nu,
-            border_columns=d1q[:, None],
-            border_rows=self.phase_row[None, :],
-        )
-
-    def structure(self):
-        return {"num_points": self.num, "n_vars": self.n,
-                "num_border": 1, "size": self.num * self.n + 1}
-
-
 def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
                                 phase_condition="fourier",
                                 phase_variable=0, num_samples=31,
@@ -372,10 +316,10 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     if condition.target:
         condition = copy.copy(condition)
         condition.target /= scale[condition.variable]
-    system = _AutonomousHBSystem(
-        ScaledDAE(dae, variable_scale=scale, equation_scale=equation_scale),
-        num, condition, forcing_time,
-    )
+    scaled = ScaledDAE(dae, variable_scale=scale,
+                       equation_scale=equation_scale)
+    system = WarpedCollocationSystem(scaled, num, condition=condition)
+    system.b = np.tile(scaled.b(forcing_time), num)
     z0 = np.concatenate([_stack(initial / scale), [float(frequency_guess)]])
     core = _make_core(
         solver_options, newton_options,

@@ -8,10 +8,14 @@ the equations are the collocated WaMPDE (paper eq. 16)
     omega * D1 q(X) + dq/dt2|_discrete + f(X) = b(t2)
 
 plus one phase-condition row (paper eq. 20 / §3 eq. 9) that pins the t1
-phase and thereby *determines* omega.  The t2 derivative uses backward
-Euler or trapezoidal differencing; the per-step Newton system is a
-bordered matrix (collocation core + omega column + phase row), assembled
-dense and factorised by LAPACK up to
+phase and thereby *determines* omega.  The t2 derivative uses the theta
+method (backward Euler and trapezoidal differencing are its ends); the
+per-step system is
+:class:`~repro.linalg.collocation.WarpedCollocationSystem` with one slice,
+a phase condition and a theta-method step — the system autonomous harmonic
+balance solves without the step.  Its Newton matrix is bordered
+(collocation core + omega column + phase row), assembled dense and
+factorised by LAPACK up to
 :data:`repro.linalg.collocation.DENSE_MAX_UNKNOWNS` unknowns (a 4-unknown
 VCO at 25 t1 samples has 101) and sparse with SuperLU above.  Each residual
 costs one batched ``qf_batch`` evaluation, a dense t1 derivative ``D1 @ Q``
@@ -45,16 +49,11 @@ import numpy as np
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
 from repro.kernels.sweep import maybe_kernelize_batch
-from repro.linalg.collocation import IterateEvaluation, collocation_assembler
+from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import (
-    CollocationSystem,
-    SolverOptionsMixin,
-    core_from_options,
-)
+from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
 from repro.resilience.march import March
 from repro.phase_conditions import as_phase_condition
-from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.transient.engine import extrapolate
 from repro.utils.validation import check_odd, check_positive
 from repro.wampde.bivariate import BivariateWaveform
@@ -102,10 +101,13 @@ class WampdeEnvelopeOptions(SolverOptionsMixin):
         the policy the transient engine uses across time steps.
         ``"full"`` recovers a fresh Jacobian per Newton iteration.
     linear_solver:
-        ``None``/"lu" — direct sparse LU with factorisation reuse;
-        ``"gmres"`` — frozen-LU-preconditioned GMRES for large circuits
-        (the paper's [Saa96] reference); or any ``(matrix, rhs) ->
-        solution`` callable.  Non-default values imply full Newton.
+        ``None``/"lu" — direct LU of each assembled step matrix (dense
+        LAPACK up to
+        :data:`~repro.linalg.collocation.DENSE_MAX_UNKNOWNS` unknowns,
+        sparse SuperLU above); ``"gmres"`` — frozen-LU-preconditioned
+        GMRES for large circuits (the paper's [Saa96] reference); or any
+        ``(matrix, rhs) -> solution`` callable.  Non-default values imply
+        full Newton.
     store_every:
         Keep every k-th accepted t2 point.
     rtol, atol:
@@ -228,130 +230,63 @@ class WampdeEnvelopeResult(SerializableMixin):
         return reconstruct_univariate(self, key, times)
 
 
-class _EnvelopeStepper(CollocationSystem):
-    """Shared per-step Newton kernel for the envelope drivers.
+class _EnvelopeStepper:
+    """One WaMPDE envelope step, shared by both drivers.
 
-    Implements the :class:`~repro.linalg.solver_core.CollocationSystem`
-    contract — :meth:`step` configures the per-step data, then hands the
-    stepper itself to the shared :class:`~repro.linalg.solver_core.\
-SolverCore`, which owns the Newton policy and (in chord mode) carries the
+    The step is a :class:`~repro.linalg.collocation.WarpedCollocationSystem`
+    of one slice with a phase condition and a theta-method step; this shell
+    adds what is the envelope's own: theta from the options, the tiled
+    forcing ``b(t2)`` and the ``omega > 0`` check.  :meth:`step` hands the
+    system to the shared :class:`~repro.linalg.solver_core.SolverCore`,
+    which owns the Newton policy and (in chord mode) carries the
     factorised bordered Jacobian across envelope steps.
     """
 
     def __init__(self, dae, num_t1, options):
         self.dae = dae
         self.num_t1 = check_odd(num_t1, "N0 (t1 samples)")
-        self.n = dae.n
         if options.integrator == "trap":
-            self.theta = 0.5
+            theta = 0.5
         elif options.integrator == "be":
-            self.theta = 1.0
+            theta = 1.0
         elif options.integrator == "theta":
             if not 0.5 <= options.theta <= 1.0:
                 raise SimulationError(
                     f"theta must lie in [0.5, 1], got {options.theta!r}"
                 )
-            self.theta = float(options.theta)
+            theta = float(options.theta)
         else:
             raise SimulationError(
                 f"integrator must be 'theta', 'trap' or 'be', got "
                 f"{options.integrator!r}"
             )
-        self.options = options
-        self.condition = as_phase_condition(
-            options.phase_condition, options.phase_variable
-        )
-        # The condition is linear: residual = phase_row . x - target.
-        self.phase_row = self.condition.gradient(self.num_t1, self.n)
-        self.diffmat = fourier_differentiation_matrix(self.num_t1, period=1.0)
-        # The bordered collocation Jacobian's structure never changes across
-        # Newton iterations or envelope steps: a preallocated dense array,
-        # or (large systems) a CSC pattern, refreshed in place.
-        self.assembler = collocation_assembler(
-            self.num_t1,
-            self.n,
-            dq_mask=dae.dq_structure(),
-            df_mask=dae.df_structure(),
-            num_border=1,
-        )
-        # ... and the shared solver core: Newton policy, linear-solver
-        # selection and factorisation reuse (carried across envelope steps
-        # in chord mode), plus uniform stats for the run.
+        # The shared solver core: Newton policy, linear-solver selection
+        # and factorisation reuse (carried across envelope steps in chord
+        # mode), plus uniform stats for the run.
         self.core = core_from_options(options)
-        # Per-step configuration consumed by residual()/jacobian(); the
-        # tiled forcing is kept with its t2 for rhs_terms() at that t2.
+        self.system = WarpedCollocationSystem(
+            dae, self.num_t1,
+            condition=as_phase_condition(
+                options.phase_condition, options.phase_variable
+            ),
+            core=self.core,
+        )
+        self.system.theta = theta
         self._b_t2 = None
-        self._b_tile = None
-        self._q_old = None
-        self._rhs_old = None
-        self._h = None
-        # Flat q, f and D1 q, memoised on the samples: jacobian(z) and
-        # rhs_terms() re-see the iterate residual(z) just evaluated.
-        self._evaluate = IterateEvaluation(dae, self.diffmat)
 
     def rhs_terms(self, states, omega_value, t2_value):
         """``omega*D1 q + f - b`` at a configuration, plus the flat q."""
-        q_flat, f_flat, d1q = self._evaluate(states)
-        fast = omega_value * d1q + f_flat - self._forcing(t2_value)
-        return fast, q_flat
+        return self.system.fast_terms(
+            states, self._forcing(t2_value), omega_value
+        )
 
     def _forcing(self, t2_value):
         """The tiled ``b(t2)``, sampled once for consecutive uses at one
         t2 (a step, then ``rhs_terms`` at its accepted point)."""
         if t2_value != self._b_t2:
-            self._b_tile = np.tile(self.dae.b(t2_value), self.num_t1)
+            self.system.b = np.tile(self.dae.b(t2_value), self.num_t1)
             self._b_t2 = t2_value
-        return self._b_tile
-
-    def residual(self, z):
-        states = z[:-1].reshape(self.num_t1, self.n)
-        q_flat, f_flat, d1q = self._evaluate(states)
-        fast = z[-1] * d1q + f_flat - self._b_tile
-        core = (
-            (q_flat - self._q_old) / self._h
-            + self.theta * fast
-            + (1.0 - self.theta) * self._rhs_old
-        )
-        return np.concatenate(
-            [core, [self.phase_row @ z[:-1] - self.condition.target]]
-        )
-
-    def jacobian(self, z):
-        # (z, h) of the assembly: the checkpoint stand-in for the
-        # (unpicklable) factors the chord policy will hold of it.
-        self.core.jacobian_meta = (np.array(z, dtype=float), self._h)
-        states = z[:-1].reshape(self.num_t1, self.n)
-        dq = self.dae.dq_dx_batch(states)
-        df = self.dae.df_dx_batch(states)
-        _q_flat, _f_flat, d1q = self._evaluate(states)
-        omega_col = self.theta * d1q
-        # core = dq/h + theta * (w * D1 @ dq + df), bordered by the omega
-        # column and the phase row — data-only refresh, fixed structure.
-        return self.assembler.refresh(
-            self.diffmat,
-            dq,
-            diag_inner=df,
-            coupling_scale=z[-1],
-            outer_coeff=self.theta,
-            # scipy's sparse "/ h" is "* (1/h)"; match it bit for bit.
-            diag_outer=dq * (1.0 / self._h),
-            border_columns=omega_col[:, None],
-            border_rows=self.phase_row[None, :],
-        )
-
-    def structure(self):
-        return {
-            "num_points": self.num_t1,
-            "n_vars": self.n,
-            "num_border": 1,
-            "size": self.num_t1 * self.n + 1,
-        }
-
-    def matrix_at(self, meta):
-        """The bordered step matrix at frozen-factor metadata ``(z, h)``."""
-        z, h = meta
-        self._h = float(h)
-        return self.jacobian(np.asarray(z, dtype=float))
+        return self.system.b
 
     def step(self, x_samples, omega, q_old, rhs_old, t2_new, h, guess=None):
         """One implicit t2 step; returns ``(x_new, omega_new, iterations)``.
@@ -365,21 +300,19 @@ SolverCore`, which owns the Newton policy and (in chord mode) carries the
         ConvergenceError
             If the per-step Newton iteration fails.
         """
-        num_t1, n = self.num_t1, self.n
+        system = self.system
         self._forcing(t2_new)
-        self._q_old = q_old
-        self._rhs_old = rhs_old
-        self._h = h
+        system.q_old, system.rhs_old, system.h = q_old, rhs_old, h
         # A jump in the step size or the local frequency reshapes the
         # Newton matrix discontinuously; the core drops any carried chord
         # factorisation then (smooth drifts keep it).
         self.core.note_parameters(h=h, omega=omega)
         z0 = np.concatenate([x_samples.ravel(), [omega]])
         if guess is None:
-            result = self.core.solve(self, z0)
+            result = self.core.solve(system, z0)
         else:
-            result = self.core.solve(self, guess, fallback_z0=z0)
-        x_new = result.x[:-1].reshape(num_t1, n)
+            result = self.core.solve(system, guess, fallback_z0=z0)
+        x_new = result.x[:-1].reshape(self.num_t1, self.dae.n)
         omega_new = float(result.x[-1])
         if omega_new <= 0:
             raise SimulationError(
@@ -546,7 +479,7 @@ def _envelope_march(kind, dae, stepper, opts, resume_from, snapshot,
         snapshot=snapshot,
         counters=("newton_iterations",) + counters,
         core=stepper.core,
-        matrix_at=stepper.matrix_at,
+        matrix_at=stepper.system.matrix_at,
         max_steps=max_steps,
         warm=warm,
     )
@@ -601,7 +534,7 @@ def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,
     span = t2_stop - t2_start
     h = float(dt2_initial) if dt2_initial else span * 1e-4
     h = min(max(h, opts.dt2_min or span * 1e-12), opts.dt2_max, span)
-    order = 2 if stepper.theta < 0.75 else 1
+    order = 2 if stepper.system.theta < 0.75 else 1
     # The charge-difference residual (q - q_old)/h amplifies round-off as
     # 1/h; below h_noise the per-step Newton solve cannot reach its
     # residual tolerance no matter how accurate the iterate.  The step is

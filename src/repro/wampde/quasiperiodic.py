@@ -8,10 +8,13 @@ submultiple) as special cases, per the paper's §4.1 discussion.
 
 Discretisation: spectral collocation on an odd ``N0 x N1`` tensor grid
 (both axes periodic), one phase-condition row per t2 point, Newton on the
-full coupled system.  A residual costs one batched ``qf_batch`` evaluation,
-the dense products ``D1 @ Q`` within each t2 slice and ``D2 @ Q`` across
-slices, and one product with the phase row for all slices; the Jacobian's
-frequency columns reuse the memoised ``D1 q``
+full coupled system: the
+:class:`~repro.linalg.collocation.WarpedCollocationSystem` that autonomous
+harmonic balance and both envelopes solve, here with ``N1`` slices and the
+t2 differentiation matrix ``D2``.  A residual costs one batched
+``qf_batch`` evaluation, the dense products ``D1 @ Q`` within each t2
+slice and ``D2 @ Q`` across slices, and one product with the phase row for
+all slices; the Jacobian's frequency columns reuse the memoised ``D1 q``
 (:class:`~repro.linalg.collocation.IterateEvaluation`).
 """
 
@@ -23,13 +26,9 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import SimulationError
-from repro.linalg.collocation import IterateEvaluation, collocation_assembler
+from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import (
-    CollocationSystem,
-    SolverOptionsMixin,
-    core_from_options,
-)
+from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
 from repro.phase_conditions import as_phase_condition
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
@@ -189,101 +188,6 @@ def envelope_to_quasiperiodic_guess(envelope_result, period2, num_t2,
     return samples, omegas
 
 
-class _QuasiperiodicSystem(CollocationSystem):
-    """Bi-periodic WaMPDE system: N1 frequency unknowns + N1 phase rows.
-
-    Core residual: ``omega(t2_i) * D1 q + D2 q + f - b(t2)`` over the
-    flattened ``(N1, N0)`` grid, bordered by one frequency column and one
-    phase-condition row per t2 slice.
-    """
-
-    def __init__(self, dae, period2, n0, n1, condition):
-        self.dae = dae
-        self.n0 = n0
-        self.n1 = n1
-        self.n = dae.n
-        # The condition is linear: residual = phase_row . x - target.
-        self.phase_row_block = condition.gradient(n0, self.n)
-        self.target = condition.target
-        self.block = n0 * self.n  # unknowns per t2 point
-        self.total = n1 * self.block
-
-        t2_grid = collocation_grid(n1, period2)
-        self.diffmat1 = fourier_differentiation_matrix(n0, period=1.0)
-        self.diffmat2 = fourier_differentiation_matrix(n1, period=period2)
-        self.b_flat = np.stack(
-            [np.tile(dae.b(t), n0) for t in t2_grid]
-        ).ravel()
-        # Flat q, f and D1 q (within each t2 slice), memoised on the
-        # samples: jacobian(z) takes its frequency columns from the
-        # residual just evaluated.
-        self._evaluate = IterateEvaluation(dae, self.diffmat1)
-        # One phase row per t2 slice, on that slice's unknowns.
-        self.phase_rows = np.kron(np.eye(n1), self.phase_row_block)
-
-        # Point-coupling matrices over the flattened (t2, t1) grid: the
-        # fast axis couples points within one t2 slice, the slow axis
-        # couples equal t1 indices across slices.  Their combination
-        # drives the pattern-reuse Jacobian assembly (see
-        # repro.linalg.collocation).
-        self.w1 = np.kron(np.eye(n1), self.diffmat1)
-        self.w2 = np.kron(self.diffmat2, np.eye(n0))
-        self.assembler = collocation_assembler(
-            n1 * n0,
-            self.n,
-            dq_mask=dae.dq_structure(),
-            df_mask=dae.df_structure(),
-            coupling_mask=(self.w1 != 0.0) | (self.w2 != 0.0),
-            num_border=n1,
-        )
-
-    def split(self, z):
-        states = z[:self.total].reshape(self.n1, self.n0, self.n)
-        omegas = z[self.total:]
-        return states, omegas
-
-    def residual(self, z):
-        states, omegas = self.split(z)
-        flat_states = states.reshape(self.n1 * self.n0, self.n)
-        q_flat, f_flat, d1q = self._evaluate(flat_states)
-        d2q = (self.diffmat2 @ q_flat.reshape(self.n1, self.block)).ravel()
-        core = (
-            np.repeat(omegas, self.block) * d1q + d2q + f_flat - self.b_flat
-        )
-        phase = (
-            z[:self.total].reshape(self.n1, self.block) @ self.phase_row_block
-            - self.target
-        )
-        return np.concatenate([core, phase])
-
-    def jacobian(self, z):
-        n1, block, total = self.n1, self.block, self.total
-        states, omegas = self.split(z)
-        flat_states = states.reshape(n1 * self.n0, self.n)
-        dq = self.dae.dq_dx_batch(flat_states)
-        df = self.dae.df_dx_batch(flat_states)
-        # omega(t2) row-scales the fast-axis coupling only.
-        coupling = np.repeat(omegas, self.n0)[:, None] * self.w1 + self.w2
-
-        _q_flat, _f_flat, d1q = self._evaluate(flat_states)
-        columns = np.zeros((total, n1))
-        for i2 in range(n1):
-            sl = slice(i2 * block, (i2 + 1) * block)
-            columns[sl, i2] = d1q[sl]
-
-        return self.assembler.refresh(
-            coupling,
-            dq,
-            diag_inner=df,
-            border_columns=columns,
-            border_rows=self.phase_rows,
-        )
-
-    def structure(self):
-        return {"num_points": self.n1 * self.n0, "n_vars": self.n,
-                "num_border": self.n1, "size": self.total + self.n1}
-
-
 def solve_wampde_quasiperiodic(dae, period2, initial_samples, omega0,
                                num_t2=15, options=None, warm_start=None):
     """Solve the bi-periodic WaMPDE boundary-value problem.
@@ -356,11 +260,16 @@ def solve_wampde_quasiperiodic(dae, period2, initial_samples, omega0,
     condition = as_phase_condition(opts.phase_condition, opts.phase_variable)
     t2_grid = collocation_grid(n1, period2)
 
-    system = _QuasiperiodicSystem(dae, period2, n0, n1, condition)
+    system = WarpedCollocationSystem(
+        dae, n0, condition=condition,
+        diffmat2=fourier_differentiation_matrix(n1, period=period2),
+    )
+    system.b = np.stack([np.tile(dae.b(t), n0) for t in t2_grid]).ravel()
     core = core_from_options(opts)
     z0 = np.concatenate([initial_samples.ravel(), omega0])
     result = core.solve(system, z0)
-    states, omegas = system.split(result.x)
+    states = result.x[:system.total].reshape(n1, n0, n)
+    omegas = result.x[system.total:]
     if np.any(omegas <= 0):
         raise SimulationError(
             "quasiperiodic WaMPDE converged to non-positive local frequency"

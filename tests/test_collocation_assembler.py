@@ -15,7 +15,6 @@ from repro.linalg import (
     ReusableLUSolver,
     block_diagonal_expand,
     kron_diffmat,
-    union_block_mask,
 )
 from repro.spectral.diffmat import fourier_differentiation_matrix
 
@@ -187,15 +186,6 @@ class TestBorderedAssembly:
         with pytest.raises(ValueError):
             asm2.refresh(coupling, dq, border_columns=np.ones((6, 1)),
                          border_rows=np.ones((1, 6)))
-
-
-def test_union_block_mask():
-    from repro.circuits.library import MemsVcoDae
-
-    dae = MemsVcoDae()
-    mask = union_block_mask(dae)
-    assert mask.shape == (4, 4)
-    assert np.array_equal(mask, dae.dq_structure() | dae.df_structure())
 
 
 class TestReusableLUSolver:

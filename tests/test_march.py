@@ -240,6 +240,36 @@ def test_adaptive_wampde_honours_store_every(vdp_limit_cycle):
     assert np.array_equal(thinned.samples, every_point.samples[rows])
 
 
+@pytest.mark.parametrize("kernel", ["python", "auto"])
+def test_a_run_needing_exactly_max_steps_finishes(kernel):
+    """``max_steps`` bounds the accepted steps: a run whose last step is
+    the ``max_steps``-th finishes (compiled chunks and single steps
+    alike), and one that needs another step still fails."""
+
+    def run(max_steps):
+        return simulate_transient(
+            VanDerPolDae(0.2), [2.0, 0.0], 0.0, 0.05,
+            TransientOptions(dt=0.01, max_steps=max_steps, kernel=kernel),
+        )
+
+    result = run(5)
+    assert result.stats["steps"] == 5
+    assert result.t.size == 6 and result.t[-1] == pytest.approx(0.05)
+    routes = result.stats["kernel"]
+    assert routes["compiled_steps"] + routes["python_steps"] == 5
+    if routes["mode"] == "c":
+        assert routes["compiled_steps"] == 5
+    with pytest.raises(SimulationError, match="max_steps=4"):
+        run(4)
+
+
+def test_adaptive_wampde_needing_exactly_max_steps_finishes(vdp_limit_cycle):
+    run = wampde_route(True, vdp_limit_cycle)
+    assert run(max_steps=7).stats["steps"] == 7
+    with pytest.raises(SimulationError, match="max_steps=6"):
+        run(max_steps=6)
+
+
 def test_streamed_mpde_partial_reconstructs_like_the_final_result():
     sink_queue = queue.Queue()
     final = mpde_route()(

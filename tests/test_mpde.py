@@ -293,6 +293,22 @@ class TestMpdeEnvelope:
                 MpdeEnvelopeOptions(integrator="euler"),
             )
 
+    @pytest.mark.parametrize(
+        "t2_start, t2_stop, num_steps, message",
+        [
+            (0.0, 1.0, 0, "num_steps"),
+            (0.0, 1.0, -3, "num_steps"),
+            (1.0, 0.0, 10, "t2_stop"),
+            (0.5, 0.5, 10, "t2_stop"),
+        ],
+    )
+    def test_rejects_bad_window(self, t2_start, t2_stop, num_steps, message):
+        dae, forcing, _ = rc_two_tone()
+        with pytest.raises(SimulationError, match=message):
+            solve_mpde_envelope(
+                dae, forcing, np.zeros((9, 1)), t2_start, t2_stop, num_steps
+            )
+
     def test_be_variant_runs(self):
         from repro.mpde.envelope import MpdeEnvelopeOptions
 

@@ -258,12 +258,15 @@ class TestLeanResidual:
     def test_matches_reference_formula(self, vco_initial_condition):
         from repro.circuits.library import MemsVcoDae
         from repro.linalg.sparse_tools import kron_diffmat
+        from repro.phase_conditions import as_phase_condition
         from repro.wampde.envelope import _EnvelopeStepper
 
         params, samples, f0 = vco_initial_condition
         dae = MemsVcoDae(params)
         num_t1 = samples.shape[0]
-        stepper = _EnvelopeStepper(dae, num_t1, WampdeEnvelopeOptions())
+        options = WampdeEnvelopeOptions()
+        stepper = _EnvelopeStepper(dae, num_t1, options)
+        system = stepper.system
         h = 2e-7
         rhs_old, q_old = stepper.rhs_terms(samples, f0, 0.0)
         x_new, omega_new, _ = stepper.step(samples, f0, q_old, rhs_old, h, h)
@@ -272,18 +275,20 @@ class TestLeanResidual:
         omega = omega_new * 1.01
         z = np.append(states.ravel(), omega)
 
-        d_big = kron_diffmat(stepper.diffmat, dae.n, ordering="point")
+        d_big = kron_diffmat(system.diffmat, dae.n, ordering="point")
         q = dae.q_batch(states).ravel()
         f = dae.f_batch(states).ravel()
         b = np.tile(dae.b(h), num_t1)
-        theta = stepper.theta
+        theta = system.theta
         expected = np.append(
             (q - q_old) / h
             + theta * (omega * (d_big @ q) + f - b)
             + (1.0 - theta) * rhs_old,
-            stepper.condition.residual(states),
+            as_phase_condition(
+                options.phase_condition, options.phase_variable
+            ).residual(states),
         )
-        derivative_terms = np.abs(stepper.diffmat) @ np.abs(q).reshape(
+        derivative_terms = np.abs(system.diffmat) @ np.abs(q).reshape(
             num_t1, dae.n
         )
         scale = np.append(
@@ -291,7 +296,7 @@ class TestLeanResidual:
             + theta * (omega * derivative_terms.ravel() + np.abs(f)
                        + np.abs(b))
             + (1.0 - theta) * np.abs(rhs_old),
-            np.abs(stepper.phase_row) @ np.abs(z[:-1]),
+            np.abs(system.phase_row) @ np.abs(z[:-1]),
         )
-        error = np.abs(stepper.residual(z) - expected)
+        error = np.abs(system.residual(z) - expected)
         assert np.all(error <= 1e-12 * scale)
