@@ -16,6 +16,14 @@ NumPy engine otherwise.  Builds are cached on disk under
 system temp dir), keyed by a content hash of the generated source, and
 memoised in-process, so a long test run compiles each distinct circuit
 topology once.
+
+A spec renders to two translation units, built separately and only when
+used: ``"sweep"`` (the batched evaluations and the transient sweeps,
+:class:`_CKernel`) and ``"envelope"`` (the WaMPDE envelope march,
+:class:`_CEnvelopeKernel`).  The envelope unit factorises with LAPACK's
+``dgetrf``/``dgetrs`` at the addresses :func:`lapack_pointers` reads from
+SciPy's ``cython_lapack`` capsules, so no unit links against anything
+beyond ``libm``.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -104,26 +112,36 @@ def _source_sha(source):
     return hashlib.sha256(source.encode()).hexdigest()[:24]
 
 
-class _CKernel:
-    """ctypes adapter over the compiled shared object."""
+@cache
+def lapack_pointers():
+    """Addresses of LAPACK ``dgetrf`` and ``dgetrs`` as ``c_void_p``.
+
+    Read from the capsules :mod:`scipy.linalg.cython_lapack` exports, so
+    compiled code factorises and solves with the LAPACK behind
+    :func:`scipy.linalg.lu_factor` without linking to it.
+    """
+    from scipy.linalg import cython_lapack
+
+    # Private prototypes: ctypes.pythonapi's own function objects are
+    # shared process-wide.
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsules = [cython_lapack.__pyx_capi__[f] for f in ("dgetrf", "dgetrs")]
+    return tuple(ctypes.c_void_p(pointer(capsule, name(capsule)))
+                 for capsule in capsules)
+
+
+class _CUnit:
+    """ctypes adapter over one compiled unit: the point evaluations."""
 
     def __init__(self, lib):
         self._lib = lib
-        lib.sweep.restype = ctypes.c_longlong
-        lib.sweep.argtypes = [ctypes.c_void_p] * 2 \
-            + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 25
-        lib.sweep_adaptive.restype = ctypes.c_longlong
-        lib.sweep_adaptive.argtypes = [ctypes.c_void_p, ctypes.c_longlong] \
-            + [ctypes.c_void_p] * 26
-        lib.sweep_ens.restype = ctypes.c_longlong
-        lib.sweep_ens.argtypes = [ctypes.c_void_p] * 2 \
-            + [ctypes.c_longlong] * 4 + [ctypes.c_void_p] * 28
         lib.eval_qf.restype = None
         lib.eval_jac.restype = None
-        for entry in (lib.eval_qf_batch, lib.eval_jac_batch):
-            entry.restype = None
-            entry.argtypes = [ctypes.c_void_p] * 2 \
-                + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 2
 
     @staticmethod
     def _ptr(arr):
@@ -136,6 +154,43 @@ class _CKernel:
     def eval_jac(self, x, p, dq, df):
         self._lib.eval_jac(self._ptr(x), self._ptr(p), self._ptr(dq),
                            self._ptr(df))
+
+
+class _CEnvelopeKernel(_CUnit):
+    """The envelope unit: ``envelope_sweep`` over LAPACK pointers."""
+
+    def __init__(self, lib):
+        super().__init__(lib)
+        lib.envelope_sweep.restype = ctypes.c_longlong
+        lib.envelope_sweep.argtypes = [ctypes.c_void_p] * 2 \
+            + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 18
+        self._lapack = lapack_pointers()
+
+    def envelope_sweep(self, t2_grid, b_grid, g_start, g_end, *arrays):
+        args = [self._ptr(t2_grid), self._ptr(b_grid),
+                ctypes.c_longlong(g_start), ctypes.c_longlong(g_end)]
+        args.extend(self._ptr(a) for a in arrays)
+        return int(self._lib.envelope_sweep(*args, *self._lapack))
+
+
+class _CKernel(_CUnit):
+    """The sweep unit: batched evaluations and the transient sweeps."""
+
+    def __init__(self, lib):
+        super().__init__(lib)
+        lib.sweep.restype = ctypes.c_longlong
+        lib.sweep.argtypes = [ctypes.c_void_p] * 2 \
+            + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 25
+        lib.sweep_adaptive.restype = ctypes.c_longlong
+        lib.sweep_adaptive.argtypes = [ctypes.c_void_p, ctypes.c_longlong] \
+            + [ctypes.c_void_p] * 26
+        lib.sweep_ens.restype = ctypes.c_longlong
+        lib.sweep_ens.argtypes = [ctypes.c_void_p] * 2 \
+            + [ctypes.c_longlong] * 4 + [ctypes.c_void_p] * 28
+        for entry in (lib.eval_qf_batch, lib.eval_jac_batch):
+            entry.restype = None
+            entry.argtypes = [ctypes.c_void_p] * 2 \
+                + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 2
 
     def bind_batch(self, X, P, Q, F, DQ, DF):
         """The batched entry points with their arguments converted once.
@@ -176,7 +231,14 @@ class _CKernel:
         return int(self._lib.sweep_ens(*args))
 
 
-def _build_c_library(source, sha):
+#: The translation units of a spec: source renderer and ctypes adapter.
+_UNITS = {
+    "sweep": (codegen.generate_c_source, _CKernel),
+    "envelope": (codegen.generate_envelope_source, _CEnvelopeKernel),
+}
+
+
+def _build_c_library(source, sha, adapter):
     """Compile ``source`` into the cache (once) and load it.
 
     The compiler reads a source file private to this build and the
@@ -210,7 +272,7 @@ def _build_c_library(source, sha):
                 if os.path.exists(path):
                     os.remove(path)
     try:
-        return _CKernel(ctypes.CDLL(so_path))
+        return adapter(ctypes.CDLL(so_path))
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"loading {so_path} failed: {exc}") from exc
 
@@ -230,19 +292,21 @@ class BuiltKernel:
         self.compile_time_s = float(compile_time_s)
 
 
-def build_kernel(spec):
-    """Build (or fetch from cache) the compiled C kernel for ``spec``.
+def build_kernel(spec, unit="sweep"):
+    """Build (or fetch from cache) one compiled C unit for ``spec``.
 
+    ``unit`` is ``"sweep"`` or ``"envelope"`` (see the module docstring).
     Raises :class:`KernelBuildError` when compiling, loading or the
     trial call fails; callers running under ``kernel="auto"`` then stay
     on the NumPy engine.
     """
     start = time.perf_counter()
-    source = codegen.generate_c_source(spec)
+    render, adapter = _UNITS[unit]
+    source = render(spec)
     sha = _source_sha(source)
     impl = _KERNEL_MEMO.get(sha)
     if impl is None:
-        impl = _build_c_library(source, sha)
+        impl = _build_c_library(source, sha, adapter)
         _trial_run(spec, impl)
         _KERNEL_MEMO[sha] = impl
     return BuiltKernel(spec, impl, time.perf_counter() - start)

@@ -1,17 +1,22 @@
 """Render a :class:`~repro.kernels.registry.KernelSpec` to C source.
 
-One spec renders to one C translation unit, compiled with the host
+One spec renders to two C translation units, each compiled with the host
 toolchain (``cc -O2 -shared``) and driven through ctypes (see
-:mod:`repro.kernels.backends`).  The reference it is tested against is
-not generated code but the NumPy engines themselves.
+:mod:`repro.kernels.backends`).  The reference they are tested against
+is not generated code but the NumPy engines themselves.
 
-The unit carries seven entry points: ``eval_qf`` / ``eval_jac``
-(single point), ``eval_qf_batch`` / ``eval_jac_batch`` (lock-step and
-collocation batches), and three transient sweeps that march many steps
-per call with zero Python in between: ``sweep`` (the fixed-step grid),
-``sweep_adaptive`` (constant forcing under the proportional local-error
-dt controller) and ``sweep_ens`` (the batched ``(B, n)`` lock-step
-ensemble over a ``(B, n, n)`` frozen-LU factor stack).
+The sweep unit (:func:`generate_c_source`) carries seven entry points:
+``eval_qf`` / ``eval_jac`` (single point), ``eval_qf_batch`` /
+``eval_jac_batch`` (lock-step and collocation batches), and three
+transient sweeps that march many steps per call with zero Python in
+between: ``sweep`` (the fixed-step grid), ``sweep_adaptive`` (constant
+forcing under the proportional local-error dt controller) and
+``sweep_ens`` (the batched ``(B, n)`` lock-step ensemble over a
+``(B, n, n)`` frozen-LU factor stack).  The envelope unit
+(:func:`generate_envelope_source`) carries ``eval_qf`` / ``eval_jac`` and
+``envelope_sweep``, which marches fixed WaMPDE envelope steps; it is built
+only when an envelope march first runs compiled, so building the sweep
+unit costs what it did before the envelope unit existed.
 
 The sweeps state each part of a transient step once, as static helpers
 over one ``(3, B, n)`` history ring; the serial sweeps are its
@@ -33,12 +38,28 @@ over one ``(3, B, n)`` history ring; the serial sweeps are its
 ``sweep`` and ``sweep_adaptive`` both solve each step with
 ``chord_solve_``; beyond the helpers ``sweep_adaptive`` holds only the
 engine's adaptive error-control block, and ``sweep_ens`` only the
-lock-step chord of ``transient.ensemble._EnsembleChord``.  Any change
-to the Python above must be mirrored here.  The drift guard is the
-route-parity matrix (``tests/test_route_parity.py``), which holds the
-C routes to the NumPy engines' exact iteration, factorisation and
-residual-evaluation counts on generated circuits, next to the
-equivalence tests in ``tests/test_kernels.py``.
+lock-step chord of ``transient.ensemble._EnsembleChord``.  The envelope
+unit transcribes the fixed-step driver of :mod:`repro.wampde.envelope`
+with its own helpers, factorising and solving through LAPACK
+``dgetrf``/``dgetrs`` pointers passed in by the caller:
+
+=====================  ===============================================
+``env_residual_``      ``WarpedCollocationSystem.residual`` (one slice,
+                       phase row, theta step), ``IterateEvaluation``
+``env_history_``       ``WarpedCollocationSystem.fast_terms``
+``env_refactor_``      ``WarpedCollocationSystem.jacobian`` with
+                       ``DenseCollocationAssembler.refresh``, then LU
+``env_chord_``         ``linalg.newton.StaleJacobianNewton.solve``
+``env_note_``          ``SolverCore.note_parameters(h=..., omega=...)``
+``env_predict_``       ``transient.engine.extrapolate``
+``env_push_``          the driver's three-entry history
+=====================  ===============================================
+
+Any change to the Python above must be mirrored here.  The drift guard
+is the route-parity matrix (``tests/test_route_parity.py``), which holds
+the C routes to the NumPy engines' exact iteration, factorisation and
+residual-evaluation counts on generated circuits and on the envelope's
+oscillators, next to the equivalence tests in ``tests/test_kernels.py``.
 
 Status codes returned by the sweep entry points:
 
@@ -52,7 +73,14 @@ Status codes returned by the sweep entry points:
 4     adaptive local-error rejection would underflow ``dt_min``
       (``sweep_adaptive`` only; the shrink is *not* committed so the
       python replay reproduces the exact failure)
+5     the envelope step converged to ``omega <= 0``
+      (``envelope_sweep`` only)
 ====  =========================================================
+
+``envelope_sweep`` commits no part of a failing step (statuses 1, 2, 3
+and 5): its registered parameters, factor metadata and counters are
+restored to the step's start, so the NumPy stepper replays the step
+with the NumPy route's outcome.
 """
 
 from __future__ import annotations
@@ -772,7 +800,402 @@ singular:
 '''
 
 
-def generate_c_source(spec):
+_C_ENVELOPE_RUNTIME = '''
+/* LAPACK dgetrf / dgetrs, called through the addresses SciPy exports
+   (scipy.linalg.cython_lapack): nothing is linked. */
+typedef void (*dgetrf_t)(int* m, int* n, double* a, int* lda, int* ipiv,
+                         int* info);
+typedef void (*dgetrs_t)(char* trans, int* n, int* nrhs, double* a,
+                         int* lda, int* ipiv, double* b, int* ldb,
+                         int* info);
+
+/* One envelope step's system (WarpedCollocationSystem with one slice, a
+   phase condition and a theta step): m t1 samples of N variables, M = m N
+   collocation unknowns and S = M + 1 with omega. */
+typedef struct {
+    long long m, M, S;
+    const double* p;
+    const double* D1;      /* (m, m) t1 differentiation matrix */
+    const double* phase;   /* (M,) phase row */
+    double target, theta, h;
+    const double* b;       /* (N,) forcing b(t2) of the step */
+    const double* q_old;   /* (M,) charges at the accepted point */
+    const double* rhs_old; /* (M,) omega D1 q + f - b there */
+    dgetrf_t getrf;
+    dgetrs_t getrs;
+} env_t;
+
+/* An iterate z = [samples, omega], its residual r, and q, f and D1 q at
+   its samples (IterateEvaluation). */
+typedef struct { double *z, *r, *q, *f, *d; } iter_t;
+
+static void env_eval_(const env_t* e, const double* z, double* q,
+                      double* f, double* d) {
+    long long m = e->m;
+    for (long long i = 0; i < m; ++i)
+        eval_qf(z + i * N, e->p, q + i * N, f + i * N);
+    for (long long i = 0; i < m; ++i) {
+        double* di = d + i * N;
+        for (int c = 0; c < N; ++c) di[c] = 0.0;
+        for (long long j = 0; j < m; ++j) {
+            double w = e->D1[i * m + j];
+            const double* qj = q + j * N;
+            for (int c = 0; c < N; ++c) di[c] += w * qj[c];
+        }
+    }
+}
+
+/* WarpedCollocationSystem.residual in its grouping: (q - q_old)/h
+   + theta (omega D1 q + f - b) + (1 - theta) rhs_old, then the phase
+   row.  Returns the max-norm, NaN when any entry is NaN. */
+static double env_residual_(const env_t* e, iter_t* it) {
+    long long M = e->M;
+    env_eval_(e, it->z, it->q, it->f, it->d);
+    double omega = it->z[M];
+    double theta = e->theta;
+    double rest = 1.0 - e->theta;
+    double norm = 0.0;
+    int bad = 0;
+    for (long long k = 0; k < M; ++k) {
+        double fast = omega * it->d[k] + it->f[k] - e->b[k % N];
+        double r = (it->q[k] - e->q_old[k]) / e->h + theta * fast
+            + rest * e->rhs_old[k];
+        it->r[k] = r;
+        double a = fabs(r);
+        if (a != a) bad = 1;
+        else if (a > norm) norm = a;
+    }
+    double dot = 0.0;
+    for (long long k = 0; k < M; ++k) dot += e->phase[k] * it->z[k];
+    double r = dot - e->target;
+    it->r[M] = r;
+    double a = fabs(r);
+    if (a != a) bad = 1;
+    else if (a > norm) norm = a;
+    if (bad) return NAN;
+    return norm;
+}
+
+/* fast_terms at an accepted iterate: the next step's q_old and rhs_old. */
+static void env_history_(const env_t* e, const iter_t* it, double* q_old,
+                         double* rhs_old) {
+    double omega = it->z[e->M];
+    for (long long k = 0; k < e->M; ++k) {
+        rhs_old[k] = omega * it->d[k] + it->f[k] - e->b[k % N];
+        q_old[k] = it->q[k];
+    }
+}
+
+/* The bordered step matrix at (z, h), column-major, in
+   DenseCollocationAssembler's grouping: ((D1[i,j] dq_j) omega
+   + [i=j] df_i) theta + [i=j] dq_i (1/h); border column theta D1 q, border
+   row the phase row, corner 0.  LU-factorised in place by dgetrf; the
+   factorisation counts in counters[3] (NULL: the entry rebuild) and
+   jac_meta records [h, z].  Returns 0 on a non-finite matrix or a zero
+   pivot. */
+static int env_refactor_(const env_t* e, const double* z, const double* d,
+                         double h, double* A, int* ipiv, double* jac_meta,
+                         double* dqs, double* dfs, long long* counters) {
+    long long m = e->m, M = e->M, S = e->S;
+    double omega = z[M];
+    double theta = e->theta;
+    double inv_h = 1.0 / h;
+    for (long long i = 0; i < m; ++i)
+        eval_jac(z + i * N, e->p, dqs + i * NN, dfs + i * NN);
+    for (long long j = 0; j < m; ++j) {
+        const double* dqj = dqs + j * NN;
+        const double* dfj = dfs + j * NN;
+        for (int c = 0; c < N; ++c) {
+            double* col = A + (j * N + c) * S;
+            for (long long i = 0; i < m; ++i) {
+                double w = e->D1[i * m + j];
+                for (int r = 0; r < N; ++r) {
+                    double v = w * dqj[r * N + c] * omega;
+                    if (i == j) v += dfj[r * N + c];
+                    v = v * theta;
+                    if (i == j) v += dqj[r * N + c] * inv_h;
+                    col[i * N + r] = v;
+                }
+            }
+            col[M] = e->phase[j * N + c];
+        }
+    }
+    double* border = A + M * S;
+    for (long long k = 0; k < M; ++k) border[k] = theta * d[k];
+    border[M] = 0.0;
+    for (long long k = 0; k < S * S; ++k)
+        if (!isfinite(A[k])) return 0;
+    int n = (int)S;
+    int info = 0;
+    e->getrf(&n, &n, A, &n, ipiv, &info);
+    if (info != 0) return 0;
+    jac_meta[0] = h;
+    memcpy(jac_meta + 1, z, sizeof(double) * S);
+    if (counters) counters[3] += 1;
+    return 1;
+}
+
+/* update_is_small over the S unknowns. */
+static int env_small_update_(const double* zn, const double* zc,
+                             long long S, double rtol) {
+    for (long long k = 0; k < S; ++k) {
+        double m = fabs(zn[k]);
+        if (m < 1.0) m = 1.0;
+        if (!(fabs(zn[k] - zc[k]) <= rtol * m)) return 0;
+    }
+    return 1;
+}
+
+static void env_swap_(iter_t* a, iter_t* b) {
+    iter_t tmp = *a;
+    *a = *b;
+    *b = tmp;
+}
+
+/* StaleJacobianNewton.solve from the guess in cur->z, on the LU factors
+   in (A, ipiv): refactorising at the current iterate when none are held,
+   an update goes non-finite or uphill on stale factors, or the residual
+   contracts slower than `contraction`; a damped line search once fresh
+   factors still go uphill.  Leaves the solution and its evaluation in
+   *cur.  Returns 0, or the status of the failure (factors dropped on 1
+   and 3, kept on 2). */
+static long long env_chord_(const env_t* e, const double* dopts,
+                            const long long* iopts, double* A, int* ipiv,
+                            double* jac_meta, int* have,
+                            long long* counters, iter_t* cur, iter_t* trial,
+                            double* dz, double* dqs, double* dfs) {
+    double atol = dopts[0];
+    double rtol = dopts[1];
+    double contraction = dopts[2];
+    long long maxiter = iopts[0];
+    long long halvings = iopts[1];
+    long long S = e->S;
+    char trans = 'N';
+    int n = (int)S;
+    int one = 1;
+    int info = 0;
+    double norm = env_residual_(e, cur);
+    counters[2] += 1;
+    if (norm <= atol) return 0;
+    if (!isfinite(norm)) return 2;
+    int fresh = 0;
+    if (!*have) {
+        if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta, dqs,
+                           dfs, counters))
+            goto singular;
+        *have = 1;
+        fresh = 1;
+    }
+    for (long long itn = 0; itn < maxiter;) {
+        itn += 1;
+        counters[1] += 1;
+        memcpy(dz, cur->r, sizeof(double) * S);
+        e->getrs(&trans, &n, &one, A, &n, ipiv, dz, &n, &info);
+        int ok = 1;
+        for (long long k = 0; k < S; ++k)
+            if (!isfinite(dz[k])) ok = 0;
+        if (!ok) {
+            if (fresh || !env_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
+                                        jac_meta, dqs, dfs, counters))
+                goto singular;
+            fresh = 1;
+            continue;
+        }
+        for (long long k = 0; k < S; ++k) trial->z[k] = cur->z[k] - dz[k];
+        double norm_new = env_residual_(e, trial);
+        counters[2] += 1;
+        if (norm_new <= atol) {
+            env_swap_(cur, trial);
+            return 0;
+        }
+        if (!(norm_new < norm)) {
+            if (!fresh) {
+                /* Blame staleness first: refactorise and retry. */
+                if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
+                                   jac_meta, dqs, dfs, counters))
+                    goto singular;
+                fresh = 1;
+                continue;
+            }
+            double step = 0.5;
+            for (long long halving = 0; halving < halvings; ++halving) {
+                for (long long k = 0; k < S; ++k)
+                    trial->z[k] = cur->z[k] - step * dz[k];
+                norm_new = env_residual_(e, trial);
+                counters[2] += 1;
+                if (isfinite(norm_new) && norm_new < norm) break;
+                if (halving < halvings - 1) step = step * 0.5;
+            }
+        }
+        int small = env_small_update_(trial->z, cur->z, S, rtol);
+        int slow = norm_new > contraction * norm;
+        env_swap_(cur, trial);
+        norm = norm_new;
+        if (norm <= atol || (small && isfinite(norm))) return 0;
+        if (slow && !fresh) {
+            if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta,
+                               dqs, dfs, counters))
+                goto singular;
+            fresh = 1;
+        }
+    }
+    *have = 0;
+    return 1;
+singular:
+    *have = 0;
+    return 3;
+}
+
+/* SolverCore.note_parameters for one registered parameter (nan =
+   unset): a jump beyond param_rtol drops the factors. */
+static inline void env_note_(double* reg, double value, double param_rtol,
+                             int* have) {
+    double old = *reg;
+    if (old == old && fabs(value - old) > param_rtol * fabs(old)) *have = 0;
+    *reg = value;
+}
+
+/* extrapolate over the ring's newest hc entries of S values each. */
+static void env_predict_(const double* h_t, const double* h_z, long long hc,
+                         long long S, double t_new, double* z) {
+    const double* z1 = h_z + (hc - 1) * S;
+    if (hc >= 3 && h_t[0] != h_t[1] && h_t[1] != h_t[2]
+            && h_t[0] != h_t[2]) {
+        double ta = h_t[0], tb = h_t[1], tc = h_t[2];
+        double la = (t_new - tb) * (t_new - tc) / ((ta - tb) * (ta - tc));
+        double lb = (t_new - ta) * (t_new - tc) / ((tb - ta) * (tb - tc));
+        double lc = (t_new - ta) * (t_new - tb) / ((tc - ta) * (tc - tb));
+        for (long long k = 0; k < S; ++k)
+            z[k] = la * h_z[k] + lb * h_z[S + k] + lc * h_z[2 * S + k];
+    } else if (hc >= 2 && h_t[hc - 1] != h_t[hc - 2]) {
+        const double* z2 = h_z + (hc - 2) * S;
+        double frac = (t_new - h_t[hc - 1]) / (h_t[hc - 1] - h_t[hc - 2]);
+        for (long long k = 0; k < S; ++k)
+            z[k] = z1[k] + (z1[k] - z2[k]) * frac;
+    } else {
+        memcpy(z, z1, sizeof(double) * S);
+    }
+}
+
+/* Append an accepted [samples, omega] to the ring (hstate[0] = occupied
+   entries), dropping the oldest once all three are full. */
+static void env_push_(double* h_t, double* h_z, long long* hstate,
+                      long long S, double t_new, const double* z) {
+    long long hc = hstate[0];
+    if (hc == 3) {
+        memmove(h_t, h_t + 1, sizeof(double) * 2);
+        memmove(h_z, h_z + S, sizeof(double) * 2 * S);
+        hc = 2;
+    }
+    h_t[hc] = t_new;
+    memcpy(h_z + hc * S, z, sizeof(double) * S);
+    hstate[0] = hc + 1;
+}
+
+/* Fixed envelope steps g_start..g_end-1 of the grid: step g ends at
+   t2_grid[g] under forcing row g of b_grid (row g_start - 1 is the
+   newest ring entry's).  On entry the held factors are rebuilt from
+   jac_meta when flags[1] asks, and q_old, rhs_old are evaluated at the
+   newest ring entry, so a resumed or re-entered march continues bit for
+   bit.  A failing step is not committed: the registered parameters and
+   the factors' metadata are restored to the step's start (flags[1] set
+   to rebuild them) and its work is not counted, so a NumPy replay makes
+   the step's decisions again and counts them once.
+   dopts = [atol, rtol, contraction, param_rtol, theta, h, target],
+   iopts = [max_iterations, max_step_halvings, m]. */
+long long envelope_sweep(const double* t2_grid, const double* b_grid,
+                         long long g_start, long long g_end, double* ring_t,
+                         double* ring_z, long long* hstate, long long* flags,
+                         double* A, int* ipiv, double* jac_meta, double* reg,
+                         const double* dopts, const long long* iopts,
+                         const double* p, const double* D1,
+                         const double* phase, double* out_z,
+                         long long* counters, double* work, void* getrf,
+                         void* getrs) {
+    env_t e;
+    e.m = iopts[2];
+    e.M = e.m * N;
+    e.S = e.M + 1;
+    e.p = p;
+    e.D1 = D1;
+    e.phase = phase;
+    e.theta = dopts[4];
+    e.h = dopts[5];
+    e.target = dopts[6];
+    e.getrf = (dgetrf_t)getrf;
+    e.getrs = (dgetrs_t)getrs;
+    long long M = e.M, S = e.S;
+    size_t row = sizeof(double) * S;
+    iter_t it[2];
+    double* w = work;
+    for (int s = 0; s < 2; ++s) {
+        it[s].z = w; w += S;
+        it[s].r = w; w += S;
+        it[s].q = w; w += M;
+        it[s].f = w; w += M;
+        it[s].d = w; w += M;
+    }
+    double* dz = w; w += S;
+    double* q_old = w; w += M;
+    double* rhs_old = w; w += M;
+    double* meta0 = w; w += S + 1;
+    double* dqs = w; w += e.m * NN;
+    double* dfs = w;
+    e.q_old = q_old;
+    e.rhs_old = rhs_old;
+    iter_t cur = it[0], trial = it[1];
+
+    long long hc = hstate[0];
+    memcpy(cur.z, ring_z + (hc - 1) * S, row);
+    e.b = b_grid + (g_start - 1) * N;
+    env_eval_(&e, cur.z, cur.q, cur.f, cur.d);
+    env_history_(&e, &cur, q_old, rhs_old);
+    int have = flags[0] != 0;
+    if (have && flags[1] != 0) {
+        memcpy(cur.z, jac_meta + 1, row);
+        env_eval_(&e, cur.z, cur.q, cur.f, cur.d);
+        have = env_refactor_(&e, cur.z, cur.d, jac_meta[0], A, ipiv,
+                             jac_meta, dqs, dfs, NULL);
+    }
+    flags[1] = 0;
+    long long status = 0;
+    for (long long g = g_start; g < g_end; ++g) {
+        hc = hstate[0];
+        e.b = b_grid + g * N;
+        int have0 = have;
+        double reg0 = reg[0], reg1 = reg[1];
+        long long counts0[5];
+        memcpy(counts0, counters, sizeof(counts0));
+        memcpy(meta0, jac_meta, row + sizeof(double));
+        env_note_(reg, e.h, dopts[3], &have);
+        env_note_(reg + 1, ring_z[(hc - 1) * S + M], dopts[3], &have);
+        env_predict_(ring_t, ring_z, hc, S, t2_grid[g], cur.z);
+        counters[4] += 1;
+        status = env_chord_(&e, dopts, iopts, A, ipiv, jac_meta, &have,
+                            counters, &cur, &trial, dz, dqs, dfs);
+        if (status == 0 && cur.z[M] <= 0.0) status = 5;
+        if (status != 0) {
+            memcpy(counters, counts0, sizeof(counts0));
+            reg[0] = reg0;
+            reg[1] = reg1;
+            memcpy(jac_meta, meta0, row + sizeof(double));
+            have = have0;
+            flags[1] = have0;
+            break;
+        }
+        env_history_(&e, &cur, q_old, rhs_old);
+        env_push_(ring_t, ring_z, hstate, S, t2_grid[g], cur.z);
+        memcpy(out_z + (g - g_start) * S, cur.z, row);
+        counters[0] += 1;
+    }
+    flags[0] = have ? 1 : 0;
+    return status;
+}
+'''
+
+
+def _c_header(spec):
+    """The unit's head: constants, ``eval_qf`` and ``eval_jac``."""
     qf_body = "\n".join(_render_c(spec.qf_stmts, 1))
     jac_body = "\n".join(_render_c(spec.jac_stmts, 1))
     return f'''/* Auto-generated kernels for {spec.dae_label} (repro.kernels).
@@ -793,4 +1216,14 @@ void eval_jac(const double* x, const double* p, double* dq, double* df) {{
     for (int _i = 0; _i < NN; ++_i) {{ dq[_i] = 0.0; df[_i] = 0.0; }}
 {jac_body}
 }}
-{_C_RUNTIME}'''
+'''
+
+
+def generate_c_source(spec):
+    """The sweep unit: point and batch evaluations, the three sweeps."""
+    return _c_header(spec) + _C_RUNTIME
+
+
+def generate_envelope_source(spec):
+    """The envelope unit: point evaluations and ``envelope_sweep``."""
+    return _c_header(spec) + _C_ENVELOPE_RUNTIME

@@ -8,6 +8,12 @@
     points.  The engines chunk calls at checkpoint boundaries and hand
     any non-converged step back to the python slow path, so the
     recovery ladder, checkpointing and failure semantics are unchanged.
+:class:`EnvelopeSweepRunner`
+    The same for the fixed-step WaMPDE envelope: a ``[samples, omega]``
+    predictor ring, the bordered step matrix's LAPACK LU factors and the
+    ``h``/``omega`` registers, advanced by the ``envelope_sweep`` entry
+    point of the envelope unit (built on first use, apart from the sweep
+    unit; see :mod:`repro.kernels.backends`).
 :class:`KernelizedDAE`
     A DAE proxy replacing the batched evaluations (``q_batch`` /
     ``f_batch`` / ``qf_batch`` / ``dq_dx_batch`` / ``df_dx_batch``) with
@@ -23,6 +29,7 @@ import time
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.linalg.collocation import DENSE_MAX_UNKNOWNS
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import INVALIDATE_RTOL
 
@@ -397,6 +404,170 @@ def prepare_ensemble_runner(ensemble, opts, integrator, blocked=None):
         return None, info
     runner = EnsembleSweepRunner(built, opts, integrator, ensemble.batch_size)
     return runner, info
+
+
+class EnvelopeSweepRunner:
+    """State + dispatch for one compiled fixed-step WaMPDE envelope march.
+
+    ``envelope_sweep`` advances whole chunks of envelope steps per call:
+    the quadratic predictor over a ring of ``[samples, omega]`` rows, the
+    theta-step residual of the step's
+    :class:`~repro.linalg.collocation.WarpedCollocationSystem`, chord
+    iterations on LAPACK LU factors of the bordered step matrix (assembled
+    and refactorised in C), the ``h``/``omega`` jump test of
+    :meth:`~repro.linalg.solver_core.SolverCore.note_parameters` and the
+    ``omega > 0`` check.  The factors' ``(z, h)`` metadata and the
+    registered parameters cross to the march's
+    :class:`~repro.linalg.solver_core.SolverCore` in :meth:`load` and
+    :meth:`sync`.  One runner serves one run: ctypes releases the GIL
+    during the call, so it must not be shared across threads.
+    """
+
+    def __init__(self, built, system, core, h):
+        m, n = system.num_t1, system.n
+        size = m * n + 1
+        newton = core.options.newton or NewtonOptions()
+        self.impl = built.impl
+        self.shape = (m, n)
+        self.ring_t = np.zeros(3)
+        self.ring_z = np.zeros((3, size))
+        # hstate[0] = occupied ring entries.
+        self.hstate = np.zeros(1, dtype=np.int64)
+        # flags = [have_factors, rebuild_factors_from_meta_on_entry]
+        self.flags = np.zeros(2, dtype=np.int64)
+        self.A = np.zeros((size, size))
+        self.ipiv = np.zeros(size, dtype=np.intc)
+        # [h, z] of the matrix the factors hold.
+        self.jac_meta = np.zeros(size + 1)
+        # The registered [h, omega]; nan = unset.
+        self.reg = np.full(2, np.nan)
+        self.dopts = np.array([
+            newton.atol, newton.rtol, float(core.options.contraction),
+            INVALIDATE_RTOL, float(system.theta), float(h),
+            float(system.target),
+        ])
+        self.iopts = np.array([
+            newton.max_iterations, newton.max_step_halvings, m,
+        ], dtype=np.int64)
+        self.p = np.ascontiguousarray(built.spec.params_rows[0])
+        self.D1 = np.ascontiguousarray(system.diffmat, dtype=float)
+        self.phase = np.ascontiguousarray(system.phase_row, dtype=float)
+        self.counters = np.zeros(_N_COUNTERS, dtype=np.int64)
+        self.out_z = np.empty((0, size))
+        # Two iterates (z and r: size; q, f and D1 q: m n), the update,
+        # q_old, rhs_old, the step-start metadata, dq and df per point.
+        self.work = np.empty(
+            2 * (2 * size + 3 * (size - 1)) + size + 2 * (size - 1)
+            + size + 1 + 2 * m * n * n
+        )
+        self.last_wall = 0.0
+
+    def load(self, history, core):
+        """Seed the ring, factors and registers from the live march.
+
+        Held factors are rebuilt in C from the core's ``(z, h)``
+        metadata on entry, so a resumed or warm-started run factorises
+        the matrix the exporting run's kernel held.
+        """
+        hc = min(len(history), 3)
+        self.hstate[0] = hc
+        for j, (t, z) in enumerate(history[-hc:]):
+            self.ring_t[j] = t
+            self.ring_z[j] = z
+        meta = core.factor_metadata()
+        if meta is not None:
+            z, h = meta
+            self.jac_meta[0] = h
+            self.jac_meta[1:] = z
+            self.flags[:] = 1
+        else:
+            self.flags[:] = 0
+        params = core.export_warm_state()["params"]
+        self.reg[:] = [params.get("h", np.nan), params.get("omega", np.nan)]
+
+    def run(self, t2_grid, b_grid, g_start, g_end):
+        """March steps ``g_start .. g_end - 1`` of the grid; returns the
+        status (0, or the failing step's code, that step uncommitted)."""
+        count = g_end - g_start
+        if self.out_z.shape[0] < count:
+            self.out_z = np.empty((count, self.ring_z.shape[1]))
+        start = time.perf_counter()
+        status = self.impl.envelope_sweep(
+            t2_grid, b_grid, g_start, g_end, self.ring_t, self.ring_z,
+            self.hstate, self.flags, self.A, self.ipiv, self.jac_meta,
+            self.reg, self.dopts, self.iopts, self.p, self.D1, self.phase,
+            self.out_z, self.counters, self.work,
+        )
+        self.last_wall = time.perf_counter() - start
+        return int(status)
+
+    def columns(self, done):
+        """The ``(omega, samples)`` of the last run's ``done`` steps."""
+        rows = self.out_z[:done]
+        return rows[:, -1], rows[:, :-1].reshape((done,) + self.shape)
+
+    def export_history(self):
+        """The ring as the driver's ``[(t2, [samples, omega])]`` history."""
+        return [(float(self.ring_t[j]), self.ring_z[j].copy())
+                for j in range(int(self.hstate[0]))]
+
+    def sync(self, core, matrix_at):
+        """Push the factors' metadata and the registers to ``core``.
+
+        The core then holds factors of the matrix at the kernel's
+        ``(z, h)`` (refactorised by NumPy) or none, so its checkpoints,
+        warm exports and a NumPy step after a handback see the kernel's
+        chord state.
+        """
+        if self.flags[0]:
+            meta = (self.jac_meta[1:].copy(), float(self.jac_meta[0]))
+            core.refactor_at(meta, matrix_at)
+        else:
+            core.invalidate()
+        core.adopt_warm_state({"params": {
+            key: float(value) for key, value in zip(("h", "omega"), self.reg)
+            if np.isfinite(value)
+        }})
+
+
+def prepare_envelope_runner(dae, info, system, core, h, blocked=None):
+    """Build the compiled route of one fixed-step WaMPDE envelope run.
+
+    ``dae`` and ``info`` come from :func:`maybe_kernelize_batch`: the
+    route needs its :class:`KernelizedDAE` (a resolved C backend and a
+    spec without parameter stacks); ``blocked`` is the caller's own
+    veto.  Returns ``(runner, info)``, the info gaining
+    ``compiled_steps``/``python_steps``; ``runner`` is ``None`` when the
+    march stays on the NumPy stepper, with ``info["reason"]`` saying
+    why.
+    """
+    info = dict(info, compiled_steps=0, python_steps=0)
+    if not isinstance(dae, KernelizedDAE):
+        return None, info
+    veto = blocked
+    if veto is None and core.mode != "chord":
+        veto = ("the compiled envelope march runs chord Newton on the "
+                "default linear solver")
+    if veto is None and core.ladder[0] != "chord":
+        veto = "the compiled envelope march needs a ladder starting at 'chord'"
+    if veto is None and system.total + 1 > DENSE_MAX_UNKNOWNS:
+        veto = (f"{system.total + 1} envelope unknowns exceed the dense "
+                f"limit ({DENSE_MAX_UNKNOWNS})")
+    if veto is None:
+        try:
+            built = build_kernel(dae._spec, unit="envelope")
+        except KernelBuildError as exc:
+            if info["requested"] != "auto":
+                raise
+            veto = f"kernel build failed: {exc}"
+    if veto is not None:
+        info["mode"] = "python"
+        info["reason"] = veto
+        return None, info
+    info["compile_time_s"] = round(
+        info["compile_time_s"] + built.compile_time_s, 6
+    )
+    return EnvelopeSweepRunner(built, system, core, h), info
 
 
 class _BatchWork:

@@ -208,9 +208,11 @@ class SolverOptionsMixin:
         own default (engines redeclare the field with a
         ``default_factory`` when the stock default is wrong for them).
     linear_solver:
-        ``None``/"lu" — direct sparse LU with factorisation reuse;
-        ``"gmres"`` — frozen-LU-preconditioned GMRES for large systems;
-        or any ``(matrix, rhs) -> x`` callable.  Non-default values imply
+        ``None``/"lu" — direct LU of each assembled matrix (dense LAPACK
+        up to :data:`~repro.linalg.collocation.DENSE_MAX_UNKNOWNS`
+        unknowns, sparse SuperLU above); ``"gmres"`` —
+        frozen-LU-preconditioned GMRES for large systems; or any
+        ``(matrix, rhs) -> x`` callable.  Non-default values imply
         full-Newton iterations.
     ladder:
         Recovery-ladder spec forwarded to the shared
@@ -222,7 +224,10 @@ class SolverOptionsMixin:
         if one is on PATH, else the NumPy engine; ``"c"`` — require the
         compiled kernel (:class:`~repro.errors.ConfigurationError`
         without a C compiler); ``"python"`` — force the NumPy engine.
-        Engines without a kernelised loop accept and ignore the option.
+        The transient marches and the fixed-step WaMPDE envelope run
+        their loops compiled; the other collocation engines compile only
+        their DAE evaluations; engines with neither accept and ignore
+        the option.
     """
 
     newton: NewtonOptions = None

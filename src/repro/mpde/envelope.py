@@ -28,7 +28,7 @@ from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
 from repro.resilience.march import March
 from repro.spectral.grid import collocation_grid
-from repro.utils.validation import check_odd
+from repro.utils.validation import check_odd, check_window
 from repro.wampde.bivariate import BivariateWaveform
 
 
@@ -106,8 +106,9 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
     initial_samples:
         ``(N0, n)`` t1-cycle at ``t2_start``.
     t2_start, t2_stop, num_steps:
-        Uniform slow-time stepping window: ``t2_stop > t2_start`` and
-        ``num_steps >= 1``, else :class:`~repro.errors.SimulationError`.
+        Uniform slow-time stepping window: finite ``t2_stop > t2_start``
+        and an integer ``num_steps >= 1``, else
+        :class:`~repro.errors.SimulationError`.
     resume_from:
         A :class:`~repro.resilience.checkpoint.Checkpoint` (or a path to
         one) from an earlier, interrupted run with identical arguments;
@@ -133,12 +134,7 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         raise SimulationError(
             f"integrator must be 'trap' or 'be', got {opts.integrator!r}"
         )
-    if not t2_stop > t2_start:
-        raise SimulationError(
-            f"t2_stop must exceed t2_start, got [{t2_start}, {t2_stop}]"
-        )
-    if num_steps < 1:
-        raise SimulationError(f"num_steps must be >= 1, got {num_steps}")
+    check_window(t2_start, t2_stop, num_steps)
 
     t1_points = collocation_grid(n0, forcing.period1)
     h = (t2_stop - t2_start) / num_steps

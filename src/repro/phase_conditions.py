@@ -45,14 +45,23 @@ class PhaseCondition(ABC):
     def weights(self, num_samples):
         """Weight vector ``w`` (length ``num_samples``) of the functional."""
 
+    def _check_variable(self, n_vars):
+        if not 0 <= self.variable < n_vars:
+            raise PhaseConditionError(
+                f"phase-condition variable {self.variable} out of range for "
+                f"{n_vars} variables"
+            )
+
     def residual(self, samples):
         """Scalar residual for ``samples`` of shape ``(N, n_vars)``."""
         samples = np.asarray(samples, dtype=float)
+        self._check_variable(samples.shape[1])
         w = self.weights(samples.shape[0])
         return float(w @ samples[:, self.variable] - self.target)
 
     def gradient(self, num_samples, n_vars):
         """Row vector of length ``num_samples * n_vars`` (point-major order)."""
+        self._check_variable(n_vars)
         w = self.weights(num_samples)
         row = np.zeros(num_samples * n_vars)
         row[self.variable::n_vars] = w

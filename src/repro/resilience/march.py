@@ -186,9 +186,10 @@ class March:
     def accept_chunk(self, times, rows, dt, t_stop):
         """Count a compiled chunk: ``rows[j]`` accepted at ``times[j]``.
 
-        The store cadence and the ``max_steps`` check run over the chunk
-        exactly as over single steps, a point at or past ``t_stop`` being
-        the final one.
+        ``rows`` is the one value column's array, or a tuple with one
+        array per value column.  The store cadence and the ``max_steps``
+        check run over the chunk exactly as over single steps, a point at
+        or past ``t_stop`` being the final one.
         """
         times = np.asarray(times, dtype=float)
         if self.store_every == 1:
@@ -204,8 +205,9 @@ class March:
         if len(stored):
             self._block_points()
             # Fancy indexing copies the stored rows: one block per column.
-            self.columns[0].append(times[stored])
-            self.columns[1].append(rows[stored])
+            columns = rows if isinstance(rows, tuple) else (rows,)
+            for blocks, values in zip(self.columns, (times,) + columns):
+                blocks.append(values[stored])
         self.t, self.dt = float(times[-1]), dt
         self.stats["steps"] += times.size
         self._accepted(self.t >= t_stop)

@@ -1,7 +1,8 @@
 """Small argument-validation helpers.
 
-All helpers raise :class:`repro.errors.ValidationError` with a message that
-names the offending argument, so call sites stay one-liners.
+The helpers raise :class:`repro.errors.ValidationError` with a message that
+names the offending argument, so call sites stay one-liners;
+:func:`check_window` raises the engines' :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numbers
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import SimulationError, ValidationError
 
 
 def check_finite(value, name="value"):
@@ -19,6 +20,30 @@ def check_finite(value, name="value"):
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_window(t2_start, t2_stop, num_steps=None):
+    """Raise :class:`~repro.errors.SimulationError` unless the slow-time
+    window is finite with ``t2_stop > t2_start`` and, for uniform steps,
+    ``num_steps`` is an integer (Python or NumPy) ``>= 1``."""
+    try:
+        check_finite(t2_start, "t2_start")
+        check_finite(t2_stop, "t2_stop")
+    except ValidationError as exc:
+        raise SimulationError(str(exc)) from None
+    if not t2_stop > t2_start:
+        raise SimulationError(
+            f"t2_stop must exceed t2_start, got [{t2_start}, {t2_stop}]"
+        )
+    if num_steps is None:
+        return
+    if (not isinstance(num_steps, numbers.Integral)
+            or isinstance(num_steps, bool)):
+        raise SimulationError(
+            f"num_steps must be an integer, got {num_steps!r}"
+        )
+    if num_steps < 1:
+        raise SimulationError(f"num_steps must be >= 1, got {num_steps}")
 
 
 def check_positive(value, name="value"):

@@ -38,6 +38,21 @@ Two drivers share the stepping kernel:
 
 Both run their bookkeeping — resume, store cadence, checkpoints, failure
 context and final stats — through :class:`repro.resilience.march.March`.
+
+The fixed-step driver has a compiled route: chunks of whole steps
+(predictor, residual, chord iterations, C-assembled refactorisations on
+LAPACK factors, the ``h``/``omega`` jump test and the ``omega > 0``
+check) run in one C call each (:class:`repro.kernels.sweep.EnvelopeSweepRunner`).
+It is taken when ``kernel`` resolves to C and the DAE lowers to a kernel
+spec without parameter stacks, in chord mode on the default linear
+solver with a ladder starting at ``"chord"``, and with at most
+:data:`~repro.linalg.collocation.DENSE_MAX_UNKNOWNS` unknowns per step;
+otherwise ``stats["kernel"]["reason"]`` says why not.  A failing compiled
+step is handed back uncommitted, and the NumPy stepper — the reference —
+marches it and the rest of the run.  Without a handback the two routes
+take equal steps, iterations, residual evaluations and factorisations
+and agree to ~1e-14 (the compiled ``D1 q`` rounds differently from
+NumPy's BLAS); within the compiled route a resume is bit for bit.
 """
 
 from __future__ import annotations
@@ -48,16 +63,24 @@ import numpy as np
 
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError, SimulationError
-from repro.kernels.sweep import maybe_kernelize_batch
+from repro.kernels.sweep import (
+    maybe_kernelize_batch,
+    prepare_envelope_runner,
+)
 from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import SolverOptionsMixin, core_from_options
 from repro.resilience.march import March
 from repro.phase_conditions import as_phase_condition
 from repro.transient.engine import extrapolate
-from repro.utils.validation import check_odd, check_positive
+from repro.utils.validation import check_odd, check_positive, check_window
 from repro.wampde.bivariate import BivariateWaveform
 from repro.wampde.warping import WarpingFunction
+
+
+#: Steps per compiled envelope call at most: bounds the runner's output
+#: rows (one ``[samples, omega]`` row per step).
+_COMPILED_CHUNK = 4096
 
 
 @dataclass
@@ -345,7 +368,9 @@ def _apply_warm_inputs(warm_start, initial_samples, omega0):
     return initial_samples, omega0
 
 
-def _validate_inputs(dae, initial_samples, omega0, t2_start, t2_stop):
+def _validate_inputs(dae, initial_samples, omega0, t2_start, t2_stop,
+                     num_steps=None):
+    check_window(t2_start, t2_stop, num_steps)
     initial_samples = np.asarray(initial_samples, dtype=float)
     if initial_samples.ndim != 2:
         raise SimulationError(
@@ -358,10 +383,6 @@ def _validate_inputs(dae, initial_samples, omega0, t2_start, t2_stop):
             f"DAE has {dae.n}"
         )
     check_positive(omega0, "omega0")
-    if not t2_stop > t2_start:
-        raise SimulationError(
-            f"t2_stop must exceed t2_start, got [{t2_start}, {t2_stop}]"
-        )
     return initial_samples
 
 
@@ -411,22 +432,32 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
         warm_start, initial_samples, omega0
     )
     initial_samples = _validate_inputs(
-        dae, initial_samples, omega0, t2_start, t2_stop
+        dae, initial_samples, omega0, t2_start, t2_stop, num_steps
     )
-    if num_steps < 1:
-        raise SimulationError(f"num_steps must be >= 1, got {num_steps}")
 
     # Batched q/f/Jacobian evaluations go through a compiled kernel when
-    # the DAE is lowerable; the march logic is unchanged either way.
-    dae, kernel_info = maybe_kernelize_batch(
+    # the DAE is lowerable; the march itself runs in C when eligible.
+    batch_dae, batch_info = maybe_kernelize_batch(
         dae, getattr(opts, "kernel", "auto")
     )
-    stepper = _EnvelopeStepper(dae, initial_samples.shape[0], opts)
+    stepper = _EnvelopeStepper(batch_dae, initial_samples.shape[0], opts)
     h = (t2_stop - t2_start) / num_steps
+    # Set once the compiled march hands the rest of the run to the NumPy
+    # stepper; a resumed run stays there too to reproduce the original.
+    handed_back = False
+
+    def summarize(stats):
+        kernel = stats["kernel"]
+        kernel["python_steps"] = (
+            stats["steps"] - steps0 - kernel["compiled_steps"]
+        )
+
     # The predictor's history: the last three accepted (t2, [x, omega]).
     march = _envelope_march(
         "wampde_envelope", dae, stepper, opts, resume_from,
-        lambda: {"history": [(t, z.copy()) for t, z in history]}, warm=True,
+        lambda: {"history": [(t, z.copy()) for t, z in history],
+                 "handed_back": handed_back},
+        summarize=summarize, warm=True,
     )
     if march.state is None:
         x_samples = initial_samples.copy()
@@ -437,12 +468,76 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
     else:
         history = [(t, np.array(z, dtype=float))
                    for t, z in march.state["history"]]
-        x_samples = history[-1][1][:-1].reshape(initial_samples.shape)
-        omega = float(history[-1][1][-1])
+        handed_back = march.state.get("handed_back", False)
+    steps0 = march.stats["steps"]
+    runner, kernel_info = prepare_envelope_runner(
+        batch_dae, batch_info, stepper.system, stepper.core, h,
+        blocked=(
+            "the resumed run had handed the march back to the NumPy stepper"
+            if handed_back else None
+        ),
+    )
     march.stats["kernel"] = kernel_info
+
+    def compiled_march():
+        # Chunks of steps through the compiled runner over the NumPy
+        # loop's t2 grid (t2_start + k h, k = 0 the start) and one
+        # b_batch call's forcing.  Chunks end at checkpoint cadence
+        # points; after each one the core takes the kernel's chord state
+        # and the march the chunk's steps and counters, so checkpoints,
+        # warm exports and stats stay truthful.  A non-zero status leaves
+        # the failing step uncommitted and hands it, and the rest of the
+        # run, to the NumPy loop below.
+        nonlocal history, handed_back
+        t2_grid = t2_start + np.arange(num_steps + 1) * h
+        b_grid = np.ascontiguousarray(batch_dae.b_batch(t2_grid),
+                                      dtype=float)
+        stats = march.stats
+        core = stepper.core
+        core_stats = core.stats
+        runner.load(history, core)
+        while stats["steps"] < num_steps:
+            first = stats["steps"] + 1
+            budget = march.chunk_budget(
+                min(num_steps - stats["steps"], _COMPILED_CHUNK)
+            )
+            status = runner.run(t2_grid, b_grid, first, first + budget)
+            done, iterations, residuals, factorizations, solves = (
+                int(count) for count in runner.counters[:5]
+            )
+            runner.counters[:] = 0
+            stats["newton_iterations"] += iterations
+            core_stats.solves += solves
+            core_stats.iterations += iterations
+            core_stats.residual_evaluations += residuals
+            core_stats.factorizations += factorizations
+            core_stats.jacobian_refreshes += factorizations
+            core_stats.wall_time_s += runner.last_wall
+            runner.sync(core, stepper.system.matrix_at)
+            if done:
+                history = runner.export_history()
+                kernel_info["compiled_steps"] += done
+                march.accept_chunk(
+                    t2_grid[first:first + done], runner.columns(done), h,
+                    t2_grid[num_steps],
+                )
+            if status != 0:
+                kernel_info["reason"] = (
+                    f"compiled envelope step {stats['steps'] + 1} returned "
+                    f"status {status}; NumPy stepper resumed"
+                )
+                handed_back = True
+                return
+
+    if runner is not None:
+        compiled_march()
+    if march.stats["steps"] == num_steps:
+        return march.finish()
+
+    x_samples = history[-1][1][:-1].reshape(initial_samples.shape)
+    omega = float(history[-1][1][-1])
     t2 = float(march.t)
     rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
-
     for step_index in range(march.stats["steps"], num_steps):
         t2_new = t2_start + (step_index + 1) * h
         try:
@@ -468,7 +563,7 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
 
 
 def _envelope_march(kind, dae, stepper, opts, resume_from, snapshot,
-                    counters=(), max_steps=None, warm=False):
+                    counters=(), max_steps=None, summarize=None, warm=False):
     """The :class:`~repro.resilience.march.March` of a WaMPDE envelope."""
     return March(
         kind, opts, resume_from,
@@ -481,6 +576,7 @@ def _envelope_march(kind, dae, stepper, opts, resume_from, snapshot,
         core=stepper.core,
         matrix_at=stepper.system.matrix_at,
         max_steps=max_steps,
+        summarize=summarize,
         warm=warm,
     )
 

@@ -214,7 +214,7 @@ def test_quenched_oscillator_fails_with_context(
     monkeypatch.setattr(SolverCore, "solve", quench_fourth_solve)
     run = wampde_route(adaptive, vdp_limit_cycle)
     with pytest.raises(SimulationError, match="quenched") as info:
-        run(checkpoint_every=2)
+        run(checkpoint_every=2, kernel="python")
     exc = info.value
     # Three solves per accepted adaptive step (step doubling), one per
     # fixed step.
@@ -422,3 +422,40 @@ def test_storing_chunks_keeps_peak_memory_near_the_rows():
     assert result.x.shape == (chunk * chunks + 1, n)
     assert np.array_equal(result.t, np.arange(chunk * chunks + 1))
     assert peak <= 3 * result.x.nbytes
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_chunks_with_two_value_columns(store_every):
+    """The envelope's chunks carry two value columns (omega, samples):
+    chunked and single-step marches store the same points, the final
+    one always."""
+
+    class Envelope:
+        def __init__(self, t2, omega, samples, stats):
+            self.t2, self.omega, self.samples = t2, omega, samples
+            self.stats = stats
+
+    steps = 10
+    times = np.arange(1, steps + 1) * 0.5
+    omega = 1.0 + 0.1 * np.arange(1, steps + 1)
+    samples = np.arange(1, steps + 1)[:, None, None] * np.ones((steps, 3, 2))
+
+    def new_march():
+        march = March(None, SimpleNamespace(store_every=store_every),
+                      result=Envelope, fields=("t2", "omega", "samples"))
+        march.start(0.0, 0.5, 1.0, np.zeros((3, 2)))
+        return march
+
+    single = new_march()
+    for j in range(steps):
+        single.accept(times[j], 0.5, omega[j], samples[j],
+                      final=j == steps - 1)
+    chunked = new_march()
+    for lo, hi in ((0, 4), (4, steps)):
+        chunked.accept_chunk(times[lo:hi], (omega[lo:hi], samples[lo:hi]),
+                             0.5, times[-1])
+    expected, result = single.finish(), chunked.finish()
+    assert result.t2[-1] == times[-1]
+    for name in ("t2", "omega", "samples"):
+        assert np.array_equal(getattr(result, name), getattr(expected, name))
+    assert result.stats["steps"] == steps

@@ -153,3 +153,34 @@ class TestCoercion:
     def test_unknown_spec_raises(self):
         with pytest.raises(PhaseConditionError):
             as_phase_condition("bogus")
+
+
+class TestVariableRange:
+    """The variable must index one of the ``n_vars`` columns: 4 and 9 are
+    past the end of 4 variables, -1 would silently pick the last one."""
+
+    @pytest.mark.parametrize("variable", [4, 9, -1])
+    @pytest.mark.parametrize("spec", ["fourier", "derivative", "value"])
+    def test_out_of_range_variable_is_named(self, spec, variable):
+        condition = as_phase_condition(spec, variable)
+        with pytest.raises(PhaseConditionError, match=f"variable {variable}"):
+            condition.gradient(25, 4)
+        with pytest.raises(PhaseConditionError, match="4 variables"):
+            condition.residual(np.zeros((25, 4)))
+
+    def test_last_variable_is_accepted(self):
+        condition = as_phase_condition("fourier", 3)
+        assert condition.gradient(25, 4).shape == (100,)
+        assert condition.residual(cosine_samples(25, variable_count=4)) == 0.0
+
+    def test_envelope_options_reject_out_of_range_variable(
+            self, vco_initial_condition):
+        from repro.circuits.library import MemsVcoDae
+        from repro.wampde import WampdeEnvelopeOptions, solve_wampde_envelope
+
+        params, samples, f0 = vco_initial_condition
+        with pytest.raises(PhaseConditionError, match="variable 9"):
+            solve_wampde_envelope(
+                MemsVcoDae(params), samples, f0, 0.0, 1e-6, 2,
+                WampdeEnvelopeOptions(phase_variable=9),
+            )

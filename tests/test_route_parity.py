@@ -16,6 +16,13 @@ marches such a circuit has a declared contract with the NumPy engine:
   test in :mod:`repro.linalg.newton`.
 * **Checkpoint resume** (both kernels): resuming from a mid-run
   checkpoint reproduces the uninterrupted run bit for bit.
+* **WaMPDE envelope, C march vs NumPy stepper** (fixed steps): on runs
+  that need no handback, the C route marches every step compiled, takes
+  equal solves, iterations, residual evaluations and factorisations, and
+  its ``omega`` and samples agree within 1e-9 of each variable's largest
+  magnitude (its ``D1 q`` rounds differently from NumPy's BLAS, so not
+  bit for bit).  A failing compiled step is replayed by the NumPy
+  stepper with the NumPy route's outcome.
 * **Adaptive C route** (``sweep_adaptive``, which needs constant
   forcing): under a ``DC(amplitude)`` drive the adaptive C march runs
   compiled end to end, and a run resumed from a mid-run checkpoint
@@ -323,3 +330,196 @@ def test_adaptive_c_route(netlist):
     for key in ("steps", "newton_iterations", "jacobian_factorizations",
                 "rejected_steps"):
         assert resumed.stats[key] == full.stats[key], key
+
+
+# -- the WaMPDE envelope: compiled march vs the NumPy stepper -----------------
+
+#: SolverStats counters the envelope routes must share.
+ENVELOPE_COUNTS = ("solves", "iterations", "residual_evaluations",
+                   "factorizations", "jacobian_refreshes", "fallbacks")
+
+
+def envelope_run(kernel, dae, samples, f0, t2_stop, steps, **overrides):
+    from repro.wampde import WampdeEnvelopeOptions, solve_wampde_envelope
+
+    return solve_wampde_envelope(
+        dae, samples, f0, 0.0, t2_stop, steps,
+        WampdeEnvelopeOptions(kernel=kernel, **overrides),
+    )
+
+
+def envelope_runs(*args, **overrides):
+    """The same fixed-step envelope on the NumPy and the C route."""
+    return tuple(envelope_run(kernel, *args, **overrides)
+                 for kernel in ("python", "c"))
+
+
+def assert_envelopes_agree(numpy_run, c_run):
+    assert np.array_equal(c_run.t2, numpy_run.t2)
+    scale = np.abs(numpy_run.samples).reshape(
+        -1, numpy_run.samples.shape[-1]).max(axis=0)
+    assert np.all(
+        np.abs(c_run.samples - numpy_run.samples) <= 1e-9 * scale
+    )
+    assert np.all(np.abs(c_run.omega - numpy_run.omega)
+                  <= 1e-9 * np.abs(numpy_run.omega).max())
+    for key in ENVELOPE_COUNTS:
+        assert c_run.stats["solver"][key] == numpy_run.stats["solver"][key], key
+    assert c_run.stats["newton_iterations"] == \
+        numpy_run.stats["newton_iterations"]
+
+
+def assert_envelope_contract(numpy_run, c_run):
+    assert numpy_run.stats["kernel"]["compiled_steps"] == 0
+    kernel = c_run.stats["kernel"]
+    assert kernel["mode"] == "c"
+    assert kernel["compiled_steps"] == c_run.stats["steps"]
+    assert kernel["python_steps"] == 0
+    assert_envelopes_agree(numpy_run, c_run)
+
+
+@pytest.fixture(scope="module")
+def vco_cycles():
+    from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
+    from repro.wampde import oscillator_initial_condition
+
+    cycles = {}
+    for variant in ("vacuum", "air"):
+        params = getattr(VcoParams, variant)()
+        samples, f0 = oscillator_initial_condition(
+            MemsVcoDae(params, constant_control=True), num_t1=25,
+            period_guess=T_NOMINAL,
+        )
+        cycles[variant] = (params, samples, f0)
+    return cycles
+
+
+@needs_cc
+@pytest.mark.parametrize("integrator", ["theta", "trap", "be"])
+@pytest.mark.parametrize("variant", ["vacuum", "air"])
+def test_envelope_c_route_vco(vco_cycles, variant, integrator):
+    """The MEMS VCO over one control period."""
+    from repro.circuits.library import MemsVcoDae
+
+    params, samples, f0 = vco_cycles[variant]
+    numpy_run, c_run = envelope_runs(
+        MemsVcoDae(params), samples, f0, params.control_period, 100,
+        integrator=integrator,
+    )
+    assert numpy_run.stats["solver"]["fallbacks"] == 0
+    assert c_run.stats["solver"]["factorizations"] > 10
+    assert numpy_run.omega.max() / numpy_run.omega.min() > 1.1
+    assert_envelope_contract(numpy_run, c_run)
+
+
+@needs_cc
+def test_envelope_c_route_ring_oscillator():
+    """A second oscillator: the 3-stage tanh ring under a Sine bias."""
+    from repro.circuits.library import ring_oscillator_circuit
+    from repro.wampde import oscillator_initial_condition
+
+    samples, f0 = oscillator_initial_condition(
+        ring_oscillator_circuit(bias=DC(0.0)).to_dae(), num_t1=25,
+        period_guess=4e-6, perturbation=np.array([0.1, -0.05, 0.02]),
+    )
+    period2 = 40.0 / f0
+    forced = ring_oscillator_circuit(
+        bias=Sine(amplitude=4e-4, frequency=1.0 / period2)
+    ).to_dae()
+    numpy_run, c_run = envelope_runs(forced, samples, f0, period2, 100)
+    assert numpy_run.omega.max() / numpy_run.omega.min() > 1.005
+    assert_envelope_contract(numpy_run, c_run)
+
+
+@needs_cc
+def test_envelope_handback_replays_quench():
+    """A step converging to omega <= 0 is handed back uncommitted; the
+    NumPy replay raises the NumPy route's SimulationError.  The van der
+    Pol cycle reversed in t1 solves the warped equations with negative
+    omega, so the first backward-Euler step lands there."""
+    from repro.dae import VanDerPolDae
+    from repro.wampde import oscillator_initial_condition
+
+    dae = VanDerPolDae(mu=0.2)
+    samples, f0 = oscillator_initial_condition(dae, num_t1=25,
+                                               period_guess=6.28)
+    reversed_cycle = np.roll(samples[::-1], 1, axis=0)
+    errors = []
+    for kernel in ("python", "c"):
+        with pytest.raises(SimulationError, match="quenched") as info:
+            envelope_run(kernel, dae, reversed_cycle, f0, 5.0, 10,
+                         integrator="be")
+        errors.append(info.value)
+    numpy_error, c_error = errors
+    assert str(c_error) == str(numpy_error)
+    assert c_error.step == numpy_error.step == 0
+    kernel = c_error.partial_result.stats["kernel"]
+    assert kernel["compiled_steps"] == 0
+    assert "status 5" in kernel["reason"]
+
+
+@needs_cc
+@pytest.mark.parametrize("max_iterations", [2, 4])
+def test_envelope_handback_replays_chord_failure(vco_cycles, max_iterations):
+    """A chord budget too small for some steps: the C route hands the
+    first such step back, and the NumPy stepper's rescue (or failure)
+    is the NumPy route's, counts included."""
+    from repro.circuits.library import MemsVcoDae
+    from repro.linalg.newton import NewtonOptions
+
+    params, samples, f0 = vco_cycles["vacuum"]
+    newton = NewtonOptions(atol=1e-9, max_iterations=max_iterations)
+    if max_iterations == 2:
+        errors = []
+        for kernel in ("python", "c"):
+            with pytest.raises(SimulationError, match="converge") as info:
+                envelope_run(
+                    kernel, MemsVcoDae(params), samples, f0,
+                    params.control_period, 50, newton=newton,
+                )
+            errors.append(info.value)
+        assert str(errors[1]) == str(errors[0])
+        assert errors[1].step == errors[0].step
+        return
+    numpy_run, c_run = envelope_runs(
+        MemsVcoDae(params), samples, f0, params.control_period, 50,
+        newton=newton,
+    )
+    kernel = c_run.stats["kernel"]
+    assert 0 < kernel["compiled_steps"] < c_run.stats["steps"]
+    assert kernel["python_steps"] == \
+        c_run.stats["steps"] - kernel["compiled_steps"]
+    assert "status 1" in kernel["reason"]
+    assert c_run.stats["solver"]["fallbacks"] > 0
+    assert_envelopes_agree(numpy_run, c_run)
+
+
+@needs_cc
+def test_envelope_warm_start_through_the_service():
+    """A family-seed hit (warm chord factors and registered parameters
+    from the first window's run) matches on both routes."""
+    from repro import api
+    from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
+    from repro.service import SimulationService
+    from repro.wampde import WampdeEnvelopeOptions
+
+    params = VcoParams.vacuum()
+
+    def request(periods, num_steps, kernel):
+        return api.EnvelopeRequest(
+            dae=MemsVcoDae(params), t2_start=0.0,
+            t2_stop=periods * params.control_period, num_steps=num_steps,
+            unforced_dae=MemsVcoDae(params, constant_control=True),
+            num_t1=25, period_guess=T_NOMINAL,
+            options=WampdeEnvelopeOptions(kernel=kernel),
+        )
+
+    runs = {}
+    for kernel in ("python", "c"):
+        with SimulationService(workers=0) as service:
+            service.submit(request(0.5, 25, kernel)).outcome()
+            job = service.submit(request(0.75, 36, kernel))
+            runs[kernel] = job.outcome()
+            assert job.warm_hit
+    numpy_run, c_run = runs["python"], runs["c"]
+    assert_envelope_contract(numpy_run, c_run)

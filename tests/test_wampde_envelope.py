@@ -5,11 +5,14 @@ import pytest
 
 from repro.dae import VanDerPolDae
 from repro.errors import SimulationError
+from repro.kernels.backends import HAVE_CC
 from repro.wampde import (
     WampdeEnvelopeOptions,
     solve_wampde_envelope,
     solve_wampde_envelope_adaptive,
 )
+
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 
 
 class TestInputValidation:
@@ -185,7 +188,8 @@ class TestEvaluationMemoisation:
 
         counting = CountingDae(mu=0.2)
         env = solve_wampde_envelope(
-            counting, hb.samples, hb.frequency, 0.0, 2.0, 4
+            counting, hb.samples, hb.frequency, 0.0, 2.0, 4,
+            WampdeEnvelopeOptions(kernel="python"),
         )
         iters = env.stats["newton_iterations"]
         steps = env.stats["steps"]
@@ -225,10 +229,26 @@ class TestForcingSamples:
         dae = MemsVcoDae(params)
         calls = self._counted_b_batch(monkeypatch)
         steps = 5
-        env = solve_wampde_envelope(dae, samples, f0, 0.0, 1e-6, steps)
+        env = solve_wampde_envelope(dae, samples, f0, 0.0, 1e-6, steps,
+                                    WampdeEnvelopeOptions(kernel="python"))
         assert env.stats["steps"] == steps
         # The initial rhs_terms, then one sample per step.
         assert len(calls) == steps + 1
+
+    @needs_cc
+    def test_compiled_run_samples_one_grid(self, vco_initial_condition,
+                                           monkeypatch):
+        from repro.circuits.library import MemsVcoDae
+
+        params, samples, f0 = vco_initial_condition
+        dae = MemsVcoDae(params)
+        calls = self._counted_b_batch(monkeypatch)
+        steps = 5
+        env = solve_wampde_envelope(dae, samples, f0, 0.0, 1e-6, steps,
+                                    WampdeEnvelopeOptions(kernel="c"))
+        assert env.stats["kernel"]["compiled_steps"] == steps
+        # One b_batch call over the start and every step's t2.
+        assert calls == [steps + 1]
 
     def test_adaptive_run_samples_three_times_per_step(
             self, vco_initial_condition, monkeypatch):
@@ -300,3 +320,67 @@ class TestLeanResidual:
         )
         error = np.abs(system.residual(z) - expected)
         assert np.all(error <= 1e-12 * scale)
+
+
+class TestStepWindowValidation:
+    """Both fixed-step drivers reject a non-integral step count and a
+    non-finite window up front, as a SimulationError."""
+
+    @staticmethod
+    def _wampde(dae, hb, t2_start, t2_stop, num_steps):
+        return solve_wampde_envelope(
+            dae, hb.samples, hb.frequency, t2_start, t2_stop, num_steps
+        )
+
+    @staticmethod
+    def _mpde(t2_start, t2_stop, num_steps):
+        from repro.mpde import BivariateForcing, solve_mpde_envelope
+
+        dae = VanDerPolDae(mu=0.2)
+        forcing = BivariateForcing(lambda t1, t2: np.zeros(2), 1.0, 1.0, 2)
+        return solve_mpde_envelope(
+            dae, forcing, np.zeros((5, 2)), t2_start, t2_stop, num_steps
+        )
+
+    @pytest.mark.parametrize("num_steps", [10.0, 2.5, True])
+    def test_non_integral_steps(self, vdp_limit_cycle, num_steps):
+        dae, hb = vdp_limit_cycle
+        with pytest.raises(SimulationError, match="num_steps"):
+            self._wampde(dae, hb, 0.0, 2.0, num_steps)
+        with pytest.raises(SimulationError, match="num_steps"):
+            self._mpde(0.0, 2.0, num_steps)
+
+    @pytest.mark.parametrize("window", [(0.0, np.inf), (-np.inf, 1.0),
+                                        (0.0, np.nan)])
+    def test_non_finite_window(self, vdp_limit_cycle, window):
+        dae, hb = vdp_limit_cycle
+        with pytest.raises(SimulationError, match="finite"):
+            self._wampde(dae, hb, *window, 10)
+        with pytest.raises(SimulationError, match="finite"):
+            self._mpde(*window, 10)
+        with pytest.raises(SimulationError, match="finite"):
+            solve_wampde_envelope_adaptive(
+                dae, hb.samples, hb.frequency, *window
+            )
+
+    def test_numpy_integer_steps(self, vdp_limit_cycle):
+        dae, hb = vdp_limit_cycle
+        env = self._wampde(dae, hb, 0.0, 2.0, np.int64(4))
+        assert env.stats["steps"] == 4
+
+
+@needs_cc
+@pytest.mark.parametrize("overrides", [
+    {"newton_mode": "full"}, {"ladder": ("full_newton",)},
+    {"linear_solver": "gmres"}, {"kernel": "python"},
+])
+def test_ineligible_runs_stay_on_the_numpy_stepper(vco_initial_condition,
+                                                   overrides):
+    from repro.circuits.library import MemsVcoDae
+
+    params, samples, f0 = vco_initial_condition
+    env = solve_wampde_envelope(MemsVcoDae(params), samples, f0, 0.0, 1e-6,
+                                3, WampdeEnvelopeOptions(**overrides))
+    kernel = env.stats["kernel"]
+    assert kernel["mode"] == "python" and kernel["reason"]
+    assert kernel["compiled_steps"] == 0 and kernel["python_steps"] == 3
