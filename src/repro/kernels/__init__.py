@@ -1,12 +1,13 @@
 """Compiled per-DAE inner loops (ROADMAP item 1: the 10x transient lever).
 
 Supported DAEs are lowered to a tiny statement IR
-(:mod:`~repro.kernels.registry`), rendered to one C translation unit
+(:mod:`~repro.kernels.registry`), rendered to C translation units
 (:mod:`~repro.kernels.codegen`), compiled and cached by
 :mod:`~repro.kernels.backends`, and driven by the engines through
 :mod:`~repro.kernels.sweep` — fused fixed-step, adaptive-step and
-batched lock-step ensemble chord marches, plus batched ``q/f/dq/df``
-evaluations for the envelope/ensemble python paths.
+batched lock-step ensemble chord marches, the fixed-step WaMPDE
+envelope march and the autonomous harmonic-balance solve, plus batched
+``q/f/dq/df`` evaluations for the envelope/ensemble python paths.
 
 Select with ``kernel="auto" | "c" | "python"`` on any engine options
 class (:class:`~repro.linalg.solver_core.SolverOptionsMixin`).

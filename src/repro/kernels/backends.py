@@ -10,20 +10,23 @@ Two execution modes:
     No generated code at all: the engines run their NumPy loops.  This
     is the reference every compiled path is tested against.
 
-``kernel="auto"`` resolves to C when a compiler is on PATH and to the
-NumPy engine otherwise.  Builds are cached on disk under
-``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory in the
-system temp dir), keyed by a content hash of the generated source, and
-memoised in-process, so a long test run compiles each distinct circuit
-topology once.
+``kernel="auto"`` resolves to C when a compiler is on PATH (probed once
+per ``$CC`` and ``$PATH``) and to the NumPy engine otherwise.  Builds are
+cached on disk under ``$REPRO_KERNEL_CACHE`` (default: a
+``repro-kernels`` directory in the system temp dir), keyed by a content
+hash of the generated source, and memoised in-process, so a long test
+run compiles each distinct circuit topology once.
 
-A spec renders to two translation units, built separately and only when
-used: ``"sweep"`` (the batched evaluations and the transient sweeps,
-:class:`_CKernel`) and ``"envelope"`` (the WaMPDE envelope march,
-:class:`_CEnvelopeKernel`).  The envelope unit factorises with LAPACK's
-``dgetrf``/``dgetrs`` at the addresses :func:`lapack_pointers` reads from
-SciPy's ``cython_lapack`` capsules, so no unit links against anything
-beyond ``libm``.
+A spec renders to three translation units (see
+:mod:`repro.kernels.codegen`), each built separately and only when a
+run first uses it: ``"sweep"`` (the batched evaluations, the serial
+transient sweeps and the autonomous HB solve, :class:`_CKernel`),
+``"ensemble"`` (the lock-step ensemble sweep, :class:`_CEnsembleKernel`)
+and ``"envelope"`` (the WaMPDE envelope march,
+:class:`_CEnvelopeKernel`).  The HB solve and the envelope march
+factorise with LAPACK's ``dgetrf``/``dgetrs`` at the addresses
+:func:`lapack_pointers` reads from SciPy's ``cython_lapack`` capsules,
+so no unit links against anything beyond ``libm``.
 """
 
 from __future__ import annotations
@@ -52,8 +55,16 @@ class KernelBuildError(ReproError):
 
 
 def _find_cc():
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
+    return _which_cc(os.environ.get("CC"), os.environ.get("PATH"))
+
+
+@cache
+def _which_cc(cc, path):
+    """The first of ``cc``, ``cc``, ``gcc``, ``clang`` on ``path``: memoised,
+    so a route decision costs no ``stat`` calls once the environment is
+    seen."""
+    for candidate in (cc, "cc", "gcc", "clang"):
+        if candidate and shutil.which(candidate, path=path):
             return candidate
     return None
 
@@ -174,7 +185,8 @@ class _CEnvelopeKernel(_CUnit):
 
 
 class _CKernel(_CUnit):
-    """The sweep unit: batched evaluations and the transient sweeps."""
+    """The sweep unit: batched evaluations, the serial transient sweeps
+    and the autonomous HB solve."""
 
     def __init__(self, lib):
         super().__init__(lib)
@@ -184,9 +196,8 @@ class _CKernel(_CUnit):
         lib.sweep_adaptive.restype = ctypes.c_longlong
         lib.sweep_adaptive.argtypes = [ctypes.c_void_p, ctypes.c_longlong] \
             + [ctypes.c_void_p] * 26
-        lib.sweep_ens.restype = ctypes.c_longlong
-        lib.sweep_ens.argtypes = [ctypes.c_void_p] * 2 \
-            + [ctypes.c_longlong] * 4 + [ctypes.c_void_p] * 28
+        lib.hb_solve.restype = ctypes.c_longlong
+        lib.hb_solve.argtypes = [ctypes.c_void_p] * 10
         for entry in (lib.eval_qf_batch, lib.eval_jac_batch):
             entry.restype = None
             entry.argtypes = [ctypes.c_void_p] * 2 \
@@ -222,6 +233,20 @@ class _CKernel(_CUnit):
         args.extend(self._ptr(a) for a in arrays)
         return int(self._lib.sweep_adaptive(*args))
 
+    def hb_solve(self, *arrays):
+        return int(self._lib.hb_solve(*(self._ptr(a) for a in arrays),
+                                      *lapack_pointers()))
+
+
+class _CEnsembleKernel(_CUnit):
+    """The ensemble unit: the lock-step ``sweep_ens``."""
+
+    def __init__(self, lib):
+        super().__init__(lib)
+        lib.sweep_ens.restype = ctypes.c_longlong
+        lib.sweep_ens.argtypes = [ctypes.c_void_p] * 2 \
+            + [ctypes.c_longlong] * 4 + [ctypes.c_void_p] * 28
+
     def sweep_ens(self, t_grid, b_grid, gi_start, gi_end, batch, pstride,
                   *arrays):
         args = [self._ptr(t_grid), self._ptr(b_grid),
@@ -234,6 +259,7 @@ class _CKernel(_CUnit):
 #: The translation units of a spec: source renderer and ctypes adapter.
 _UNITS = {
     "sweep": (codegen.generate_c_source, _CKernel),
+    "ensemble": (codegen.generate_ensemble_source, _CEnsembleKernel),
     "envelope": (codegen.generate_envelope_source, _CEnvelopeKernel),
 }
 
@@ -277,7 +303,9 @@ def _build_c_library(source, sha, adapter):
         raise KernelBuildError(f"loading {so_path} failed: {exc}") from exc
 
 
-#: In-process memo: source sha -> loaded kernel adapter.
+#: In-process memo: (unit, source head) -> loaded kernel adapter.  A
+#: unit's text past :func:`~repro.kernels.codegen.c_header` is fixed, so
+#: the head identifies the source without rendering and hashing all of it.
 _KERNEL_MEMO = {}
 
 
@@ -295,20 +323,20 @@ class BuiltKernel:
 def build_kernel(spec, unit="sweep"):
     """Build (or fetch from cache) one compiled C unit for ``spec``.
 
-    ``unit`` is ``"sweep"`` or ``"envelope"`` (see the module docstring).
-    Raises :class:`KernelBuildError` when compiling, loading or the
-    trial call fails; callers running under ``kernel="auto"`` then stay
-    on the NumPy engine.
+    ``unit`` is ``"sweep"``, ``"ensemble"`` or ``"envelope"`` (see the
+    module docstring).  Raises :class:`KernelBuildError` when compiling,
+    loading or the trial call fails; callers running under
+    ``kernel="auto"`` then stay on the NumPy engine.
     """
     start = time.perf_counter()
-    render, adapter = _UNITS[unit]
-    source = render(spec)
-    sha = _source_sha(source)
-    impl = _KERNEL_MEMO.get(sha)
+    key = (unit, codegen.c_header(spec))
+    impl = _KERNEL_MEMO.get(key)
     if impl is None:
-        impl = _build_c_library(source, sha, adapter)
+        render, adapter = _UNITS[unit]
+        source = render(spec)
+        impl = _build_c_library(source, _source_sha(source), adapter)
         _trial_run(spec, impl)
-        _KERNEL_MEMO[sha] = impl
+        _KERNEL_MEMO[key] = impl
     return BuiltKernel(spec, impl, time.perf_counter() - start)
 
 

@@ -1,26 +1,33 @@
 """Render a :class:`~repro.kernels.registry.KernelSpec` to C source.
 
-One spec renders to two C translation units, each compiled with the host
-toolchain (``cc -O2 -shared``) and driven through ctypes (see
-:mod:`repro.kernels.backends`).  The reference they are tested against
-is not generated code but the NumPy engines themselves.
+One spec renders to three C translation units (*units*), each compiled
+with the host toolchain (``cc -O2 -shared``) into its own shared object
+and driven through ctypes (see :mod:`repro.kernels.backends`).  Every
+unit starts with :func:`c_header` (``N``, ``eval_qf``, ``eval_jac``);
+the rest of its text is fixed, and shared pieces are written once and
+rendered into each unit that needs them.  The reference they are tested
+against is not generated code but the NumPy engines themselves.
 
-The sweep unit (:func:`generate_c_source`) carries seven entry points:
-``eval_qf`` / ``eval_jac`` (single point), ``eval_qf_batch`` /
-``eval_jac_batch`` (lock-step and collocation batches), and three
-transient sweeps that march many steps per call with zero Python in
-between: ``sweep`` (the fixed-step grid), ``sweep_adaptive`` (constant
-forcing under the proportional local-error dt controller) and
-``sweep_ens`` (the batched ``(B, n)`` lock-step ensemble over a
-``(B, n, n)`` frozen-LU factor stack).  The envelope unit
-(:func:`generate_envelope_source`) carries ``eval_qf`` / ``eval_jac`` and
-``envelope_sweep``, which marches fixed WaMPDE envelope steps; it is built
-only when an envelope march first runs compiled, so building the sweep
-unit costs what it did before the envelope unit existed.
+=================  ==================================================
+unit               entry points (built when)
+=================  ==================================================
+sweep              ``eval_qf_batch`` / ``eval_jac_batch``, the serial
+                   transient sweeps ``sweep`` (fixed-step grid) and
+                   ``sweep_adaptive`` (constant forcing, local-error dt
+                   control), and ``hb_solve`` (autonomous harmonic
+                   balance); built by the first compiled transient,
+                   batched evaluation or HB solve
+ensemble           ``sweep_ens``, the batched ``(B, n)`` lock-step
+                   ensemble over a ``(B, n, n)`` frozen-LU factor
+                   stack; built by the first compiled ensemble run
+envelope           ``envelope_sweep``, fixed WaMPDE envelope steps;
+                   built by the first compiled envelope run
+=================  ==================================================
 
-The sweeps state each part of a transient step once, as static helpers
-over one ``(3, B, n)`` history ring; the serial sweeps are its
-``B = 1`` case.  Each helper transcribes one piece of Python:
+The transient sweeps state each part of a step once, as static helpers
+over one ``(3, B, n)`` history ring (the *step helpers*, in the sweep and
+ensemble units); the serial sweeps are its ``B = 1`` case.  Each helper
+transcribes one piece of Python:
 
 =================  ===================================================
 ``step_terms_``    ``transient.integrators.Integrator.residual_terms``
@@ -32,24 +39,40 @@ over one ``(3, B, n)`` history ring; the serial sweeps are its
 ``enter_``         ``SolverCore.refactor_at``: the LU rebuild from
                    ``jac_meta`` on resume or re-entry
 ``small_update_``  ``linalg.newton.update_is_small``
-``chord_solve_``   ``linalg.newton.StaleJacobianNewton.solve``
+``chord_solve_``   ``linalg.newton.StaleJacobianNewton.solve`` (sweep
+                   unit only)
 =================  ===================================================
 
 ``sweep`` and ``sweep_adaptive`` both solve each step with
 ``chord_solve_``; beyond the helpers ``sweep_adaptive`` holds only the
 engine's adaptive error-control block, and ``sweep_ens`` only the
-lock-step chord of ``transient.ensemble._EnsembleChord``.  The envelope
-unit transcribes the fixed-step driver of :mod:`repro.wampde.envelope`
-with its own helpers, factorising and solving through LAPACK
+lock-step chord of ``transient.ensemble._EnsembleChord``.
+
+Autonomous HB and the envelope step solve one slice of
+``linalg.collocation.WarpedCollocationSystem`` with a phase condition
+(HB without a t2 step, on the equilibrated ``ScaledDAE``; the envelope
+with a theta step and no scales).  Its C, the *slice helpers*, is in the
+sweep and envelope units and factorises and solves through LAPACK
 ``dgetrf``/``dgetrs`` pointers passed in by the caller:
 
 =====================  ===============================================
-``env_residual_``      ``WarpedCollocationSystem.residual`` (one slice,
-                       phase row, theta step), ``IterateEvaluation``
-``env_history_``       ``WarpedCollocationSystem.fast_terms``
-``env_refactor_``      ``WarpedCollocationSystem.jacobian`` with
+``slice_eval_``        ``ScaledDAE.qf_batch`` at the samples (scales
+                       optional), then ``IterateEvaluation``'s ``D1 q``
+``slice_residual_``    ``WarpedCollocationSystem.residual`` (one slice,
+                       phase row, theta step optional)
+``slice_refactor_``    ``WarpedCollocationSystem.jacobian`` with
                        ``DenseCollocationAssembler.refresh``, then LU
+``slice_swap_`` /      two iterates and their scratch
+``slice_work_``
+=====================  ===============================================
+
+``hb_solve`` transcribes ``linalg.newton.newton_solve`` (full Newton,
+step-halving line search) on the slice helpers.  The envelope unit adds:
+
+=====================  ===============================================
+``env_history_``       ``WarpedCollocationSystem.fast_terms``
 ``env_chord_``         ``linalg.newton.StaleJacobianNewton.solve``
+``env_small_update_``  ``linalg.newton.update_is_small``
 ``env_note_``          ``SolverCore.note_parameters(h=..., omega=...)``
 ``env_predict_``       ``transient.engine.extrapolate``
 ``env_push_``          the driver's three-entry history
@@ -58,18 +81,25 @@ with its own helpers, factorising and solving through LAPACK
 Any change to the Python above must be mirrored here.  The drift guard
 is the route-parity matrix (``tests/test_route_parity.py``), which holds
 the C routes to the NumPy engines' exact iteration, factorisation and
-residual-evaluation counts on generated circuits and on the envelope's
-oscillators, next to the equivalence tests in ``tests/test_kernels.py``.
+residual-evaluation counts on generated circuits, on the envelope's
+oscillators and on the autonomous-HB test oscillators, next to the
+equivalence tests in ``tests/test_kernels.py``; every unit compiles
+under ``-Wall -Wextra -Werror`` there, so no unit carries a static
+helper it does not call.
 
-Status codes returned by the sweep entry points:
+Status codes returned by the entry points:
 
 ====  =========================================================
-0     ran to ``gi_end`` / ``max_accept`` / ``t_stop``
+0     ran to ``gi_end`` / ``max_accept`` / ``t_stop`` (``hb_solve``:
+      converged)
 1     chord Newton hit ``max_iterations`` (factors dropped; for
-      ``sweep_ens``: not every scenario converged or was rescued)
+      ``sweep_ens``: not every scenario converged or was rescued;
+      ``hb_solve``: Newton did not converge)
 2     non-finite initial residual (factors kept, like the python path;
-      serial sweeps only — ensemble rows simply fail to converge)
-3     singular/non-finite Jacobian factorisation (factors dropped)
+      serial sweeps, ``envelope_sweep`` and ``hb_solve`` only —
+      ensemble rows simply fail to converge)
+3     singular/non-finite Jacobian factorisation (factors dropped;
+      ``hb_solve``: also a non-finite Newton update)
 4     adaptive local-error rejection would underflow ``dt_min``
       (``sweep_adaptive`` only; the shrink is *not* committed so the
       python replay reproduces the exact failure)
@@ -80,7 +110,8 @@ Status codes returned by the sweep entry points:
 ``envelope_sweep`` commits no part of a failing step (statuses 1, 2, 3
 and 5): its registered parameters, factor metadata and counters are
 restored to the step's start, so the NumPy stepper replays the step
-with the NumPy route's outcome.
+with the NumPy route's outcome.  A non-zero ``hb_solve`` status is
+replayed whole by the NumPy ``SolverCore``.
 """
 
 from __future__ import annotations
@@ -113,7 +144,7 @@ def _render_c(stmts, indent, declared=None):
     return lines
 
 
-_C_RUNTIME = '''
+_C_BATCH = '''
 
 void eval_qf_batch(const double* X, const double* P, long long B,
                    long long pstride, double* Q, double* F) {
@@ -127,6 +158,10 @@ void eval_jac_batch(const double* X, const double* P, long long B,
         eval_jac(X + b * N, P + b * pstride, DQ + b * NN, DF + b * NN);
 }
 
+'''
+
+
+_C_STEP = '''
 static int lu_factor_(double* A, long long* piv) {
     for (int k = 0; k < N; ++k) {
         double pmax = 0.0;
@@ -340,6 +375,10 @@ static inline int small_update_(const double* xn, const double* xc,
     return 1;
 }
 
+'''
+
+
+_C_SERIAL = '''
 /* StaleJacobianNewton.solve from the guess in xc: chord iterations on
    the frozen factors in (A, piv), refactorising at the current iterate
    when none are held, an update goes non-finite or uphill on stale
@@ -560,6 +599,10 @@ long long sweep_adaptive(const double* b_row, long long max_accept,
     return status;
 }
 
+'''
+
+
+_C_ENSEMBLE = '''
 static void ens_residual_(const double* X, const double* P, long long B,
                           long long pstride, const double* b_rows,
                           double alpha, double beta, const double* RHS,
@@ -800,7 +843,7 @@ singular:
 '''
 
 
-_C_ENVELOPE_RUNTIME = '''
+_C_SLICE = '''
 /* LAPACK dgetrf / dgetrs, called through the addresses SciPy exports
    (scipy.linalg.cython_lapack): nothing is linked. */
 typedef void (*dgetrf_t)(int* m, int* n, double* a, int* lda, int* ipiv,
@@ -809,31 +852,55 @@ typedef void (*dgetrs_t)(char* trans, int* n, int* nrhs, double* a,
                          int* lda, int* ipiv, double* b, int* ldb,
                          int* info);
 
-/* One envelope step's system (WarpedCollocationSystem with one slice, a
-   phase condition and a theta step): m t1 samples of N variables, M = m N
-   collocation unknowns and S = M + 1 with omega. */
+/* One slice of WarpedCollocationSystem with a phase condition: m t1
+   samples of N variables, M = m N collocation unknowns and S = M + 1
+   with omega.  With a theta step (stepped: an envelope step) or without
+   (autonomous harmonic balance); with or without ScaledDAE's diagonal
+   scales (NULL: none): x = vscale y, q and f times escale. */
 typedef struct {
     long long m, M, S;
     const double* p;
     const double* D1;      /* (m, m) t1 differentiation matrix */
     const double* phase;   /* (M,) phase row */
-    double target, theta, h;
-    const double* b;       /* (N,) forcing b(t2) of the step */
+    double target;
+    int stepped;
+    double theta, h;
+    const double* vscale;  /* (N,) variable scales, or NULL */
+    const double* escale;  /* (N,) equation scales, or NULL */
+    const double* b;       /* (N,) forcing */
     const double* q_old;   /* (M,) charges at the accepted point */
     const double* rhs_old; /* (M,) omega D1 q + f - b there */
     dgetrf_t getrf;
     dgetrs_t getrs;
-} env_t;
+} slice_t;
 
 /* An iterate z = [samples, omega], its residual r, and q, f and D1 q at
    its samples (IterateEvaluation). */
 typedef struct { double *z, *r, *q, *f, *d; } iter_t;
 
-static void env_eval_(const env_t* e, const double* z, double* q,
-                      double* f, double* d) {
+/* The wrapped DAE's state at one sample y: y itself, or vscale y in xs. */
+static const double* slice_state_(const slice_t* e, const double* y,
+                                  double* xs) {
+    if (!e->vscale) return y;
+    for (int c = 0; c < N; ++c) xs[c] = y[c] * e->vscale[c];
+    return xs;
+}
+
+static void slice_eval_(const slice_t* e, const double* z, double* q,
+                        double* f, double* d) {
     long long m = e->m;
-    for (long long i = 0; i < m; ++i)
-        eval_qf(z + i * N, e->p, q + i * N, f + i * N);
+    double xs[N];
+    for (long long i = 0; i < m; ++i) {
+        double* qi = q + i * N;
+        double* fi = f + i * N;
+        eval_qf(slice_state_(e, z + i * N, xs), e->p, qi, fi);
+        if (e->escale) {
+            for (int c = 0; c < N; ++c) {
+                qi[c] = e->escale[c] * qi[c];
+                fi[c] = e->escale[c] * fi[c];
+            }
+        }
+    }
     for (long long i = 0; i < m; ++i) {
         double* di = d + i * N;
         for (int c = 0; c < N; ++c) di[c] = 0.0;
@@ -845,21 +912,23 @@ static void env_eval_(const env_t* e, const double* z, double* q,
     }
 }
 
-/* WarpedCollocationSystem.residual in its grouping: (q - q_old)/h
-   + theta (omega D1 q + f - b) + (1 - theta) rhs_old, then the phase
-   row.  Returns the max-norm, NaN when any entry is NaN. */
-static double env_residual_(const env_t* e, iter_t* it) {
+/* WarpedCollocationSystem.residual in its grouping: fast = omega D1 q
+   + f - b, stepped (q - q_old)/h + theta fast + (1 - theta) rhs_old,
+   then the phase row.  Returns the max-norm, NaN when any entry is
+   NaN. */
+static double slice_residual_(const slice_t* e, iter_t* it) {
     long long M = e->M;
-    env_eval_(e, it->z, it->q, it->f, it->d);
+    slice_eval_(e, it->z, it->q, it->f, it->d);
     double omega = it->z[M];
     double theta = e->theta;
     double rest = 1.0 - e->theta;
     double norm = 0.0;
     int bad = 0;
     for (long long k = 0; k < M; ++k) {
-        double fast = omega * it->d[k] + it->f[k] - e->b[k % N];
-        double r = (it->q[k] - e->q_old[k]) / e->h + theta * fast
-            + rest * e->rhs_old[k];
+        double r = omega * it->d[k] + it->f[k] - e->b[k % N];
+        if (e->stepped)
+            r = (it->q[k] - e->q_old[k]) / e->h + theta * r
+                + rest * e->rhs_old[k];
         it->r[k] = r;
         double a = fabs(r);
         if (a != a) bad = 1;
@@ -876,32 +945,38 @@ static double env_residual_(const env_t* e, iter_t* it) {
     return norm;
 }
 
-/* fast_terms at an accepted iterate: the next step's q_old and rhs_old. */
-static void env_history_(const env_t* e, const iter_t* it, double* q_old,
-                         double* rhs_old) {
-    double omega = it->z[e->M];
-    for (long long k = 0; k < e->M; ++k) {
-        rhs_old[k] = omega * it->d[k] + it->f[k] - e->b[k % N];
-        q_old[k] = it->q[k];
-    }
-}
-
-/* The bordered step matrix at (z, h), column-major, in
-   DenseCollocationAssembler's grouping: ((D1[i,j] dq_j) omega
-   + [i=j] df_i) theta + [i=j] dq_i (1/h); border column theta D1 q, border
-   row the phase row, corner 0.  LU-factorised in place by dgetrf; the
-   factorisation counts in counters[3] (NULL: the entry rebuild) and
-   jac_meta records [h, z].  Returns 0 on a non-finite matrix or a zero
-   pivot. */
-static int env_refactor_(const env_t* e, const double* z, const double* d,
-                         double h, double* A, int* ipiv, double* jac_meta,
-                         double* dqs, double* dfs, long long* counters) {
+/* The bordered Newton matrix at z (step h), column-major, in
+   DenseCollocationAssembler's grouping: (D1[i,j] dq_j) omega + [i=j] df_i,
+   stepped then times theta plus [i=j] dq_i (1/h); border column D1 q
+   (stepped: theta D1 q), border row the phase row, corner 0.  Scaled
+   Jacobians are (escale dq) vscale, ScaledDAE's grouping.  LU-factorised
+   in place by dgetrf; the factorisation counts in counters[3] (NULL: not
+   counted) and jac_meta (if given) records [h, z].  Returns 0 on a
+   non-finite matrix or a zero pivot. */
+static int slice_refactor_(const slice_t* e, const double* z,
+                           const double* d, double h, double* A, int* ipiv,
+                           double* jac_meta, double* dqs, double* dfs,
+                           long long* counters) {
     long long m = e->m, M = e->M, S = e->S;
     double omega = z[M];
     double theta = e->theta;
     double inv_h = 1.0 / h;
-    for (long long i = 0; i < m; ++i)
-        eval_jac(z + i * N, e->p, dqs + i * NN, dfs + i * NN);
+    double xs[N];
+    for (long long i = 0; i < m; ++i) {
+        double* dq = dqs + i * NN;
+        double* df = dfs + i * NN;
+        eval_jac(slice_state_(e, z + i * N, xs), e->p, dq, df);
+        if (e->vscale) {
+            for (int r = 0; r < N; ++r) {
+                for (int c = 0; c < N; ++c) {
+                    dq[r * N + c] = e->escale[r] * dq[r * N + c]
+                        * e->vscale[c];
+                    df[r * N + c] = e->escale[r] * df[r * N + c]
+                        * e->vscale[c];
+                }
+            }
+        }
+    }
     for (long long j = 0; j < m; ++j) {
         const double* dqj = dqs + j * NN;
         const double* dfj = dfs + j * NN;
@@ -912,8 +987,10 @@ static int env_refactor_(const env_t* e, const double* z, const double* d,
                 for (int r = 0; r < N; ++r) {
                     double v = w * dqj[r * N + c] * omega;
                     if (i == j) v += dfj[r * N + c];
-                    v = v * theta;
-                    if (i == j) v += dqj[r * N + c] * inv_h;
+                    if (e->stepped) {
+                        v = v * theta;
+                        if (i == j) v += dqj[r * N + c] * inv_h;
+                    }
                     col[i * N + r] = v;
                 }
             }
@@ -921,7 +998,8 @@ static int env_refactor_(const env_t* e, const double* z, const double* d,
         }
     }
     double* border = A + M * S;
-    for (long long k = 0; k < M; ++k) border[k] = theta * d[k];
+    for (long long k = 0; k < M; ++k)
+        border[k] = e->stepped ? theta * d[k] : d[k];
     border[M] = 0.0;
     for (long long k = 0; k < S * S; ++k)
         if (!isfinite(A[k])) return 0;
@@ -929,10 +1007,144 @@ static int env_refactor_(const env_t* e, const double* z, const double* d,
     int info = 0;
     e->getrf(&n, &n, A, &n, ipiv, &info);
     if (info != 0) return 0;
-    jac_meta[0] = h;
-    memcpy(jac_meta + 1, z, sizeof(double) * S);
+    if (jac_meta) {
+        jac_meta[0] = h;
+        memcpy(jac_meta + 1, z, sizeof(double) * S);
+    }
     if (counters) counters[3] += 1;
     return 1;
+}
+
+static void slice_swap_(iter_t* a, iter_t* b) {
+    iter_t tmp = *a;
+    *a = *b;
+    *b = tmp;
+}
+
+/* The two iterates, the update and the per-point Jacobians of one slice,
+   carved from work; returns the first unused entry. */
+static double* slice_work_(const slice_t* e, double* w, iter_t* it,
+                           double** dz, double** dqs, double** dfs) {
+    for (int s = 0; s < 2; ++s) {
+        it[s].z = w; w += e->S;
+        it[s].r = w; w += e->S;
+        it[s].q = w; w += e->M;
+        it[s].f = w; w += e->M;
+        it[s].d = w; w += e->M;
+    }
+    *dz = w; w += e->S;
+    *dqs = w; w += e->m * NN;
+    *dfs = w; w += e->m * NN;
+    return w;
+}
+'''
+
+
+_C_HB = '''
+/* linalg.newton.newton_solve on one unstepped slice, autonomous harmonic
+   balance on its equilibrated DAE: from z, a fresh LU of the bordered
+   matrix every iteration, dgetrs on -F, and step halving until the
+   residual max-norm falls (after max_step_halvings the last trial is
+   kept); converged once the residual is at most atol or the update is
+   small (update_is_small on step dz).  Leaves the solution in z and
+   counts iterations, residual evaluations and factorisations in
+   counters[1..3].  data = [atol, rtol, target, b (N), vscale (N),
+   escale (N), phase row (M)], iopts = [max_iterations,
+   max_step_halvings, m]; work holds the S x S matrix, then the slice's
+   scratch.  Returns 0, or 1 (no convergence), 2 (non-finite initial
+   residual) or 3 (non-finite or singular matrix, non-finite update). */
+long long hb_solve(double* z, const double* data, const double* p,
+                   const double* D1, const long long* iopts,
+                   long long* counters, double* work, int* ipiv,
+                   void* getrf, void* getrs) {
+    slice_t e;
+    e.m = iopts[2];
+    e.M = e.m * N;
+    e.S = e.M + 1;
+    e.p = p;
+    e.D1 = D1;
+    e.target = data[2];
+    e.b = data + 3;
+    e.vscale = data + 3 + N;
+    e.escale = data + 3 + 2 * N;
+    e.phase = data + 3 + 3 * N;
+    e.stepped = 0;
+    e.theta = 1.0;
+    e.h = 0.0;
+    e.q_old = NULL;
+    e.rhs_old = NULL;
+    e.getrf = (dgetrf_t)getrf;
+    e.getrs = (dgetrs_t)getrs;
+    double atol = data[0];
+    double rtol = data[1];
+    long long maxiter = iopts[0];
+    long long halvings = iopts[1];
+    long long S = e.S;
+    double* A = work;
+    iter_t it[2];
+    double *dz, *dqs, *dfs;
+    slice_work_(&e, work + S * S, it, &dz, &dqs, &dfs);
+    iter_t cur = it[0], trial = it[1];
+    char trans = 'N';
+    int n = (int)S;
+    int one = 1;
+    int info = 0;
+    memcpy(cur.z, z, sizeof(double) * S);
+    double norm = slice_residual_(&e, &cur);
+    counters[2] += 1;
+    if (!isfinite(norm)) return 2;
+    for (long long itn = 1; itn <= maxiter; ++itn) {
+        if (norm <= atol) {
+            counters[1] += itn - 1;
+            memcpy(z, cur.z, sizeof(double) * S);
+            return 0;
+        }
+        if (!slice_refactor_(&e, cur.z, cur.d, 0.0, A, ipiv, NULL, dqs,
+                             dfs, counters))
+            return 3;
+        for (long long k = 0; k < S; ++k) dz[k] = -cur.r[k];
+        e.getrs(&trans, &n, &one, A, &n, ipiv, dz, &n, &info);
+        for (long long k = 0; k < S; ++k)
+            if (!isfinite(dz[k])) return 3;
+        double step = 1.0;
+        double norm_trial = norm;
+        for (long long halving = 0; halving <= halvings; ++halving) {
+            for (long long k = 0; k < S; ++k)
+                trial.z[k] = cur.z[k] + step * dz[k];
+            norm_trial = slice_residual_(&e, &trial);
+            counters[2] += 1;
+            if (isfinite(norm_trial) && (norm_trial < norm || norm <= atol))
+                break;
+            if (halving < halvings) step = step * 0.5;
+        }
+        int small = 1;
+        for (long long k = 0; k < S; ++k) {
+            double mx = fabs(trial.z[k]);
+            if (mx < 1.0) mx = 1.0;
+            if (!(fabs(step * dz[k]) <= rtol * mx)) small = 0;
+        }
+        slice_swap_(&cur, &trial);
+        norm = norm_trial;
+        if (norm <= atol || (small && isfinite(norm))) {
+            counters[1] += itn;
+            memcpy(z, cur.z, sizeof(double) * S);
+            return 0;
+        }
+    }
+    return 1;
+}
+'''
+
+
+_C_ENVELOPE = '''
+/* fast_terms at an accepted iterate: the next step's q_old and rhs_old. */
+static void env_history_(const slice_t* e, const iter_t* it, double* q_old,
+                         double* rhs_old) {
+    double omega = it->z[e->M];
+    for (long long k = 0; k < e->M; ++k) {
+        rhs_old[k] = omega * it->d[k] + it->f[k] - e->b[k % N];
+        q_old[k] = it->q[k];
+    }
 }
 
 /* update_is_small over the S unknowns. */
@@ -946,12 +1158,6 @@ static int env_small_update_(const double* zn, const double* zc,
     return 1;
 }
 
-static void env_swap_(iter_t* a, iter_t* b) {
-    iter_t tmp = *a;
-    *a = *b;
-    *b = tmp;
-}
-
 /* StaleJacobianNewton.solve from the guess in cur->z, on the LU factors
    in (A, ipiv): refactorising at the current iterate when none are held,
    an update goes non-finite or uphill on stale factors, or the residual
@@ -959,7 +1165,7 @@ static void env_swap_(iter_t* a, iter_t* b) {
    factors still go uphill.  Leaves the solution and its evaluation in
    *cur.  Returns 0, or the status of the failure (factors dropped on 1
    and 3, kept on 2). */
-static long long env_chord_(const env_t* e, const double* dopts,
+static long long env_chord_(const slice_t* e, const double* dopts,
                             const long long* iopts, double* A, int* ipiv,
                             double* jac_meta, int* have,
                             long long* counters, iter_t* cur, iter_t* trial,
@@ -974,13 +1180,13 @@ static long long env_chord_(const env_t* e, const double* dopts,
     int n = (int)S;
     int one = 1;
     int info = 0;
-    double norm = env_residual_(e, cur);
+    double norm = slice_residual_(e, cur);
     counters[2] += 1;
     if (norm <= atol) return 0;
     if (!isfinite(norm)) return 2;
     int fresh = 0;
     if (!*have) {
-        if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta, dqs,
+        if (!slice_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta, dqs,
                            dfs, counters))
             goto singular;
         *have = 1;
@@ -995,23 +1201,23 @@ static long long env_chord_(const env_t* e, const double* dopts,
         for (long long k = 0; k < S; ++k)
             if (!isfinite(dz[k])) ok = 0;
         if (!ok) {
-            if (fresh || !env_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
+            if (fresh || !slice_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
                                         jac_meta, dqs, dfs, counters))
                 goto singular;
             fresh = 1;
             continue;
         }
         for (long long k = 0; k < S; ++k) trial->z[k] = cur->z[k] - dz[k];
-        double norm_new = env_residual_(e, trial);
+        double norm_new = slice_residual_(e, trial);
         counters[2] += 1;
         if (norm_new <= atol) {
-            env_swap_(cur, trial);
+            slice_swap_(cur, trial);
             return 0;
         }
         if (!(norm_new < norm)) {
             if (!fresh) {
                 /* Blame staleness first: refactorise and retry. */
-                if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
+                if (!slice_refactor_(e, cur->z, cur->d, e->h, A, ipiv,
                                    jac_meta, dqs, dfs, counters))
                     goto singular;
                 fresh = 1;
@@ -1021,7 +1227,7 @@ static long long env_chord_(const env_t* e, const double* dopts,
             for (long long halving = 0; halving < halvings; ++halving) {
                 for (long long k = 0; k < S; ++k)
                     trial->z[k] = cur->z[k] - step * dz[k];
-                norm_new = env_residual_(e, trial);
+                norm_new = slice_residual_(e, trial);
                 counters[2] += 1;
                 if (isfinite(norm_new) && norm_new < norm) break;
                 if (halving < halvings - 1) step = step * 0.5;
@@ -1029,11 +1235,11 @@ static long long env_chord_(const env_t* e, const double* dopts,
         }
         int small = env_small_update_(trial->z, cur->z, S, rtol);
         int slow = norm_new > contraction * norm;
-        env_swap_(cur, trial);
+        slice_swap_(cur, trial);
         norm = norm_new;
         if (norm <= atol || (small && isfinite(norm))) return 0;
         if (slow && !fresh) {
-            if (!env_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta,
+            if (!slice_refactor_(e, cur->z, cur->d, e->h, A, ipiv, jac_meta,
                                dqs, dfs, counters))
                 goto singular;
             fresh = 1;
@@ -1112,35 +1318,29 @@ long long envelope_sweep(const double* t2_grid, const double* b_grid,
                          const double* phase, double* out_z,
                          long long* counters, double* work, void* getrf,
                          void* getrs) {
-    env_t e;
+    slice_t e;
     e.m = iopts[2];
     e.M = e.m * N;
     e.S = e.M + 1;
     e.p = p;
     e.D1 = D1;
     e.phase = phase;
+    e.stepped = 1;
     e.theta = dopts[4];
     e.h = dopts[5];
     e.target = dopts[6];
+    e.vscale = NULL;
+    e.escale = NULL;
     e.getrf = (dgetrf_t)getrf;
     e.getrs = (dgetrs_t)getrs;
     long long M = e.M, S = e.S;
     size_t row = sizeof(double) * S;
     iter_t it[2];
-    double* w = work;
-    for (int s = 0; s < 2; ++s) {
-        it[s].z = w; w += S;
-        it[s].r = w; w += S;
-        it[s].q = w; w += M;
-        it[s].f = w; w += M;
-        it[s].d = w; w += M;
-    }
-    double* dz = w; w += S;
+    double *dz, *dqs, *dfs;
+    double* w = slice_work_(&e, work, it, &dz, &dqs, &dfs);
     double* q_old = w; w += M;
     double* rhs_old = w; w += M;
-    double* meta0 = w; w += S + 1;
-    double* dqs = w; w += e.m * NN;
-    double* dfs = w;
+    double* meta0 = w;
     e.q_old = q_old;
     e.rhs_old = rhs_old;
     iter_t cur = it[0], trial = it[1];
@@ -1148,13 +1348,13 @@ long long envelope_sweep(const double* t2_grid, const double* b_grid,
     long long hc = hstate[0];
     memcpy(cur.z, ring_z + (hc - 1) * S, row);
     e.b = b_grid + (g_start - 1) * N;
-    env_eval_(&e, cur.z, cur.q, cur.f, cur.d);
+    slice_eval_(&e, cur.z, cur.q, cur.f, cur.d);
     env_history_(&e, &cur, q_old, rhs_old);
     int have = flags[0] != 0;
     if (have && flags[1] != 0) {
         memcpy(cur.z, jac_meta + 1, row);
-        env_eval_(&e, cur.z, cur.q, cur.f, cur.d);
-        have = env_refactor_(&e, cur.z, cur.d, jac_meta[0], A, ipiv,
+        slice_eval_(&e, cur.z, cur.q, cur.f, cur.d);
+        have = slice_refactor_(&e, cur.z, cur.d, jac_meta[0], A, ipiv,
                              jac_meta, dqs, dfs, NULL);
     }
     flags[1] = 0;
@@ -1194,7 +1394,7 @@ long long envelope_sweep(const double* t2_grid, const double* b_grid,
 '''
 
 
-def _c_header(spec):
+def c_header(spec):
     """The unit's head: constants, ``eval_qf`` and ``eval_jac``."""
     qf_body = "\n".join(_render_c(spec.qf_stmts, 1))
     jac_body = "\n".join(_render_c(spec.jac_stmts, 1))
@@ -1220,10 +1420,17 @@ void eval_jac(const double* x, const double* p, double* dq, double* df) {{
 
 
 def generate_c_source(spec):
-    """The sweep unit: point and batch evaluations, the three sweeps."""
-    return _c_header(spec) + _C_RUNTIME
+    """The sweep unit: the point and batch evaluations, ``sweep``,
+    ``sweep_adaptive`` and ``hb_solve``."""
+    return c_header(spec) + _C_BATCH + _C_STEP + _C_SERIAL + _C_SLICE \
+        + _C_HB
+
+
+def generate_ensemble_source(spec):
+    """The ensemble unit: the point evaluations and ``sweep_ens``."""
+    return c_header(spec) + _C_STEP + _C_ENSEMBLE
 
 
 def generate_envelope_source(spec):
-    """The envelope unit: point evaluations and ``envelope_sweep``."""
-    return _c_header(spec) + _C_ENVELOPE_RUNTIME
+    """The envelope unit: the point evaluations and ``envelope_sweep``."""
+    return c_header(spec) + _C_SLICE + _C_ENVELOPE

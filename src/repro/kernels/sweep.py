@@ -14,6 +14,10 @@
     ``h``/``omega`` registers, advanced by the ``envelope_sweep`` entry
     point of the envelope unit (built on first use, apart from the sweep
     unit; see :mod:`repro.kernels.backends`).
+:func:`autonomous_hb_kernel` / :func:`solve_autonomous_hb`
+    The compiled route of one autonomous harmonic-balance solve: the
+    whole damped Newton solve in one ``hb_solve`` call of the sweep unit
+    (the unit the settle transient before it has built).
 :class:`KernelizedDAE`
     A DAE proxy replacing the batched evaluations (``q_batch`` /
     ``f_batch`` / ``qf_batch`` / ``dq_dx_batch`` / ``df_dx_batch``) with
@@ -25,13 +29,15 @@
 from __future__ import annotations
 
 import time
+from functools import cache
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.linalg.collocation import DENSE_MAX_UNKNOWNS
 from repro.linalg.newton import NewtonOptions
-from repro.linalg.solver_core import INVALIDATE_RTOL
+from repro.linalg.solver_core import INVALIDATE_RTOL, SolverStats
+from repro.spectral.diffmat import fourier_differentiation_matrix
 
 from .backends import KernelBuildError, build_kernel, resolve_mode
 from .registry import spec_for_dae
@@ -55,15 +61,15 @@ def _new_info(requested):
     }
 
 
-def _build_eligible(info, veto, find_spec, spec_veto=None):
+def _build_eligible(info, veto, find_spec, spec_veto=None, unit="sweep"):
     """The eligibility ladder every compiled route climbs, then the build.
 
     In order: the resolved backend (an explicitly requested unavailable
     one raises :class:`~repro.errors.ConfigurationError` here, whatever
     the rest), the caller's ``veto``, the kernel spec from
     ``find_spec()``, the caller's ``spec_veto(spec)``, the dense size
-    limit, and the build (an ``auto`` request stays on NumPy when it
-    fails).  Returns the built kernel, or ``None`` with
+    limit, and the build of ``unit`` (an ``auto`` request stays on NumPy
+    when it fails).  Returns the built kernel, or ``None`` with
     ``info["reason"]`` saying why the route stays on NumPy.
     """
     requested = info["requested"]
@@ -85,7 +91,7 @@ def _build_eligible(info, veto, find_spec, spec_veto=None):
         info["reason"] = veto
         return None
     try:
-        built = build_kernel(spec)
+        built = build_kernel(spec, unit)
     except KernelBuildError as exc:
         if requested != "auto":
             raise
@@ -275,12 +281,14 @@ class CompiledSweepRunner(_SweepRunner):
 
         After this the controller's checkpoint/warm exports describe the
         same frozen matrix the kernel holds (refactorised python-side
-        from the (alpha, beta, x) metadata — deterministic, so a resumed
-        run reproduces the uninterrupted trajectory bit for bit).
+        from the (alpha, beta, x) metadata when a NumPy step needs it —
+        deterministic, so a resumed run reproduces the uninterrupted
+        trajectory bit for bit).
         """
         core = controller.core
         if self.flags[0]:
-            meta = (self.jac_meta[0], self.jac_meta[1], self.jac_meta[2:])
+            meta = (float(self.jac_meta[0]), float(self.jac_meta[1]),
+                    self.jac_meta[2:].copy())
             core.refactor_at(meta, controller.matrix_at)
         else:
             core.invalidate()
@@ -398,7 +406,7 @@ def prepare_ensemble_runner(ensemble, opts, integrator, blocked=None):
     built = _build_eligible(
         info,
         _march_veto(opts, integrator, blocked, "compiled ensemble sweep"),
-        ensemble.kernel_spec,
+        ensemble.kernel_spec, unit="ensemble",
     )
     if built is None:
         return None, info
@@ -515,9 +523,9 @@ class EnvelopeSweepRunner:
         """Push the factors' metadata and the registers to ``core``.
 
         The core then holds factors of the matrix at the kernel's
-        ``(z, h)`` (refactorised by NumPy) or none, so its checkpoints,
-        warm exports and a NumPy step after a handback see the kernel's
-        chord state.
+        ``(z, h)`` (factorised by NumPy only if a NumPy step after a
+        handback needs them) or none, so its checkpoints, warm exports
+        and that step see the kernel's chord state.
         """
         if self.flags[0]:
             meta = (self.jac_meta[1:].copy(), float(self.jac_meta[0]))
@@ -568,6 +576,82 @@ def prepare_envelope_runner(dae, info, system, core, h, blocked=None):
         info["compile_time_s"] + built.compile_time_s, 6
     )
     return EnvelopeSweepRunner(built, system, core, h), info
+
+
+@cache
+def _unit_diffmat(num):
+    """The period-1 t1 differentiation matrix of ``num`` samples, built
+    once per ``num`` and read-only."""
+    diffmat = fourier_differentiation_matrix(num)
+    diffmat.flags.writeable = False
+    return diffmat
+
+
+def autonomous_hb_kernel(dae, options, size):
+    """The compiled route of one autonomous harmonic-balance solve.
+
+    ``options`` are the solve's
+    :class:`~repro.linalg.solver_core.SolverCoreOptions` and ``size`` its
+    unknowns (``N n + 1``).  The solve runs compiled when ``"auto"``
+    resolves to C (``$REPRO_KERNEL`` included), the options are the
+    default full Newton (mode ``"full"``, linear solver ``None`` or
+    ``"lu"``, ladder ``None`` or ``"default"``), ``dae`` lowers through
+    :func:`spec_for_dae` with one parameter row and the bordered matrix
+    is dense (``size <= DENSE_MAX_UNKNOWNS``).  Returns ``(built,
+    reason)``: the sweep unit, or ``None`` and why the solve stays on
+    NumPy.
+    """
+    info = _new_info("auto")
+    veto = None
+    if (options.mode != "full" or options.linear_solver not in (None, "lu")
+            or options.ladder not in (None, "default")):
+        veto = ("the compiled HB solve runs full Newton on the default "
+                "linear solver and ladder")
+    elif size > DENSE_MAX_UNKNOWNS:
+        veto = (f"{size} HB unknowns exceed the dense limit "
+                f"({DENSE_MAX_UNKNOWNS})")
+    built = _build_eligible(
+        info, veto, lambda: spec_for_dae(dae),
+        lambda spec: (
+            "per-scenario parameter stacks have no compiled HB solve"
+            if spec.stacked else None
+        ),
+    )
+    return built, info.get("reason")
+
+
+def solve_autonomous_hb(built, z, data, num, newton):
+    """One autonomous HB solve through the sweep unit's ``hb_solve``.
+
+    ``z`` is the equilibrated ``[samples, nu]`` start, solved in place;
+    ``data`` is ``[atol, rtol, target, b, S, R, phase row]`` (see
+    :mod:`repro.kernels.codegen`) and ``newton`` gives the budgets.  The
+    buffers are the call's own: ctypes releases the GIL during it.
+    Returns ``(status, stats)``: ``hb_solve``'s status and, for status 0,
+    the :class:`~repro.linalg.solver_core.SolverStats` the NumPy core
+    would report.
+    """
+    n = built.spec.n
+    size = z.size
+    counters = np.zeros(4, dtype=np.int64)
+    start = time.perf_counter()
+    status = built.impl.hb_solve(
+        z, data, np.ascontiguousarray(built.spec.params_rows[0]),
+        _unit_diffmat(num),
+        np.array([newton.max_iterations, newton.max_step_halvings, num],
+                 dtype=np.int64),
+        counters,
+        np.empty(size * size + 2 * (2 * size + 3 * (size - 1)) + size
+                 + 2 * num * n * n),
+        np.empty(size, dtype=np.intc),
+    )
+    wall = time.perf_counter() - start
+    _, iterations, residuals, factorizations = (int(c) for c in counters)
+    return status, SolverStats(
+        solves=1, iterations=iterations, residual_evaluations=residuals,
+        jacobian_refreshes=factorizations, factorizations=factorizations,
+        wall_time_s=wall,
+    )
 
 
 class _BatchWork:

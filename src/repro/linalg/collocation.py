@@ -336,10 +336,14 @@ class WarpedCollocationSystem(CollocationSystem):
                 "num_border": num_border, "size": self.total + num_border}
 
     def matrix_at(self, meta):
-        """The step matrix at frozen-factor metadata ``(z, h)``."""
+        """The step matrix at frozen-factor metadata ``(z, h)``; the step
+        the system is set up for keeps its own ``h``."""
         z, h = meta
-        self.h = float(h)
-        return self.jacobian(np.asarray(z, dtype=float))
+        step, self.h = self.h, float(h)
+        try:
+            return self.jacobian(np.asarray(z, dtype=float))
+        finally:
+            self.h = step
 
 
 class CollocationJacobianAssembler:

@@ -225,9 +225,12 @@ class SolverOptionsMixin:
         compiled kernel (:class:`~repro.errors.ConfigurationError`
         without a C compiler); ``"python"`` — force the NumPy engine.
         The transient marches and the fixed-step WaMPDE envelope run
-        their loops compiled; the other collocation engines compile only
-        their DAE evaluations; engines with neither accept and ignore
-        the option.
+        their loops compiled, the adaptive WaMPDE envelope compiles its
+        DAE evaluations, and the other engines accept and ignore the
+        option.  Autonomous harmonic balance takes no options class: it
+        runs compiled whenever ``"auto"`` (with ``$REPRO_KERNEL``)
+        resolves to C and the solve is eligible (see
+        :mod:`repro.steadystate.harmonic_balance`).
     """
 
     newton: NewtonOptions = None
@@ -391,6 +394,9 @@ class SolverCore:
         # picklable stand-in for the held chord factors in checkpoints and
         # warm exports (see :meth:`factor_metadata`).
         self.jacobian_meta = None
+        # ``(meta, matrix_at)`` of factors refactor_at() holds but has not
+        # yet factorised (see :meth:`refactor_at`).
+        self._pending = None
         self._counters = {"residual": 0, "jacobian": 0}
         # A custom/iterative linear solver implies full Newton: the chord
         # policy owns its own (direct) factorisation.
@@ -480,6 +486,7 @@ class SolverCore:
 
     def invalidate(self):
         """Drop any frozen factors; the next solve starts fresh."""
+        self._pending = None
         if self._chord is not None:
             self._chord.invalidate()
         invalidate = getattr(self._linear_solver, "invalidate", None)
@@ -513,6 +520,7 @@ class SolverCore:
         mode (full Newton never reuses factors).
         """
         if self._chord is not None:
+            self._pending = None
             self._chord.adopt(factorization)
 
     def factor_metadata(self):
@@ -520,24 +528,31 @@ class SolverCore:
 
         ``None`` when no factors are held (full mode, or right after an
         invalidation): a march resumed from it starts unfactored, exactly
-        as the live run would have continued.
+        as the live run would have continued.  Factors held by
+        :meth:`refactor_at` report its ``meta``.
         """
         chord = self._chord
-        if chord is not None and chord._have:
-            return self.jacobian_meta
-        return None
+        if chord is None:
+            return None
+        if self._pending is not None:
+            return self._pending[0]
+        return self.jacobian_meta if chord._have else None
 
     def refactor_at(self, meta, matrix_at):
-        """Hold fresh chord factors of ``matrix_at(meta)``.
+        """Hold chord factors of ``matrix_at(meta)``.
 
         ``meta`` is a :meth:`factor_metadata` export and ``matrix_at``
-        re-assembles the system's matrix there.  Factorising an identical
-        matrix is deterministic, so the chord policy then makes
-        bit-for-bit the decisions of the run that exported ``meta``.  A
-        no-op without metadata or outside chord mode.
+        re-assembles the system's matrix there, reading nothing but
+        ``meta`` and the run's constants.  The factorisation waits for the
+        next :meth:`solve` (a compiled march handed ``meta`` by
+        :meth:`factor_metadata` rebuilds its own factors and never needs
+        NumPy's); a parameter jump or :meth:`invalidate` drops it first.
+        Factorising an identical matrix is deterministic, so the chord
+        policy then makes bit-for-bit the decisions of the run that
+        exported ``meta``.  A no-op without metadata or outside chord mode.
         """
         if meta is not None and self._chord is not None:
-            self._chord.adopt(FrozenFactorization().factor(matrix_at(meta)))
+            self._pending = (meta, matrix_at)
 
     def snapshot(self):
         """Checkpointable state: stats, parameters, frozen-factor metadata."""
@@ -597,6 +612,10 @@ class SolverCore:
         """
         stats = self.stats
         chord = self._chord
+        if self._pending is not None:
+            meta, matrix_at = self._pending
+            self._pending = None
+            chord.adopt(FrozenFactorization().factor(matrix_at(meta)))
         counters = self._counters
         counters["residual"] = 0
         counters["jacobian"] = 0

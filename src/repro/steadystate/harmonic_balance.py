@@ -48,6 +48,22 @@ evaluation, a dense derivative ``D1 @ Q`` of the ``(N, n)`` charge samples
 and a dot with the stored phase row; the Jacobian at the same iterate takes
 its frequency column from that memoised ``D1 q``
 (:class:`~repro.linalg.collocation.IterateEvaluation`).
+
+The autonomous solve has a compiled route: the whole damped Newton solve
+in one ``hb_solve`` call of the sweep unit (:mod:`repro.kernels.codegen`),
+the same system, scales, line search and counts, factorised by LAPACK.  It
+runs when ``kernel="auto"`` resolves to C (``$REPRO_KERNEL=python`` pins
+NumPy), the solver options are the default full Newton (mode ``"full"``,
+linear solver ``None``/``"lu"``, ladder ``None``/``"default"``), the DAE
+lowers to a kernel with one parameter row and ``N n + 1`` is at most
+:data:`~repro.linalg.collocation.DENSE_MAX_UNKNOWNS`.  Other solves, and
+any compiled solve that fails or converges to ``nu <= 0``, run (again,
+from the start) on the NumPy :class:`~repro.linalg.solver_core.SolverCore`,
+the reference: a replayed failure raises the NumPy route's exception with
+its message and counts.  The routes agree on iterations, residual
+evaluations and factorisations and on the solution to rounding
+(``tests/test_route_parity.py``), not bit for bit.
+:attr:`HBResult.kernel` names the route that ran.
 """
 
 from __future__ import annotations
@@ -61,6 +77,7 @@ from repro.api.serialize import SerializableMixin
 from repro.dae.scaled import ScaledDAE, equilibration_scales
 from repro.errors import ConvergenceError
 from repro.grids import stack_states as _stack, unstack_states as _unstack
+from repro.kernels.sweep import autonomous_hb_kernel, solve_autonomous_hb
 from repro.linalg.collocation import WarpedCollocationSystem
 from repro.linalg.newton import NewtonOptions
 from repro.linalg.solver_core import SolverCore, SolverCoreOptions
@@ -93,12 +110,17 @@ class HBResult(SerializableMixin):
     stats:
         Uniform solver counters (see
         :class:`repro.linalg.solver_core.SolverStats`).
+    kernel:
+        The route of an autonomous solve: ``{"mode": "c", "reason":
+        None}`` when it ran compiled, else ``"python"`` and why (empty
+        for forced problems).
     """
 
     samples: np.ndarray
     period: float
     newton_iterations: int
     stats: dict = field(default_factory=dict)
+    kernel: dict = field(default_factory=dict)
 
     @property
     def frequency(self):
@@ -121,8 +143,8 @@ class HBResult(SerializableMixin):
         return np.stack(columns, axis=-1)
 
 
-def _make_core(solver_options, newton_options, default_newton):
-    """Build the SolverCore for one HB solve from the two option channels.
+def _core_options(solver_options, newton_options, default_newton):
+    """The SolverCore options of one HB solve from the two option channels.
 
     Newton tolerances resolve in precedence order: an explicit
     ``newton_options`` (the historical knob), then an explicitly set
@@ -131,8 +153,7 @@ def _make_core(solver_options, newton_options, default_newton):
     default.  All other ``solver_options`` fields pass through unchanged.
     """
     opts = solver_options or SolverCoreOptions()
-    newton = newton_options or opts.newton or default_newton
-    return SolverCore(replace(opts, newton=newton))
+    return replace(opts, newton=newton_options or opts.newton or default_newton)
 
 
 class _ForcedHBSystem(PeriodicCollocationSystem):
@@ -232,9 +253,9 @@ def harmonic_balance_forced(dae, period, num_samples=31, initial=None,
             raise ValueError(
                 f"initial must have shape {(num, n)}, got {x0.shape}"
             )
-    core = _make_core(
+    core = SolverCore(_core_options(
         opts, newton_options, NewtonOptions(atol=1e-9, max_iterations=60),
-    )
+    ))
     result = core.solve(system, _stack(x0))
     return HBResult(
         _unstack(result.x, num, n), float(period), result.iterations,
@@ -316,15 +337,31 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
     if condition.target:
         condition = copy.copy(condition)
         condition.target /= scale[condition.variable]
+    z0 = np.concatenate([_stack(initial / scale), [float(frequency_guess)]])
+    options = _core_options(
+        solver_options, newton_options,
+        NewtonOptions(atol=1e-9, max_iterations=80),
+    )
+    newton = options.newton
+    built, reason = autonomous_hb_kernel(dae, options, z0.size)
+    if built is not None:
+        z = z0.copy()
+        status, stats = solve_autonomous_hb(built, z, np.concatenate([
+            [newton.atol, newton.rtol, condition.target],
+            equation_scale * dae.b(float(forcing_time)), scale,
+            equation_scale, condition.gradient(num, n),
+        ]), num, newton)
+        if status == 0 and z[-1] > 0:
+            return HBResult(_unstack(z[:-1], num, n) * scale, 1.0 / z[-1],
+                            stats.iterations, stats.as_dict(),
+                            {"mode": "c", "reason": None})
+        reason = (f"compiled HB solve returned status {status} (nu "
+                  f"{z[-1]:g}); replayed on NumPy")
     scaled = ScaledDAE(dae, variable_scale=scale,
                        equation_scale=equation_scale)
     system = WarpedCollocationSystem(scaled, num, condition=condition)
     system.b = np.tile(scaled.b(forcing_time), num)
-    z0 = np.concatenate([_stack(initial / scale), [float(frequency_guess)]])
-    core = _make_core(
-        solver_options, newton_options,
-        NewtonOptions(atol=1e-9, max_iterations=80),
-    )
+    core = SolverCore(options)
     result = core.solve(system, z0)
     nu = float(result.x[-1])
     if nu <= 0:
@@ -334,4 +371,4 @@ def harmonic_balance_autonomous(dae, frequency_guess, initial=None,
         )
     samples = _unstack(result.x[:-1], num, n) * scale
     return HBResult(samples, 1.0 / nu, result.iterations,
-                    core.stats.as_dict())
+                    core.stats.as_dict(), {"mode": "python", "reason": reason})

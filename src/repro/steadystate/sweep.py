@@ -30,6 +30,20 @@ import numpy as np
 from repro.api.serialize import SerializableMixin
 from repro.errors import ConvergenceError
 from repro.steadystate.harmonic_balance import harmonic_balance_autonomous
+from repro.utils.validation import check_positive, check_settle
+
+
+def _sweep_values(values):
+    """``values`` as a float array, which must be 1-D and non-empty."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(
+            f"values must be a 1-D sequence of parameter values, got shape "
+            f"{values.shape}"
+        )
+    if values.size < 1:
+        raise ValueError("sweep needs at least one parameter value")
+    return values
 
 
 @dataclass
@@ -81,11 +95,11 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
         ``lambda vc: MemsVcoDae(replace(params, control_offset=vc),
         constant_control=True)``).
     values:
-        Parameter values; swept in the given order, each HB solve seeded
-        from the previous solution.
+        1-D parameter values; swept in the given order, each HB solve
+        seeded from the previous solution.
     period_guess:
         Rough oscillation period at ``values[0]`` (for the initial
-        settle-transient).
+        settle-transient), positive and finite.
     num_t1:
         Odd collocation count.
     variable:
@@ -110,6 +124,9 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
 
     Raises
     ------
+    ValueError
+        Up front, naming the argument: ``values`` not 1-D or empty,
+        ``period_guess`` not positive and finite.
     ConvergenceError
         If continuation fails at some value and ``on_failure="raise"``
         (message names the value).
@@ -122,6 +139,8 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
         raise ValueError(
             f"on_failure must be 'raise' or 'truncate', got {on_failure!r}"
         )
+    values = _sweep_values(values)
+    check_positive(period_guess, "period_guess")
     if method == "ensemble":
         return ensemble_frequency_sweep(
             dae_factory, values, period_guess, num_t1=num_t1,
@@ -133,10 +152,6 @@ def oscillator_frequency_sweep(dae_factory, values, period_guess,
     # which itself imports repro.steadystate (module-level import would be
     # circular).
     from repro.wampde.initial_condition import oscillator_initial_condition
-
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("sweep needs at least one parameter value")
 
     frequencies = np.empty(values.size)
     amplitudes = np.empty(values.size)
@@ -224,7 +239,7 @@ def ensemble_frequency_sweep(dae_factory, values, period_guess, num_t1=25,
     ----------
     settle_cycles, steps_per_cycle:
         Length and resolution (in ``period_guess`` units) of the shared
-        settling transient.
+        settling transient: positive integers.
     perturbation:
         Kick added to ``variable`` of each scenario's DC point to start
         the oscillation.
@@ -241,13 +256,12 @@ def ensemble_frequency_sweep(dae_factory, values, period_guess, num_t1=25,
     from repro.transient.engine import TransientOptions
     from repro.transient.ensemble import simulate_transient_ensemble
 
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("sweep needs at least one parameter value")
+    values = _sweep_values(values)
     if on_failure not in ("raise", "truncate"):
         raise ValueError(
             f"on_failure must be 'raise' or 'truncate', got {on_failure!r}"
         )
+    check_settle(period_guess, settle_cycles, steps_per_cycle)
 
     ensemble = ensemble_from_factory(dae_factory, values, stacked_factory)
     batch = ensemble.batch_size

@@ -33,8 +33,10 @@ B times the single-run wall time; the ``ensemble_sweep`` bench entry
 ratchets that speedup.
 
 Two routes march the grid: the compiled C ensemble sweep (``kernel="auto"``
-with a host compiler, or ``"c"``) and the NumPy lock-step loop above,
-which also replays any step the compiled sweep hands back.
+with a host compiler, or ``"c"``; ``sweep_ens`` in the ensemble unit of
+:mod:`repro.kernels.codegen`, compiled on the first compiled ensemble run)
+and the NumPy lock-step loop above, which also replays any step the
+compiled sweep hands back.
 ``stats["kernel"]["mode"]`` and ``["reason"]`` record which route ran.
 The service splits large batches into scenario shards
 (:meth:`repro.api.requests.EnsembleRequest.shards`) and stitches them

@@ -46,6 +46,26 @@ def check_window(t2_start, t2_stop, num_steps=None):
         raise SimulationError(f"num_steps must be >= 1, got {num_steps}")
 
 
+def check_count(value, name="value"):
+    """Raise unless ``value`` is an integer (Python or NumPy) ``>= 1``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        raise ValidationError(
+            f"{name} must be a positive integer, got {value!r}"
+        )
+    return int(value)
+
+
+def check_settle(period_guess, settle_cycles, steps_per_cycle):
+    """Raise unless a settle transient's ``period_guess`` is positive and
+    finite and its ``settle_cycles`` and ``steps_per_cycle`` are positive
+    integers (the schedule of the oscillator initial condition and the
+    ensemble sweep)."""
+    check_positive(period_guess, "period_guess")
+    check_count(settle_cycles, "settle_cycles")
+    check_count(steps_per_cycle, "steps_per_cycle")
+
+
 def check_positive(value, name="value"):
     """Raise unless scalar ``value`` is a finite number > 0."""
     if not isinstance(value, numbers.Real) or not np.isfinite(value) or value <= 0:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.phase_conditions import as_phase_condition
 from repro.steadystate.dc import dc_operating_point
 from repro.steadystate.harmonic_balance import harmonic_balance_autonomous
 from repro.steadystate.shooting import estimate_period_from_transient
 from repro.transient.engine import TransientOptions, simulate_transient
-from repro.utils.validation import check_odd
+from repro.utils.validation import check_odd, check_settle
 
 
 def oscillator_initial_condition(dae_unforced, num_t1=25,
@@ -42,13 +42,14 @@ def oscillator_initial_condition(dae_unforced, num_t1=25,
         Must match the envelope solver's settings so the initial samples
         satisfy its phase equation.
     period_guess:
-        Rough period [s]; used to size the settling transient.  Required —
-        there is no reliable way to guess an oscillation timescale from the
-        equations alone.
+        Rough period [s], positive and finite; used to size the settling
+        transient.  Required — there is no reliable way to guess an
+        oscillation timescale from the equations alone.
     settle_cycles:
-        Limit-cycle settling length, in (estimated) periods.
+        Limit-cycle settling length, in (estimated) periods: a positive
+        integer.
     steps_per_cycle:
-        Transient resolution during settling.
+        Transient resolution during settling: a positive integer.
     perturbation:
         State offset added to the DC point to kick the oscillation
         (default: 10% of unity on the phase variable).
@@ -64,6 +65,10 @@ def oscillator_initial_condition(dae_unforced, num_t1=25,
         raise SimulationError(
             "period_guess is required: supply a rough oscillation period"
         )
+    try:
+        check_settle(period_guess, settle_cycles, steps_per_cycle)
+    except ValidationError as exc:
+        raise SimulationError(str(exc)) from None
 
     x_dc = dc_operating_point(dae_unforced, t0=t0)
 

@@ -169,6 +169,8 @@ class TestSelector:
     def test_envelope_assembles_nothing_sparse(
         self, vco_initial_condition, monkeypatch
     ):
+        # The NumPy stepper: the compiled march assembles in C.
+        monkeypatch.setenv("REPRO_KERNEL", "python")
         params, samples, f0 = vco_initial_condition
         calls = []
         sparse_refresh = CollocationJacobianAssembler.refresh
@@ -192,6 +194,8 @@ class TestRouteEquivalence:
         """One vacuum control period, where omega swings ~3x: the routes
         factorise differently, so they agree to the Newton tolerance, not
         bit for bit."""
+        # The NumPy stepper: the compiled march is dense at any size.
+        monkeypatch.setenv("REPRO_KERNEL", "python")
         params, samples, f0 = vco_initial_condition
         span = params.control_period
         dense = solve_wampde_envelope(

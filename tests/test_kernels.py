@@ -139,17 +139,23 @@ class TestGeneratedSource:
     @pytest.mark.parametrize("name", ["vco", "mixer"])
     def test_compiles_without_warnings(self, name, tmp_path):
         """A helper parameter or local the runtime no longer reads (say,
-        an ``rtol`` a sweep stopped using) fails ``-Wall -Wextra``."""
+        an ``rtol`` a sweep stopped using), or a static helper a unit
+        carries without calling, fails ``-Wall -Wextra``; every unit is
+        compiled."""
         spec, why = spec_for_dae(_fixture_daes()[name])
         assert spec is not None, why
-        source = tmp_path / "kernel.c"
-        source.write_text(codegen.generate_c_source(spec))
-        proc = subprocess.run(
-            [backends._find_cc(), "-O2", "-Wall", "-Wextra", "-Werror",
-             "-fPIC", "-c", "-o", str(tmp_path / "kernel.o"), str(source)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for render in (codegen.generate_c_source,
+                       codegen.generate_ensemble_source,
+                       codegen.generate_envelope_source):
+            source = tmp_path / f"{render.__name__}.c"
+            source.write_text(render(spec))
+            proc = subprocess.run(
+                [backends._find_cc(), "-O2", "-Wall", "-Wextra", "-Werror",
+                 "-fPIC", "-c", "-o", str(tmp_path / "kernel.o"),
+                 str(source)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, (render.__name__, proc.stderr)
 
 
 class TestTrajectoryEquivalence:
@@ -267,6 +273,26 @@ class TestGracefulFallback:
         assert info["mode"] == "python"  # silently degraded
         assert "C compiler" in info["reason"]
         assert np.isfinite(np.asarray(result.x)).all()
+
+    def test_compiler_probe_is_memoised_per_environment(self, monkeypatch):
+        """Route decisions probe ``$CC``/``$PATH`` once, not per call."""
+        looked = []
+        which = backends.shutil.which
+
+        def spy(cmd, *args, **kwargs):
+            looked.append(cmd)
+            return which(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(backends.shutil, "which", spy)
+        monkeypatch.setenv("CC", "no-such-compiler-here")
+        first = [resolve_mode("auto") for _ in range(3)]
+        assert looked[0] == "no-such-compiler-here"
+        assert len(set(looked)) == len(looked)  # one probe of each name
+        assert first == [first[0]] * 3
+        monkeypatch.setenv("PATH", "")
+        looked.clear()
+        assert backends._find_cc() is None
+        assert looked == ["no-such-compiler-here", "cc", "gcc", "clang"]
 
     def test_invalid_kernel_value_raises(self):
         dae = VanDerPolDae(mu=0.5)
@@ -521,6 +547,45 @@ def _vco_control_ensemble(batch):
             replace(base, control_offset=arr)
         ),
     )
+
+
+class TestUnits:
+    """Each unit is built when a run first needs it, once per process."""
+
+    @needs_backend
+    def test_units_build_on_first_use(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(backends, "_KERNEL_MEMO", {})
+        compiles = []
+        run = backends.subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            compiles.append(cmd)
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(backends.subprocess, "run", counting_run)
+
+        def units():
+            return sorted(unit for unit, _head in backends._KERNEL_MEMO)
+
+        dae = MemsVcoDae(VcoParams.air())
+        result = simulate_transient(
+            dae, [1.0, 0.0, 0.0, 0.0], 0.0, 2 * T_NOMINAL,
+            TransientOptions(integrator="trap", dt=T_NOMINAL / 50),
+        )
+        assert result.stats["kernel"]["compiled_steps"] > 0
+        assert units() == ["sweep"]
+        batch = 3
+        x0 = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (batch, 1))
+        for _ in range(2):
+            result = simulate_transient_ensemble(
+                _vco_control_ensemble(batch), x0, 0.0, 2 * T_NOMINAL,
+                TransientOptions(integrator="trap", dt=T_NOMINAL / 50),
+            )
+            assert result.stats["kernel"]["compiled_steps"] > 0
+        assert units() == ["ensemble", "sweep"]
+        assert len(compiles) == 2
 
 
 class TestEnsembleCompiled:

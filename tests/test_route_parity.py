@@ -523,3 +523,186 @@ def test_envelope_warm_start_through_the_service():
             assert job.warm_hit
     numpy_run, c_run = runs["python"], runs["c"]
     assert_envelope_contract(numpy_run, c_run)
+
+
+# -- autonomous harmonic balance ------------------------------------------
+
+#: SolverStats counters the autonomous-HB routes must share.
+HB_COUNTS = ("solves", "iterations", "residual_evaluations",
+             "jacobian_refreshes", "factorizations")
+
+
+def settle_seed(dae, period, kick, num=25):
+    """A rough cycle from a settle transient (the HB seed the initial
+    condition and the sweeps use) and its frequency."""
+    from repro.steadystate import (
+        dc_operating_point,
+        estimate_period_from_transient,
+    )
+
+    run = simulate_transient(
+        dae, dc_operating_point(dae) + kick, 0.0, 40 * period,
+        TransientOptions(integrator="trap", dt=period / 60),
+    )
+    cycle = estimate_period_from_transient(run, key=0)
+    times = run.t[-1] - cycle + cycle * np.arange(num) / num
+    return run.sample(times), 1.0 / cycle
+
+
+def hb_runs(monkeypatch, dae, seed, f0, **kwargs):
+    """The same autonomous HB solve on the NumPy and the C route."""
+    from repro.steadystate import harmonic_balance_autonomous
+
+    runs = []
+    for kernel in ("python", "c"):
+        monkeypatch.setenv("REPRO_KERNEL", "python" if kernel == "python"
+                           else "auto")
+        runs.append(harmonic_balance_autonomous(dae, f0, seed, **kwargs))
+    return runs
+
+
+def assert_hb_contract(numpy_run, c_run, rounding=()):
+    """Equal counts, the frequency within 1e-12 relative and the samples
+    within 1e-9 of each variable's largest magnitude; the ``rounding``
+    variables sit at rounding level on both routes (|x| < 1e-14)."""
+    assert numpy_run.kernel["mode"] == "python"
+    assert c_run.kernel == {"mode": "c", "reason": None}
+    for key in HB_COUNTS:
+        assert c_run.stats[key] == numpy_run.stats[key], key
+    assert c_run.newton_iterations == numpy_run.newton_iterations
+    assert abs(c_run.frequency / numpy_run.frequency - 1.0) <= 1e-12
+    scale = np.abs(numpy_run.samples).max(axis=0)
+    for k in range(scale.size):
+        if k in rounding:
+            assert np.abs(numpy_run.samples[:, k]).max() < 1e-14
+            assert np.abs(c_run.samples[:, k]).max() < 1e-14
+        else:
+            assert np.abs(c_run.samples[:, k] - numpy_run.samples[:, k]
+                          ).max() <= 1e-9 * scale[k]
+
+
+@needs_cc
+@pytest.mark.parametrize("vc", [0.4, 1.5, 2.6])
+@pytest.mark.parametrize("variant", ["vacuum", "air"])
+def test_hb_c_route_vco(monkeypatch, variant, vc):
+    """The Fig-7 solves: the MEMS VCO at three control voltages.  With the
+    control held constant the plate velocity u is rounding noise
+    (|u| <= 2.5e-15 m/s at these points), so it is held to that level
+    instead of to its own largest magnitude."""
+    from dataclasses import replace
+
+    from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
+
+    params = replace(getattr(VcoParams, variant)(), control_offset=vc)
+    dae = MemsVcoDae(params, constant_control=True)
+    seed, f0 = settle_seed(dae, T_NOMINAL, np.array([0.1, 0.0, 0.0, 0.0]))
+    numpy_run, c_run = hb_runs(monkeypatch, dae, seed, f0, num_samples=25)
+    assert numpy_run.newton_iterations >= 3
+    assert_hb_contract(numpy_run, c_run, rounding=(3,))
+
+
+@needs_cc
+def test_hb_c_route_van_der_pol(monkeypatch):
+    from repro.dae import VanDerPolDae
+
+    dae = VanDerPolDae(mu=1.0)
+    seed, f0 = settle_seed(dae, 6.28, np.array([0.1, 0.0]))
+    numpy_run, c_run = hb_runs(monkeypatch, dae, seed, f0, num_samples=25)
+    assert numpy_run.newton_iterations >= 3
+    assert_hb_contract(numpy_run, c_run)
+
+
+@needs_cc
+def test_hb_c_route_ring_oscillator(monkeypatch):
+    from repro.circuits.library import ring_oscillator_circuit
+
+    dae = ring_oscillator_circuit(bias=DC(0.0)).to_dae()
+    seed, f0 = settle_seed(dae, 4e-6, np.array([0.1, -0.05, 0.02]))
+    numpy_run, c_run = hb_runs(monkeypatch, dae, seed, f0, num_samples=25)
+    assert numpy_run.newton_iterations >= 3
+    assert_hb_contract(numpy_run, c_run)
+
+
+@pytest.fixture(scope="module")
+def vdp_seed():
+    from repro.dae import VanDerPolDae
+
+    dae = VanDerPolDae(mu=1.0)
+    return (dae,) + settle_seed(dae, 6.28, np.array([0.1, 0.0]))
+
+
+@needs_cc
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("case", ["budget", "zero_seed"])
+def test_hb_failure_replays_on_numpy(monkeypatch, vdp_seed, case):
+    """A failing compiled solve is replayed whole by the NumPy core: the
+    exception and its message are the NumPy route's.  The budget case
+    stops after one iteration (status 1); the VCO's all-zero seed has a
+    zero phase row and frequency column, so its first matrix is singular
+    (status 3)."""
+    from repro.circuits.library import MemsVcoDae, T_NOMINAL, VcoParams
+    from repro.errors import ConvergenceError
+    from repro.linalg.newton import NewtonOptions
+
+    dae, seed, f0 = vdp_seed
+    kwargs = {"num_samples": 25}
+    if case == "budget":
+        kwargs["newton_options"] = NewtonOptions(atol=1e-9, max_iterations=1)
+    else:
+        dae = MemsVcoDae(VcoParams.vacuum(), constant_control=True)
+        seed, f0 = np.zeros((25, dae.n)), 1.0 / T_NOMINAL
+    from repro.steadystate import harmonic_balance as hb_module
+
+    statuses = []
+    compiled = hb_module.solve_autonomous_hb
+
+    def spy(*args):
+        status, stats = compiled(*args)
+        statuses.append(status)
+        return status, stats
+
+    monkeypatch.setattr(hb_module, "solve_autonomous_hb", spy)
+    errors = []
+    for kernel in ("python", "auto"):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        with pytest.raises(ConvergenceError) as info:
+            hb_module.harmonic_balance_autonomous(dae, f0, seed, **kwargs)
+        errors.append(info.value)
+    assert statuses == [1 if case == "budget" else 3]
+    assert type(errors[1]) is type(errors[0])
+    assert str(errors[1]) == str(errors[0])
+
+
+@needs_cc
+@pytest.mark.parametrize("case", [
+    "chord", "gmres", "extended", "faulty", "scaled", "env",
+])
+def test_hb_ineligible_solves_stay_on_numpy(monkeypatch, vdp_seed, case):
+    from repro.dae import ScaledDAE
+    from repro.linalg.solver_core import SolverCoreOptions
+    from repro.steadystate import harmonic_balance_autonomous
+    from repro.testing.faults import FaultyDAE
+
+    dae, seed, f0 = vdp_seed
+    monkeypatch.setenv("REPRO_KERNEL", "auto")
+    kwargs = {"num_samples": 25}
+    reason = "full Newton on the default linear solver and ladder"
+    if case == "chord":
+        kwargs["solver_options"] = SolverCoreOptions(mode="chord")
+    elif case == "gmres":
+        kwargs["solver_options"] = SolverCoreOptions(linear_solver="gmres")
+    elif case == "extended":
+        kwargs["solver_options"] = SolverCoreOptions(ladder="extended")
+    elif case == "faulty":
+        dae = FaultyDAE(dae, nan_q_calls=[10_000])
+        reason = "fault injection"
+    elif case == "scaled":
+        dae = ScaledDAE(dae, variable_scale=2.0)
+        seed = seed / 2.0
+        reason = "no kernel lowering for ScaledDAE"
+    else:
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        reason = "kernel='python' requested"
+    hb = harmonic_balance_autonomous(dae, f0, seed, **kwargs)
+    assert hb.kernel["mode"] == "python"
+    assert reason in hb.kernel["reason"]

@@ -556,3 +556,44 @@ class TestFallbackStartPoint:
         np.testing.assert_allclose(result.x, [1.0], atol=1e-8)
         assert core.stats.fallbacks == 1
 
+
+
+class TestDeferredRefactor:
+    """``refactor_at`` holds factors by their metadata; NumPy factorises
+    them only when a solve needs them (a compiled march rebuilds its own
+    from the metadata)."""
+
+    def test_factorises_on_the_next_solve_only(self):
+        matrix = 2.0 * np.eye(3)
+        built = []
+
+        def matrix_at(meta):
+            built.append(meta)
+            return matrix
+
+        def jacobian(z):
+            raise AssertionError("the held factors should serve the solve")
+
+        core = SolverCore(SolverCoreOptions(mode="chord"))
+        meta = ("z", 0.5)
+        core.refactor_at(meta, matrix_at)
+        assert built == []
+        assert core.factor_metadata() is meta
+        core.invalidate()
+        assert core.factor_metadata() is None
+        core.note_parameters(h=1.0)
+        core.refactor_at(meta, matrix_at)
+        core.note_parameters(h=2.0)  # a jump drops the held factors
+        assert core.factor_metadata() is None
+        core.refactor_at(meta, matrix_at)
+        result = core.solve(
+            FunctionSystem(lambda z: matrix @ z - 2.0, jacobian), np.zeros(3)
+        )
+        assert built == [meta]
+        np.testing.assert_array_equal(result.x, np.ones(3))
+        assert core.stats.factorizations == 0
+
+    def test_full_mode_ignores_metadata(self):
+        core = SolverCore(SolverCoreOptions(mode="full"))
+        core.refactor_at(("z", 0.5), lambda meta: 1 / 0)
+        assert core.factor_metadata() is None

@@ -22,6 +22,34 @@ def _vacuum_vco_stack(values):
 FIG7_VALUES = np.linspace(0.4, 2.6, 9)
 
 
+class TestArgumentChecks:
+    """Both methods check their arguments up front, naming them."""
+
+    @pytest.mark.parametrize("method", ["continuation", "ensemble"])
+    def test_values_must_be_1d(self, method):
+        with pytest.raises(ValueError, match="values must be a 1-D"):
+            oscillator_frequency_sweep(
+                _vacuum_vco, [[1.5, 1.6]], T_NOMINAL, method=method,
+                stacked_factory=_vacuum_vco_stack,
+            )
+
+    @pytest.mark.parametrize("method", ["continuation", "ensemble"])
+    def test_period_guess_must_be_positive(self, method):
+        with pytest.raises(ValueError, match="period_guess"):
+            oscillator_frequency_sweep(
+                _vacuum_vco, [1.5, 1.6], -T_NOMINAL, method=method,
+            )
+
+    @pytest.mark.parametrize("name", ["settle_cycles", "steps_per_cycle"])
+    def test_ensemble_settle_schedule(self, name):
+        from repro.steadystate.sweep import ensemble_frequency_sweep
+
+        with pytest.raises(ValueError, match=name):
+            ensemble_frequency_sweep(
+                _vacuum_vco, [1.5, 1.6], T_NOMINAL, **{name: 0},
+            )
+
+
 class TestVcoTuningCurve:
     @pytest.fixture(scope="class")
     def tuning(self):

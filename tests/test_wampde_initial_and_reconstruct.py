@@ -26,6 +26,19 @@ class TestOscillatorInitialCondition:
         with pytest.raises(SimulationError, match="period_guess"):
             oscillator_initial_condition(vdp, num_t1=25)
 
+    @pytest.mark.parametrize("name, value", [
+        ("period_guess", -5.33e-7), ("period_guess", float("nan")),
+        ("settle_cycles", 0), ("steps_per_cycle", 0),
+        ("steps_per_cycle", 2.5),
+    ])
+    def test_rejects_bad_settle_schedule(self, vdp, name, value):
+        """Checked up front, naming the argument (a zero step count used
+        to raise ZeroDivisionError, a non-positive settle window a
+        t_stop error naming none of them)."""
+        kwargs = {"period_guess": 6.0, name: value}
+        with pytest.raises(SimulationError, match=name):
+            oscillator_initial_condition(vdp, num_t1=25, **kwargs)
+
     def test_phase_condition_satisfied(self, vdp):
         from repro.phase_conditions import FourierImagAnchor
 
